@@ -6,6 +6,16 @@ string to its orbit; quantum decoding projects onto the message basis.  Both
 are certified zero-error by exhausting every (message, element) pair, and the
 ancilla-assisted protocol is simulated sector by sector with clock-shift
 unitaries on the multiplicity index.
+
+Certification never forms d**n-sized dense operators.  U(sigma) only moves
+string indices, so the quantum sweep splits the basis into blocks of
+connected support (one rotation orbit of size n_j per block for the cyclic
+Fourier basis) and multiplies each block by the blocks its image lands in:
+O(|G| * sum_j n_j**3).  The ancilla sweep reduces every round trip in a
+sector of multiplicity m to the m x m sector operator V = B^H U(sigma) B,
+one pass over d**n entries, and reads all (a, b) -> (a', b')
+probabilities |tr(W'^H V W)|**2 / m**2 off at most m length-m FFTs:
+O(|G| * (d**n + m**2 log m)) per sector.
 """
 
 from __future__ import annotations
@@ -160,6 +170,60 @@ class ZeroErrorReport:
         }
 
 
+class _Block(NamedTuple):
+    """Basis columns whose supports connect, with the string indices they cover."""
+
+    columns: np.ndarray  # ascending message indices
+    rows: np.ndarray  # ascending string indices
+    matrix: np.ndarray  # amplitudes, len(rows) x len(columns)
+
+
+def _support_blocks(basis: MessageBasis) -> tuple[list[_Block], np.ndarray, np.ndarray]:
+    """Split the basis into blocks with pairwise disjoint supports.
+
+    Columns whose supports share a string index are joined, so the split is
+    exact for any basis; in the cyclic Fourier basis each block is one
+    rotation orbit.  Also returns, per string index, its block (-1 outside
+    every support) and its row within that block.
+    """
+    states = [state for _mu, _alpha, state in basis.entries]
+    count = len(states)
+    sizes = [len(state.amplitudes) for state in states]
+    total = sum(sizes)
+    cols = np.repeat(np.arange(count, dtype=np.int64), sizes)
+    rows = np.fromiter((ix for s in states for ix in s.amplitudes), dtype=np.int64, count=total)
+    amps = np.fromiter((a for s in states for a in s.amplitudes.values()), dtype=complex, count=total)
+    # Min-label propagation over the column/row incidence until it settles.
+    label = np.arange(count, dtype=np.int64)
+    while True:
+        row_label = np.full(basis.d**basis.n, count, dtype=np.int64)
+        np.minimum.at(row_label, rows, label[cols])
+        joined = label.copy()
+        np.minimum.at(joined, cols, row_label[rows])
+        if np.array_equal(joined, label):
+            break
+        label = joined
+    labels, block_of_col = np.unique(label, return_inverse=True)
+    col_order = np.argsort(block_of_col, kind="stable")
+    col_splits = np.cumsum(np.bincount(block_of_col))[:-1]
+    entry_block = block_of_col[cols]
+    entry_order = np.argsort(entry_block, kind="stable")
+    entry_splits = np.cumsum(np.bincount(entry_block, minlength=labels.size))[:-1]
+    block_of_row = np.full(basis.d**basis.n, -1, dtype=np.int64)
+    row_in_block = np.zeros(basis.d**basis.n, dtype=np.int64)
+    blocks = []
+    for index, (columns, entries) in enumerate(
+        zip(np.split(col_order, col_splits), np.split(entry_order, entry_splits))
+    ):
+        block_rows, local_rows = np.unique(rows[entries], return_inverse=True)
+        matrix = np.zeros((len(block_rows), len(columns)), dtype=complex)
+        matrix[local_rows, np.searchsorted(columns, cols[entries])] = amps[entries]
+        block_of_row[block_rows] = index
+        row_in_block[block_rows] = np.arange(len(block_rows))
+        blocks.append(_Block(columns, block_rows, matrix))
+    return blocks, block_of_row, row_in_block
+
+
 def verify_zero_error(
     group: PermutationGroup,
     basis: MessageBasis,
@@ -169,27 +233,46 @@ def verify_zero_error(
 ) -> ZeroErrorReport:
     """Decode U(sigma)|u_m> for every message m and element sigma.
 
+    Decoding is by the largest overlap |<u_t|U(sigma)|u_m>|**2 (ties to the
+    lowest t), which must also reach 1 - tol.  U(sigma) only moves string
+    indices, so the overlaps of one support block are nonzero only with the
+    blocks its image lands in; each such pair is one small product, and the
+    sweep costs O(|G| * sum of n_j**3) over blocks of size n_j.
+
     With ``exhaustive`` False only the generators are applied (a quick smoke
     pass); certification uses the default exhaustive sweep.
     """
     if group.degree != basis.n:
         raise DegreeMismatchError("group degree does not match the basis")
-    matrix = basis.dense_matrix()
+    blocks, block_of_row, row_in_block = _support_blocks(basis)
     elements = group.elements if exhaustive else (group.generators or (group.identity,))
     failures = []
     max_offdiag = 0.0
     count = len(basis.entries)
     for sigma in elements:
         table = kernels.action_table(sigma.inverse().images, basis.d)
-        permuted = np.zeros_like(matrix)
-        permuted[table, :] = matrix
-        probs = np.abs(matrix.conj().T @ permuted) ** 2
-        offdiag = probs - np.diag(np.diag(probs))
-        max_offdiag = max(max_offdiag, float(offdiag.max()))
-        decoded = np.argmax(probs, axis=0)
-        for message in range(count):
-            if decoded[message] != message or probs[message, message] < 1.0 - tol:
-                failures.append((message, sigma.images))
+        decoded = np.zeros(count, dtype=bool)
+        for block in blocks:
+            image = table[block.rows]
+            targets = block_of_row[image]
+            received, probs = [], []
+            for t in set(targets.tolist()) - {-1}:
+                hit = targets == t
+                overlap = blocks[t].matrix[row_in_block[image[hit]]].conj().T @ block.matrix[hit]
+                received.append(blocks[t].columns)
+                probs.append(np.abs(overlap) ** 2)
+            if not received:
+                continue
+            received = np.concatenate(received)
+            order = np.argsort(received, kind="stable")
+            received, probs = received[order], np.concatenate(probs)[order]
+            own = received[:, None] == block.columns[None, :]
+            max_offdiag = max(max_offdiag, float(np.where(own, 0.0, probs).max()))
+            best = np.argmax(probs, axis=0)
+            decoded[block.columns] = (received[best] == block.columns) & (
+                probs.max(axis=0) >= 1.0 - tol
+            )
+        failures.extend((int(message), sigma.images) for message in np.flatnonzero(~decoded))
     return ZeroErrorReport(
         messages_tested=count,
         group_elements_tested=len(elements),
@@ -225,13 +308,48 @@ def sector_matrix(basis: MessageBasis, mu: int) -> np.ndarray:
     return np.stack(columns, axis=1)
 
 
+class _Sector(NamedTuple):
+    """The sector-mu states by string index: each index is in at most one support."""
+
+    m: int
+    rows: np.ndarray  # string indices covered by the sector's supports
+    owner: np.ndarray  # per string index: alpha of the state holding it, or -1
+    amp: np.ndarray  # per string index: that state's amplitude, or 0
+
+
+def _sector(basis: MessageBasis, mu: int) -> _Sector:
+    states = [state for m, _alpha, state in basis.entries if m == mu]
+    if not states:
+        raise ValueError(f"sector {mu} is empty")
+    owner = np.full(basis.d**basis.n, -1, dtype=np.int64)
+    amp = np.zeros(basis.d**basis.n, dtype=complex)
+    for alpha, state in enumerate(states):
+        rows = np.fromiter(state.amplitudes, dtype=np.int64, count=len(state.amplitudes))
+        if (owner[rows] >= 0).any():
+            raise ValueError(f"sector {mu} has two states sharing a string index")
+        owner[rows] = alpha
+        amp[rows] = np.fromiter(state.amplitudes.values(), dtype=complex, count=len(rows))
+    return _Sector(len(states), np.flatnonzero(owner >= 0), owner, amp)
+
+
+def _sector_entries(sector: _Sector, table: np.ndarray):
+    """Terms of V = B^H U(sigma) B as (row alpha', column alpha, value), one per support hit."""
+    image = table[sector.rows]
+    target = sector.owner[image]
+    hit = target >= 0
+    values = sector.amp[image[hit]].conj() * sector.amp[sector.rows[hit]]
+    return target[hit], sector.owner[sector.rows[hit]], values
+
+
+def _scatter(flat: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    return np.bincount(flat, values.real, size) + 1j * np.bincount(flat, values.imag, size)
+
+
 def sector_unitary(basis: MessageBasis, mu: int, sigma: Permutation) -> np.ndarray:
     """U(sigma) restricted to the span of sector mu (m x m matrix)."""
-    block = sector_matrix(basis, mu)
-    table = kernels.action_table(sigma.inverse().images, basis.d)
-    permuted = np.zeros_like(block)
-    permuted[table, :] = block
-    return block.conj().T @ permuted
+    sector = _sector(basis, mu)
+    rows, cols, values = _sector_entries(sector, kernels.action_table(sigma.inverse().images, basis.d))
+    return _scatter(rows * sector.m + cols, values, sector.m**2).reshape(sector.m, sector.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,37 +416,59 @@ def dense_coding_roundtrip(
     return DenseCodingResult(decoded_a, decoded_b, float(probs[best]))
 
 
+def _dense_coding_decoded(sector: _Sector, table: np.ndarray, tol: float) -> np.ndarray:
+    """(m, m) mask of the pairs (a, b) decoded correctly under one channel element.
+
+    With V = B^H U(sigma) B, sending (a, b) and measuring (a', b') succeeds
+    with probability |tr(W'^H V W)|**2 / m**2 for W = X**a Z**b, and the
+    trace is sum_j V[j + a', j + a] * w**(j * (b - b')).  Up to a phase that
+    is the FFT of the cyclic diagonal V[i + s, i], s = a' - a, at
+    q = b' - b, so every probability is probs[(a' - a) % m, (b' - b) % m];
+    only diagonals holding a term of V need an FFT.  The receiver takes the
+    first (a', b') of largest probability, as argmax does over the (a, b)
+    ordering; a tie (s, q) precedes (a, b) exactly when a + s wraps past m
+    (s > 0), or s == 0 and b + q wraps past m.
+    """
+    m = sector.m
+    rows, cols, values = _sector_entries(sector, table)
+    shifts, slot = np.unique((rows - cols) % m, return_inverse=True)
+    diagonals = _scatter(slot * m + cols, values, len(shifts) * m).reshape(-1, m)
+    probs = np.zeros((m, m))
+    probs[shifts] = np.abs(np.fft.fft(diagonals, axis=1)) ** 2 / m**2
+    best = probs.max()
+    if probs[0, 0] != best or best < 1.0 - tol:
+        return np.zeros((m, m), dtype=bool)
+    tied = probs == best
+    s_wrap = np.flatnonzero(tied.any(axis=1)).max()
+    q_wrap = np.flatnonzero(tied[0]).max()
+    i = np.arange(m)
+    return (i[:, None] < m - s_wrap) & (i[None, :] < m - q_wrap)
+
+
 def dense_coding_certify(
     n: int, d: int, *, basis: MessageBasis | None = None, tol: float = 1e-9
 ) -> dict:
     """Round-trip every (mu, a, b) under every channel element.
 
     Returns the number of triples that survive all elements; it equals the
-    ancilla-assisted message count when the construction is sound.
+    ancilla-assisted message count when the construction is sound.  Each
+    (sector, element) pair costs one pass over the sector's support for the
+    terms of its m x m operator V = B^H U(sigma) B and at most m length-m
+    FFTs for all m**4 decoding probabilities: O(|G| * (d**n + m**2 log m))
+    per sector.
     """
     if basis is None:
         basis = message_basis_cyclic(n, d)
+    elements = basis.group.elements
+    tables = [kernels.action_table(sigma.inverse().images, basis.d) for sigma in elements]
     failures = []
     triples = 0
     for mu, m in enumerate(basis.multiplicities):
         if m == 0:
             continue
-        instance = dense_coding_instance(basis, mu)
-        table_cache = {
-            sigma: kernels.action_table(sigma.inverse().images, d)
-            for sigma in basis.group.elements
-        }
-        for pos, (a, b) in enumerate(instance.weyl_index):
-            ok = True
-            sent = instance.entangled[pos].reshape(d**n, m)
-            for sigma, table in table_cache.items():
-                received = np.zeros_like(sent)
-                received[table, :] = sent
-                probs = np.abs(instance.entangled.conj() @ received.reshape(-1)) ** 2
-                best = int(np.argmax(probs))
-                if instance.weyl_index[best] != (a, b) or probs[best] < 1.0 - tol:
-                    failures.append({"mu": mu, "a": a, "b": b, "element": list(sigma.images)})
-                    ok = False
-            if ok:
-                triples += 1
+        sector = _sector(basis, mu)
+        decoded = np.stack([_dense_coding_decoded(sector, table, tol) for table in tables], axis=-1)
+        triples += int(decoded.all(axis=-1).sum())
+        for a, b, g in np.argwhere(~decoded):
+            failures.append({"mu": mu, "a": int(a), "b": int(b), "element": list(elements[g].images)})
     return {"triples": triples, "failures": failures}

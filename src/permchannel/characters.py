@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -379,7 +379,3 @@ def isotypic_projector(
         projector[t, identity_cols] += coeff
     return projector
 
-
-@lru_cache(maxsize=32)
-def cached_character_table(group: PermutationGroup, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> CharacterTable:
-    return character_table(group, max_order=max_order)

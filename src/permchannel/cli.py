@@ -455,6 +455,10 @@ def main(argv=None) -> int:
     except ResourceBoundError as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return EXIT_BOUND
+    except MemoryError as exc:
+        detail = " ".join(str(exc).split()) or "allocation failed"
+        print(f"resource bound: out of memory ({detail})", file=sys.stderr)
+        return EXIT_BOUND
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Everything here works on plain tuples, by direct enumeration, and never calls
-into the package's orbit/counting machinery.
+Everything here works on plain tuples and numpy arrays, by direct enumeration
+and dense linear algebra, and never imports the package.
 """
 
 from __future__ import annotations
@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def act_tuple(images: tuple[int, ...], symbols: tuple[int, ...]) -> tuple[int, ...]:
@@ -75,3 +77,72 @@ def cycle_index_by_enumeration(n: int, a) -> Fraction:
             term *= Fraction(a[length - 1]) ** mult
         total += term
     return total / math.factorial(n)
+
+
+def index_table(images: tuple[int, ...], n: int, d: int) -> np.ndarray:
+    """table[ix] = index of the moved string; indices are lexicographic ranks."""
+    strings = list(all_strings(n, d))
+    rank = {x: ix for ix, x in enumerate(strings)}
+    return np.array([rank[act_tuple(images, x)] for x in strings], dtype=np.int64)
+
+
+def dense_zero_error(element_images, matrix: np.ndarray, n: int, d: int, tol: float = 1e-9):
+    """(failures, max off-diagonal probability) of decoding every basis column.
+
+    ``matrix`` holds the basis states as columns.  Each element permutes its
+    rows; a message fails unless argmax decoding returns it with probability
+    at least 1 - tol.  Failures are (message, images), element-major.
+    """
+    failures = []
+    max_offdiag = 0.0
+    for images in element_images:
+        permuted = np.zeros_like(matrix)
+        permuted[index_table(images, n, d), :] = matrix
+        probs = np.abs(matrix.conj().T @ permuted) ** 2
+        max_offdiag = max(max_offdiag, float((probs - np.diag(np.diag(probs))).max()))
+        decoded = np.argmax(probs, axis=0)
+        for message in range(matrix.shape[1]):
+            if decoded[message] != message or probs[message, message] < 1.0 - tol:
+                failures.append((message, tuple(images)))
+    return tuple(failures), max_offdiag
+
+
+def weyl_family(m: int) -> list[np.ndarray]:
+    """X**a Z**b in (a, b) order, with X|j> = |j+1> and Z = diag(exp(2 pi i j / m))."""
+    shift = np.roll(np.eye(m), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(m) / m))
+    return [
+        np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+        for a in range(m)
+        for b in range(m)
+    ]
+
+
+def dense_coding_certify(element_images, sectors, n: int, d: int, tol: float = 1e-9) -> dict:
+    """Dense-coding round trips on explicit entangled states, sector by sector.
+
+    ``sectors`` lists (mu, block) with block the d**n x m matrix of the
+    sector's states.  The (a, b) signal is (block @ X**a Z**b) flattened over
+    message (x) ancilla; each element permutes the message rows, and the
+    receiver takes the argmax over all m**2 signals.
+    """
+    tables = [index_table(images, n, d) for images in element_images]
+    failures = []
+    triples = 0
+    for mu, block in sectors:
+        m = block.shape[1]
+        entangled = np.stack([(block @ w).reshape(-1) / math.sqrt(m) for w in weyl_family(m)])
+        decoded = []
+        for table in tables:
+            received = np.zeros((m * m, block.shape[0], m), dtype=complex)
+            received[:, table, :] = entangled.reshape(m * m, -1, m)
+            probs = np.abs(entangled.conj() @ received.reshape(m * m, -1).T) ** 2
+            best = np.argmax(probs, axis=0)
+            decoded.append((best == np.arange(m * m)) & (probs.max(axis=0) >= 1.0 - tol))
+        for pos in range(m * m):
+            a, b = divmod(pos, m)
+            for images, ok in zip(element_images, decoded):
+                if not ok[pos]:
+                    failures.append({"mu": mu, "a": a, "b": b, "element": list(images)})
+            triples += all(ok[pos] for ok in decoded)
+    return {"triples": triples, "failures": failures}

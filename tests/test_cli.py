@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from permchannel import cli
 from permchannel.cli import main
 
 
@@ -134,6 +135,33 @@ class TestSimulate:
             capsys, "simulate", "--group", "dihedral", "--n", "4", "--d", "2", "--mode", "quantum"
         )
         assert code == 2
+
+
+    def test_ten_positions_all_modes_finish(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--group", "cyclic", "--n", "10", "--d", "2", "--format", "json")
+        assert code == 0
+        ancilla = json.loads(out)["ancilla"]
+        assert ancilla["failures"] == [] and ancilla["triples"] == ancilla["expected_triples"] == 104968
+
+    def test_fourteen_positions_quantum_finishes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--group", "cyclic", "--n", "14", "--d", "2", "--mode", "quantum", "--format", "json"
+        )
+        assert code == 0
+        quantum = json.loads(out)["quantum"]
+        assert quantum["messages"] == 16384 and quantum["elements"] == 14 and quantum["failures"] == []
+
+
+def test_memory_error_exits_with_bound_code(capsys, monkeypatch):
+    def exhausted(_cfg):
+        raise MemoryError("Unable to allocate 4.00 GiB for an array with shape (16384, 16384)")
+
+    monkeypatch.setitem(cli.COMMANDS, "simulate", exhausted)
+    code, out, err = run_cli(capsys, "simulate", "--group", "cyclic", "--n", "14", "--d", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource bound: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestVerify:
