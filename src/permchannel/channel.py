@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from . import kernels
 from .characters import unit_root
 from .encoding import MessageBasis, StateVector, message_basis_cyclic
-from .errors import AmbiguousDecodingError, DegreeMismatchError
+from .errors import AmbiguousDecodingError, DegreeMismatchError, StateSpaceBoundError
 from .perms import (
     DEFAULT_MAX_STATES,
     ColoredString,
@@ -44,6 +43,10 @@ from .perms import (
 EXHAUSTIVE = "exhaustive"
 UNIFORM_RANDOM = "uniform_random"
 FIXED = "fixed"
+
+# Complex amplitudes one dense-coding instance may hold: 256 MiB, the
+# size of the largest isotypic projector within the default bounds.
+MAX_DENSE_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -110,10 +113,13 @@ def apply_channel_quantum(
     return [(sigma, apply_permutation_state(sigma, psi)) for sigma in spec.draw_elements(rng)]
 
 
-@lru_cache(maxsize=16)
 def _decode_table(group: PermutationGroup, d: int, max_states: int):
-    rep = orbit_rep_array(group, d, max_states=max_states)
-    return rep, np.unique(rep)
+    """Orbit representative per string and the sorted representatives, cached on the group."""
+    tables = group._decode_tables
+    if (d, max_states) not in tables:
+        rep = orbit_rep_array(group, d, max_states=max_states)
+        tables[d, max_states] = rep, np.unique(rep)
+    return tables[d, max_states]
 
 
 def decode_classical(
@@ -363,8 +369,20 @@ class DenseCodingInstance:
 
 
 def dense_coding_instance(basis: MessageBasis, mu: int) -> DenseCodingInstance:
+    """The dense (m**2, d**n * m) matrix of sector mu's entangled signal states.
+
+    Its m**3 * d**n amplitudes are checked against ``MAX_DENSE_ENTRIES``
+    before anything is allocated (20.6 GB at n=10, d=2, sector 0).
+    """
+    m = sum(1 for m_mu, _alpha, _state in basis.entries if m_mu == mu)
+    if m == 0:
+        raise ValueError(f"sector {mu} is empty")
+    entries = m**3 * basis.d**basis.n
+    if entries > MAX_DENSE_ENTRIES:
+        raise StateSpaceBoundError(
+            f"sector {mu} signal states hold m**3 * d**n = {entries} amplitudes, above the bound {MAX_DENSE_ENTRIES}"
+        )
     block = sector_matrix(basis, mu)
-    m = block.shape[1]
     rows = [(block @ w).reshape(-1) / math.sqrt(m) for w in weyl_operators(m)]
     entangled = np.stack(rows, axis=0)
     gram = entangled.conj() @ entangled.T
@@ -394,8 +412,11 @@ def dense_coding_roundtrip(
 
     The sender applies the (a, b) clock-shift on the message half of the
     shared maximally entangled state; the channel permutes the carriers; the
-    receiver measures in the entangled basis.  For cyclic groups the channel
-    is a global phase on each sector, so decoding succeeds with probability 1.
+    receiver measures in the entangled basis and takes the first (a', b') of
+    largest probability.  For cyclic groups the channel is a global phase on
+    each sector, so decoding succeeds with probability 1.  The probabilities
+    come from the m x m sector operator (see ``_shift_probabilities``), so no
+    entangled state is formed: O(d**n + m**2 log m).
     """
     if basis is None:
         basis = message_basis_cyclic(n, d)
@@ -403,31 +424,28 @@ def dense_coding_roundtrip(
         raise ValueError("dense coding is implemented for cyclic groups only")
     if sigma not in basis.group:
         raise ValueError("sigma is not an element of the channel group")
-    instance = dense_coding_instance(basis, mu)
-    if not (0 <= a < instance.m and 0 <= b < instance.m):
-        raise ValueError(f"(a, b) = ({a}, {b}) out of range for m = {instance.m}")
-    sent = instance.entangled[instance.weyl_index.index((a, b))].reshape(d**n, instance.m)
+    sector = _sector(basis, mu)
+    m = sector.m
+    if not (0 <= a < m and 0 <= b < m):
+        raise ValueError(f"(a, b) = ({a}, {b}) out of range for m = {m}")
+    norms = np.bincount(sector.owner[sector.rows], np.abs(sector.amp[sector.rows]) ** 2, m)
+    if float(np.abs(norms - 1.0).max()) > 1e-9:
+        raise ValueError("entangled signal states are not orthonormal")
     table = kernels.action_table(sigma.inverse().images, d)
-    received = np.zeros_like(sent)
-    received[table, :] = sent
-    probs = np.abs(instance.entangled.conj() @ received.reshape(-1)) ** 2
+    probs = np.roll(_shift_probabilities(sector, table), (a, b), axis=(0, 1))
     best = int(np.argmax(probs))
-    decoded_a, decoded_b = instance.weyl_index[best]
-    return DenseCodingResult(decoded_a, decoded_b, float(probs[best]))
+    return DenseCodingResult(best // m, best % m, float(probs.flat[best]))
 
 
-def _dense_coding_decoded(sector: _Sector, table: np.ndarray, tol: float) -> np.ndarray:
-    """(m, m) mask of the pairs (a, b) decoded correctly under one channel element.
+def _shift_probabilities(sector: _Sector, table: np.ndarray) -> np.ndarray:
+    """probs[s, q]: probability of decoding (a + s, b + q) mod m after sending (a, b).
 
     With V = B^H U(sigma) B, sending (a, b) and measuring (a', b') succeeds
     with probability |tr(W'^H V W)|**2 / m**2 for W = X**a Z**b, and the
     trace is sum_j V[j + a', j + a] * w**(j * (b - b')).  Up to a phase that
     is the FFT of the cyclic diagonal V[i + s, i], s = a' - a, at
-    q = b' - b, so every probability is probs[(a' - a) % m, (b' - b) % m];
-    only diagonals holding a term of V need an FFT.  The receiver takes the
-    first (a', b') of largest probability, as argmax does over the (a, b)
-    ordering; a tie (s, q) precedes (a, b) exactly when a + s wraps past m
-    (s > 0), or s == 0 and b + q wraps past m.
+    q = b' - b, so the table is the same for every (a, b); only diagonals
+    holding a term of V need an FFT.
     """
     m = sector.m
     rows, cols, values = _sector_entries(sector, table)
@@ -435,6 +453,19 @@ def _dense_coding_decoded(sector: _Sector, table: np.ndarray, tol: float) -> np.
     diagonals = _scatter(slot * m + cols, values, len(shifts) * m).reshape(-1, m)
     probs = np.zeros((m, m))
     probs[shifts] = np.abs(np.fft.fft(diagonals, axis=1)) ** 2 / m**2
+    return probs
+
+
+def _dense_coding_decoded(sector: _Sector, table: np.ndarray, tol: float) -> np.ndarray:
+    """(m, m) mask of the pairs (a, b) decoded correctly under one channel element.
+
+    Every round trip reads the same shift table (``_shift_probabilities``).
+    The receiver takes the first (a', b') of largest probability, as argmax
+    does over the (a, b) ordering; a tie (s, q) precedes (a, b) exactly when
+    a + s wraps past m (s > 0), or s == 0 and b + q wraps past m.
+    """
+    m = sector.m
+    probs = _shift_probabilities(sector, table)
     best = probs.max()
     if probs[0, 0] != best or best < 1.0 - tol:
         return np.zeros((m, m), dtype=bool)

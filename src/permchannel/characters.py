@@ -184,16 +184,22 @@ def _abelian_character_rows(group: PermutationGroup, classes) -> np.ndarray:
 
 
 def _class_structure_matrices(group: PermutationGroup, classes) -> np.ndarray:
-    """a[i, j, t]: ways to write (fixed z in class t) as x*y with x in i, y in j."""
+    """a[i, j, t]: ways to write (fixed z in class t) as x*y with x in i, y in j.
+
+    For each representative z, y = x**-1 * z runs over one gather of the
+    inverse image array, so the work is O(|G| * k) rank lookups.
+    """
     k = len(classes)
-    class_of = {m: i for i, c in enumerate(classes) for m in c.members}
-    reps = [c.representative for c in classes]
+    class_of = np.empty(len(group), dtype=np.int64)
+    for i, c in enumerate(classes):
+        class_of[group._rank(np.array([m.images for m in c.members], dtype=np.int64))] = i
+    rows = group._images
+    inverses = np.empty_like(rows)
+    np.put_along_axis(inverses, rows, np.arange(group.degree), axis=1)
     a = np.zeros((k, k, k))
-    for x in group.elements:
-        i = class_of[x]
-        x_inv = x.inverse()
-        for t, z in enumerate(reps):
-            a[i, class_of[x_inv * z], t] += 1.0
+    for t, c in enumerate(classes):
+        y = group._rank(inverses[:, c.representative.images])
+        np.add.at(a[:, :, t], (class_of, class_of[y]), 1.0)
     return a
 
 

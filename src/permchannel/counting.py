@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 from . import characters
 from .errors import InexactDivisionError, NotTotallyOrthogonalError
-from .perms import PermutationGroup, cycle_count, make_named_group
+from .perms import PermutationGroup, cycle_count_tally, make_named_group
 
 METHOD_BURNSIDE = "burnside"
 METHOD_POLYA_ANCILLA = "polya_ancilla"
@@ -66,8 +66,10 @@ class CountReport:
             raise ValueError("count hierarchy N_c <= N_q <= min(d**n, N_a) violated")
 
 
-def _group_average(group: PermutationGroup, terms: Iterator[int]) -> int:
-    total = sum(terms)
+def _group_average(group: PermutationGroup, base: int, *, squares: bool = False) -> int:
+    """Average of base**c(sigma), or of base**c(sigma**2), over the group, from its cycle-count tally."""
+    tally = cycle_count_tally(group, squares=squares)
+    total = sum(count * base**c for c, count in enumerate(tally))
     value, remainder = divmod(total, len(group))
     if remainder:
         raise InexactDivisionError(
@@ -78,12 +80,12 @@ def _group_average(group: PermutationGroup, terms: Iterator[int]) -> int:
 
 def count_classical_burnside(group: PermutationGroup, d: int) -> int:
     """Number of orbits: average of d**c(sigma) over the group."""
-    return _group_average(group, (d ** cycle_count(p) for p in group.elements))
+    return _group_average(group, d)
 
 
 def count_ancilla_polya(group: PermutationGroup, d: int) -> int:
     """Sum of squared multiplicities: average of d**(2 c(sigma))."""
-    return _group_average(group, (d ** (2 * cycle_count(p)) for p in group.elements))
+    return _group_average(group, d * d)
 
 
 def count_quantum_totally_orthogonal(group: PermutationGroup, d: int, *, certify: bool = True) -> int:
@@ -96,7 +98,7 @@ def count_quantum_totally_orthogonal(group: PermutationGroup, d: int, *, certify
     if certify and not characters.is_totally_orthogonal(group):
         fs = characters.frobenius_schur_indicators(group).values
         raise NotTotallyOrthogonalError(f"indicators {list(fs)} are not all +1")
-    return _group_average(group, (d ** cycle_count(p * p) for p in group.elements))
+    return _group_average(group, d, squares=True)
 
 
 def count_cyclic(n: int, d: int) -> CountReport:

@@ -10,6 +10,22 @@ Conventions, fixed package-wide:
 * A length-``n`` string over ``{0..d-1}`` is identified with its base-``d``
   value, position 0 most significant.  Index order is therefore lexicographic
   order, and membership lookups are O(1).
+
+A ``PermutationGroup`` keeps its ``Permutation`` tuple for callers, but does
+its group work on one cached ``(|G|, n)`` int64 image array with a rank index
+(the rows' keys sorted once; a row's rank is a binary search).  Products,
+inverses, squares and conjugates of all elements are array gathers, so for r
+generators:
+
+* ``validate``: e in S, S * g within S for each generator g, and the span
+  reaching |S| elements; O(|G| * r) rank lookups, not |G|**2 products.
+* ``square_root_count``: one O(|G| * n) tally of all squares per group, then
+  a lookup per call.
+* ``conjugacy_classes``: r conjugation tables, O(|G| * r) per sweep.
+* ``stabilizer``: one O(|G| * n) gather per string.
+* ``cycle_count_tally`` (the group averages): O(|G| * n log n).
+
+No group operation builds an array with |G|**2 entries.
 """
 
 from __future__ import annotations
@@ -203,6 +219,34 @@ def act_on_index(p: Permutation, ix: int, d: int) -> int:
     return out
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One fixed-width byte string per image row, ordered as the image tuples.
+
+    Big-endian 32-bit digits compare bytewise in numeric order, so sorting
+    and ``searchsorted`` on the keys follow tuple order for any degree.
+    """
+    rows = np.ascontiguousarray(rows, dtype=">u4")
+    if not rows.shape[-1]:  # degree 0: every row is the empty permutation
+        rows = np.zeros(rows.shape[:-1] + (1,), dtype=">u4")
+    return rows.view(f"V{4 * rows.shape[-1]}").reshape(rows.shape[:-1])
+
+
+def _orbit_minima(tables: np.ndarray) -> np.ndarray:
+    """Least point of each point's orbit under the permutations ``tables`` (one per row).
+
+    Each table is a bijection of ``range(size)``, so following its arrows
+    forward reaches the whole orbit; pulling the minimum along them settles
+    after at most the orbit's diameter.
+    """
+    label = np.arange(tables.shape[1])
+    while len(tables):
+        pulled = np.minimum(label, label[tables].min(axis=0))
+        if np.array_equal(pulled, label):
+            break
+        label = pulled
+    return label
+
+
 @dataclass(frozen=True)
 class PermutationGroup:
     """A finite permutation group given by its full, closed element list.
@@ -210,6 +254,12 @@ class PermutationGroup:
     ``elements`` is sorted by image tuple (so the identity comes first) and
     ``generators`` must span the group: orbit enumeration and conjugacy-class
     sweeps only apply generators.
+
+    Group work runs on one cached ``(|G|, n)`` int64 image array whose row r
+    is ``elements[r]``; ``_rank`` maps image rows back to row numbers by a
+    binary search over sorted row keys.  Products, inverses, squares and
+    conjugates of all elements are then array gathers, never pairwise
+    ``Permutation`` products.
     """
 
     degree: int
@@ -225,6 +275,40 @@ class PermutationGroup:
     @cached_property
     def _element_set(self) -> frozenset[Permutation]:
         return frozenset(self.elements)
+
+    @cached_property
+    def _images(self) -> np.ndarray:
+        """(|G|, n) int64 array, row r holding ``elements[r].images``."""
+        rows = [p.images for p in self.elements]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), self.degree)
+
+    @cached_property
+    def _index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row keys in ascending order, and the row number of each."""
+        keys = _row_keys(self._images)
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+
+    def _rank(self, rows: np.ndarray) -> np.ndarray:
+        """Row number in ``elements`` of each image row; -1 for a row that is no element."""
+        keys, order = self._index
+        probe = _row_keys(rows)
+        pos = np.searchsorted(keys, probe).clip(max=len(keys) - 1)
+        return np.where(keys[pos] == probe, order[pos], -1)
+
+    def _rank_of(self, p: Permutation) -> int:
+        return int(self._rank(np.array(p.images, dtype=np.int64))[()])
+
+    @cached_property
+    def _square_root_counts(self) -> np.ndarray:
+        """Entry r: how many t in the set have t * t == elements[r], from one tally of all squares."""
+        squares = self._rank(np.take_along_axis(self._images, self._images, axis=1))
+        return np.bincount(squares[squares >= 0], minlength=len(self.elements))
+
+    @cached_property
+    def _decode_tables(self) -> dict:
+        """Orbit tables of ``channel.decode_classical`` by (d, max_states); they live as long as the group."""
+        return {}
 
     @cached_property
     def identity(self) -> Permutation:
@@ -244,18 +328,26 @@ class PermutationGroup:
         return all(a * b == b * a for a in gens for b in gens)
 
     def validate(self) -> None:
-        """Full group-axiom check (closure, identity, inverses, generator span)."""
-        els = self._element_set
-        if self.identity not in els:
+        """Full group-axiom check by generator closure: O(|G| * r) for r generators.
+
+        If the set S holds the identity and S * g lies in S for every
+        generator g, every word in the generators lies in S.  If those words
+        also reach all |S| elements, S is the group they span, hence closed
+        under products and inverses.
+        """
+        if self.identity not in self._element_set:
             raise ValueError("identity missing")
-        for p in self.elements:
-            if p.inverse() not in els:
-                raise ValueError(f"inverse of {p} missing")
-            for q in self.elements:
-                if p * q not in els:
-                    raise ValueError(f"product {p} * {q} escapes the element set")
-        span = generate_group(self.generators, degree=self.degree, max_order=len(els) + 1)
-        if len(span) != len(els):
+        if len(self._element_set) != len(self.elements):
+            raise ValueError("element list repeats a permutation")
+        # right[k, j]: rank of elements[j] * generators[k], -1 where it escapes
+        right = [self._rank(self._images[:, g.images]) for g in self.generators]
+        right = np.array(right, dtype=np.int64).reshape(len(right), len(self))
+        for g, moved in zip(self.generators, right):
+            if (moved < 0).any():
+                p = self.elements[int(np.argmax(moved < 0))]
+                raise ValueError(f"product {p} * {g} escapes the element set")
+        minima = _orbit_minima(right)
+        if np.count_nonzero(minima == minima[self._rank_of(self.identity)]) != len(self.elements):
             raise ValueError("generators do not span the element set")
 
 
@@ -398,10 +490,12 @@ def orbits(group: PermutationGroup, d: int, *, max_states: int = DEFAULT_MAX_STA
 
 
 def stabilizer(group: PermutationGroup, x: ColoredString) -> PermutationGroup:
-    """Subgroup of elements fixing the string x."""
+    """Subgroup of elements fixing the string x: those with x[p(j)] == x[j] for every j."""
     if group.degree != x.n:
         raise DegreeMismatchError(f"group degree {group.degree} != string length {x.n}")
-    fixed = [p for p in group.elements if act_on_string(p, x) == x]
+    symbols = np.array(x.symbols, dtype=np.int64)
+    fixes = (symbols[group._images] == symbols).all(axis=1)
+    fixed = [group.elements[r] for r in np.flatnonzero(fixes).tolist()]
     return _sorted_group(group.degree, fixed, fixed, "custom")
 
 
@@ -414,40 +508,72 @@ class ConjugacyClass:
 
 
 def conjugacy_classes(group: PermutationGroup) -> list[ConjugacyClass]:
-    """Conjugacy classes, ordered by minimal member (identity class first)."""
-    gens = group.generators or (group.identity,)
-    assigned: set[Permutation] = set()
+    """Conjugacy classes, ordered by minimal member (identity class first).
+
+    A class is an orbit of q -> g q g**-1 over the generators g.  Each
+    generator gives one table of ranks, one gather over the image array, and
+    the classes are the orbits of those tables: O(|G| * r) per sweep.
+    """
+    rows = group._images
+    tables = []
+    for g in group.generators:
+        conjugates = np.array(g.images, dtype=np.int64)[rows[:, g.inverse().images]]
+        tables.append(group._rank(conjugates))
+    tables = np.array(tables, dtype=np.int64).reshape(len(tables), len(group))
+    if (tables < 0).any():
+        raise ValueError("a conjugate escapes the element set; the group is not closed")
+    minima = _orbit_minima(tables)
+    by_class = np.argsort(minima, kind="stable")
+    starts = np.flatnonzero(np.diff(minima[by_class])) + 1
     classes = []
-    for p in group.elements:
-        if p in assigned:
-            continue
-        members = {p}
-        frontier = [p]
-        while frontier:
-            q = frontier.pop()
-            for g in gens:
-                c = g * q * g.inverse()
-                if c not in members:
-                    members.add(c)
-                    frontier.append(c)
-        assigned |= members
-        ordered = tuple(sorted(members))
+    for ranks in np.split(by_class, starts):
+        members = tuple(group.elements[r] for r in ranks.tolist())
         classes.append(
             ConjugacyClass(
-                representative=ordered[0],
-                members=ordered,
-                partition=cycle_type(ordered[0]),
-                size=len(ordered),
+                representative=members[0],
+                members=members,
+                partition=cycle_type(members[0]),
+                size=len(members),
             )
         )
     return classes
 
 
 def square_root_count(group: PermutationGroup, p: Permutation) -> int:
-    """Number of tau in G with tau * tau == p; constant on conjugacy classes."""
+    """Number of tau in G with tau * tau == p; constant on conjugacy classes.
+
+    All squares are tallied once per group, so each call is one lookup.
+    """
     if p not in group:
         raise ValueError(f"{p} is not an element of the group")
-    return sum(1 for t in group.elements if t * t == p)
+    return int(group._square_root_counts[group._rank_of(p)])
+
+
+def _cycle_counts(rows: np.ndarray) -> np.ndarray:
+    """Cycle count of each image row, fixed points included.
+
+    A cycle is counted at its least point.  After k rounds ``least`` holds
+    the least point within 2**k steps and ``jump`` the 2**k-th image, so
+    ceil(log2 n) rounds of gathers cover every cycle.
+    """
+    points = np.arange(rows.shape[1])
+    least, jump = np.broadcast_to(points, rows.shape), rows
+    for _ in range(max(rows.shape[1] - 1, 0).bit_length()):
+        least = np.minimum(least, np.take_along_axis(least, jump, axis=1))
+        jump = np.take_along_axis(jump, jump, axis=1)
+    return np.count_nonzero(least == points, axis=1)
+
+
+def cycle_count_tally(group: PermutationGroup, *, squares: bool = False) -> list[int]:
+    """tally[c]: how many sigma in G have c(sigma) == c, or c(sigma * sigma) == c with ``squares``.
+
+    One pass over the image array, O(|G| * n log n); a group average of
+    f(c(sigma)) is then a sum of at most n + 1 exact integer terms.
+    """
+    rows = group._images
+    if squares:
+        rows = np.take_along_axis(rows, rows, axis=1)
+    return np.bincount(_cycle_counts(rows), minlength=group.degree + 1).tolist()
 
 
 def parse_group_file(text: str, *, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> PermutationGroup:

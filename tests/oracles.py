@@ -47,8 +47,53 @@ def compose_images(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[q[i]] for i in range(len(p)))
 
 
+def inverse_images(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, image in enumerate(p):
+        inv[image] = i
+    return tuple(inv)
+
+
 def brute_square_roots(element_images, target: tuple[int, ...]) -> int:
     return sum(1 for t in element_images if compose_images(t, t) == target)
+
+
+def brute_is_group(element_images) -> bool:
+    """Pairwise group-axiom check: identity, every inverse and every product in the set."""
+    elements = set(element_images)
+    if not elements:
+        return False
+    if tuple(range(len(next(iter(elements))))) not in elements:
+        return False
+    return all(inverse_images(p) in elements for p in elements) and all(
+        compose_images(p, q) in elements for p in elements for q in elements
+    )
+
+
+def brute_conjugacy_classes(element_images) -> set[frozenset]:
+    """Classes as the sets {g p g**-1 : g in G}, one per element p."""
+    elements = list(element_images)
+    return {
+        frozenset(compose_images(compose_images(g, p), inverse_images(g)) for g in elements)
+        for p in elements
+    }
+
+
+def brute_class_structure(element_images, classes) -> np.ndarray:
+    """a[i, j, t]: pairs (x, y) with x in classes[i], y in classes[j], x y == classes[t][0].
+
+    ``classes`` lists each class's member images, representative first; the
+    count runs over all |G|**2 pairs.
+    """
+    class_of = {member: i for i, members in enumerate(classes) for member in members}
+    rep_of = {members[0]: t for t, members in enumerate(classes)}
+    a = np.zeros((len(classes),) * 3)
+    for x in element_images:
+        for y in element_images:
+            t = rep_of.get(compose_images(x, y))
+            if t is not None:
+                a[class_of[x], class_of[y], t] += 1
+    return a
 
 
 def tuple_cycle_counts(images: tuple[int, ...]) -> dict[int, int]:
@@ -118,6 +163,20 @@ def weyl_family(m: int) -> list[np.ndarray]:
     ]
 
 
+def dense_coding_probabilities(table: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """probs[(a', b'), (a, b)]: probability of decoding (a', b') after sending (a, b) through one element.
+
+    ``block`` is the d**n x m matrix of a sector's states and ``table`` the
+    element's ``index_table``.  The (a, b) signal is (block @ X**a Z**b)
+    flattened over message (x) ancilla; the element permutes its message rows.
+    """
+    m = block.shape[1]
+    entangled = np.stack([(block @ w).reshape(-1) / math.sqrt(m) for w in weyl_family(m)])
+    received = np.zeros((m * m, block.shape[0], m), dtype=complex)
+    received[:, table, :] = entangled.reshape(m * m, -1, m)
+    return np.abs(entangled.conj() @ received.reshape(m * m, -1).T) ** 2
+
+
 def dense_coding_certify(element_images, sectors, n: int, d: int, tol: float = 1e-9) -> dict:
     """Dense-coding round trips on explicit entangled states, sector by sector.
 
@@ -131,12 +190,9 @@ def dense_coding_certify(element_images, sectors, n: int, d: int, tol: float = 1
     triples = 0
     for mu, block in sectors:
         m = block.shape[1]
-        entangled = np.stack([(block @ w).reshape(-1) / math.sqrt(m) for w in weyl_family(m)])
         decoded = []
         for table in tables:
-            received = np.zeros((m * m, block.shape[0], m), dtype=complex)
-            received[:, table, :] = entangled.reshape(m * m, -1, m)
-            probs = np.abs(entangled.conj() @ received.reshape(m * m, -1).T) ** 2
+            probs = dense_coding_probabilities(table, block)
             best = np.argmax(probs, axis=0)
             decoded.append((best == np.arange(m * m)) & (probs.max(axis=0) >= 1.0 - tol))
         for pos in range(m * m):

@@ -5,8 +5,14 @@ import dataclasses
 import pytest
 
 from oracles import dense_coding_certify as oracle_dense_coding
-from oracles import dense_zero_error
-from permchannel import dense_coding_certify, make_named_group, message_basis_cyclic, verify_zero_error
+from oracles import dense_coding_probabilities, dense_zero_error, index_table
+from permchannel import (
+    dense_coding_certify,
+    dense_coding_roundtrip,
+    make_named_group,
+    message_basis_cyclic,
+    verify_zero_error,
+)
 from permchannel.encoding import StateVector
 
 CYCLIC_CASES = [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 5)]
@@ -67,6 +73,24 @@ def test_dense_coding_failures_match_dense_oracle(n, d):
     basis = message_basis_cyclic(n, d)
     summary = _assert_dense_coding_matches(dataclasses.replace(basis, group=make_named_group("dihedral", n)))
     assert summary["failures"]
+
+
+@pytest.mark.parametrize("kind,n,d", [("dihedral", 4, 2), ("dihedral", 3, 3), ("symmetric", 4, 2)])
+def test_dense_coding_roundtrip_matches_dense_oracle(kind, n, d):
+    # Round trips take cyclic-labelled bases only; the foreign group wears that label.
+    group = dataclasses.replace(make_named_group(kind, n), kind="cyclic")
+    basis = message_basis_cyclic(n, d)
+    relabeled = dataclasses.replace(basis, group=group)
+    for mu, block in _sectors(basis):
+        m = block.shape[1]
+        for sigma in group.elements:
+            probs = dense_coding_probabilities(index_table(sigma.images, n, d), block)
+            for a in range(m):
+                for b in range(m):
+                    result = dense_coding_roundtrip(n, d, mu, a, b, sigma, basis=relabeled)
+                    sent = probs[:, a * m + b]
+                    assert abs(result.probability - sent.max()) < 1e-12
+                    assert sent[result.a * m + result.b] > sent.max() - 1e-12
 
 
 def test_smoke_pass_matches_oracle_on_generators():

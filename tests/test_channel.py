@@ -24,9 +24,10 @@ from permchannel import (
     verify_zero_error,
     weyl_operators,
 )
+from permchannel import channel as channel_module
 from permchannel.channel import sector_unitary
 from permchannel.encoding import StateVector
-from permchannel.errors import AmbiguousDecodingError, DegreeMismatchError
+from permchannel.errors import AmbiguousDecodingError, DegreeMismatchError, StateSpaceBoundError
 
 C4 = make_named_group("cyclic", 4)
 R4 = C4.generators[0]
@@ -214,6 +215,21 @@ class TestDenseCoding:
         basis = message_basis_cyclic(2, 2)
         with pytest.raises(ValueError):
             dense_coding_instance(basis, 2)
+
+    def test_instance_bound_refuses_before_allocating(self, monkeypatch):
+        # n=10, d=2, sector 0 has m=108: 108**3 * 2**10 amplitudes, 20.6 GB dense.
+        basis = message_basis_cyclic(10, 2)
+        assert basis.multiplicities[0] == 108
+        monkeypatch.setattr(channel_module, "sector_matrix", lambda *args: pytest.fail("dense matrix built"))
+        with pytest.raises(StateSpaceBoundError, match="1289945088"):
+            dense_coding_instance(basis, 0)
+
+    def test_roundtrip_in_the_sector_the_dense_bound_refuses(self):
+        basis = message_basis_cyclic(10, 2)
+        sigma = basis.group.generators[0] ** 3
+        result = dense_coding_roundtrip(10, 2, 0, 5, 107, sigma, basis=basis)
+        assert (result.a, result.b) == (5, 107)
+        assert abs(result.probability - 1.0) < 1e-9
 
     def test_trivial_roundtrip(self):
         result = dense_coding_roundtrip(2, 2, 0, 0, 0, Permutation.identity(2))

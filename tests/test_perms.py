@@ -8,6 +8,7 @@ from oracles import act_tuple, brute_fixed_count, brute_orbits, brute_square_roo
 from permchannel import (
     ColoredString,
     Permutation,
+    PermutationGroup,
     act_on_index,
     act_on_string,
     conjugacy_classes,
@@ -203,6 +204,46 @@ class TestNamedGroups:
     )
     def test_groups_validate(self, kind, n):
         make_named_group(kind, n).validate()
+
+
+def _raw_group(element_images, generator_images):
+    """A PermutationGroup built directly, so nothing closes or dedups the set."""
+    elements = tuple(sorted(Permutation(tuple(p)) for p in element_images))
+    return PermutationGroup(elements[0].degree, elements, tuple(Permutation(tuple(g)) for g in generator_images))
+
+
+class TestValidateRejects:
+    C4 = [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)]
+    S3 = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    S3_GENS = [(1, 0, 2), (1, 2, 0)]
+
+    def test_one_extra_permutation(self):
+        with pytest.raises(ValueError, match="escapes"):
+            _raw_group(self.C4 + [(1, 0, 2, 3)], [(1, 2, 3, 0)]).validate()
+
+    def test_one_element_missing(self):
+        with pytest.raises(ValueError, match="escapes"):
+            _raw_group([p for p in self.S3 if p != (0, 2, 1)], self.S3_GENS).validate()
+
+    def test_missing_inverse(self):
+        # {e, r} in C3: r is present, its inverse r**2 is not
+        with pytest.raises(ValueError, match="escapes"):
+            _raw_group([(0, 1, 2), (1, 2, 0)], [(1, 2, 0)]).validate()
+
+    def test_generators_span_a_proper_subgroup(self):
+        with pytest.raises(ValueError, match="do not span"):
+            _raw_group(self.S3, [(1, 0, 2)]).validate()
+
+    def test_identity_missing(self):
+        with pytest.raises(ValueError, match="identity"):
+            _raw_group([(1, 0, 2)], [(1, 0, 2)]).validate()
+
+    def test_repeated_element(self):
+        with pytest.raises(ValueError, match="repeats"):
+            _raw_group(self.C4 + [(2, 3, 0, 1)], [(1, 2, 3, 0)]).validate()
+
+    def test_raw_group_that_is_closed_passes(self):
+        _raw_group(self.S3, self.S3_GENS).validate()
 
 
 class TestOrbits:

@@ -5,13 +5,24 @@ arbitrary generator sets so the counting/oracle identities are exercised on
 subgroups nobody hand-picked.
 """
 
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_orbits
+from oracles import (
+    brute_class_structure,
+    brute_conjugacy_classes,
+    brute_is_group,
+    brute_orbits,
+    brute_square_roots,
+)
 from permchannel import (
     Permutation,
+    PermutationGroup,
+    conjugacy_classes,
     count_ancilla_polya,
     count_classical_burnside,
     count_report,
@@ -24,6 +35,7 @@ from permchannel import (
     square_root_count,
     stabilizer,
 )
+from permchannel.characters import _class_structure_matrices
 
 
 def group_strategy(max_degree=5):
@@ -81,6 +93,49 @@ def test_orbit_stabilizer_on_random_groups(group, d):
 def test_square_root_counts_sum_to_group_order(group):
     # Every element has exactly one square, so the root counts partition G.
     assert sum(square_root_count(group, p) for p in group) == len(group)
+
+
+def _validates(degree, element_images, generator_images) -> bool:
+    elements = tuple(sorted(Permutation(p) for p in element_images))
+    group = PermutationGroup(degree, elements, tuple(Permutation(g) for g in generator_images))
+    try:
+        group.validate()
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group_strategy(max_degree=4), st.data())
+def test_validate_agrees_with_pairwise_closure(group, data):
+    images = [p.images for p in group]
+    generators = [g.images for g in group.generators]
+    assert brute_is_group(images) and _validates(group.degree, images, generators)
+    removed = data.draw(st.sampled_from(images))
+    variants = [[p for p in images if p != removed]]
+    outside = sorted(set(itertools.permutations(range(group.degree))) - set(images))
+    if outside:
+        variants.append(images + [data.draw(st.sampled_from(outside))])
+    for variant in variants:
+        # With every element as a generator the span check is exactly closure.
+        assert _validates(group.degree, variant, variant) == brute_is_group(variant)
+        # With the group's own generators, validate may only pass a true group.
+        assert not _validates(group.degree, variant, generators) or brute_is_group(variant)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group_strategy(max_degree=5))
+def test_group_algebra_matches_pairwise_oracles(group):
+    images = [p.images for p in group]
+    for p in group:
+        assert square_root_count(group, p) == brute_square_roots(images, p.images)
+    classes = conjugacy_classes(group)
+    assert {frozenset(m.images for m in c.members) for c in classes} == brute_conjugacy_classes(images)
+    assert [c.members for c in classes] == sorted(tuple(sorted(c.members)) for c in classes)
+    members = [[m.images for m in c.members] for c in classes]
+    np.testing.assert_array_equal(
+        _class_structure_matrices(group, classes), brute_class_structure(images, members)
+    )
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
