@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark the index kernels and the group layer.
 
-The two hot kernels are the per-permutation index tables and the orbit
-labelling sweep; both scale with d**n.  The first timing column is labelled
-by the backend that dispatch actually ran (numba or numpy).
+The two index kernels are the per-permutation action table (an axis
+transpose) and the orbit labelling fixpoint; both scale with d**n.  They are
+timed on the cyclic generator at 2**16 and 2**20 strings, the labelling also
+on one generator of order 420 (cycle type 3.4.5.7 at n=20), whose long cycles
+the fixpoint must cross in few sweeps.  ``ambient_multiplicities`` with its
+per-orbit split is the kernels' heaviest caller in ``characters``.
 
 The group layer scales with |G| instead: group validation, the square-root
 tally, conjugacy classes and the character table, each timed on a fresh copy
@@ -11,12 +14,11 @@ of S6, S7 and S4 x S4 so that every sample also builds the group's image
 array and rank index.  Run from the repo root:
 
     python benchmarks/bench_kernels.py
-    python benchmarks/bench_kernels.py --n-max 22 --repeats 5
+    python benchmarks/bench_kernels.py --repeats 5
 """
 
 import argparse
 import dataclasses
-import importlib.util
 import statistics
 import time
 from pathlib import Path
@@ -24,6 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from permchannel import (
+    Permutation,
+    ambient_multiplicities,
     character_table,
     conjugacy_classes,
     kernels,
@@ -32,6 +36,7 @@ from permchannel import (
     square_root_count,
 )
 
+ORDER_420_CYCLES = [(0, 1, 2), (3, 4, 5, 6), (7, 8, 9, 10, 11), (12, 13, 14, 15, 16, 17, 18)]
 GROUP_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "groups" / "s4xs4.txt"
 GROUP_OPS = {
     "validate": lambda g: g.validate(),
@@ -42,7 +47,7 @@ GROUP_OPS = {
 
 
 def timeit(fn, repeats):
-    fn()  # warm (JIT compile / cache touch)
+    fn()  # warm imports and the allocator
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -75,36 +80,30 @@ def group_layer(repeats):
         print(f"{label:<8}{len(group):>7}" + "".join(f"{t:>18.4f}" for t in times))
 
 
+def kernel_layer(repeats):
+    print(f"{'kernel':<26}{'case':<22}{'strings':>10}{'time (s)':>10}")
+
+    def row(kernel, case, n, fn):
+        print(f"{kernel:<26}{case:<22}{2**n:>10}{timeit(fn, repeats):>10.4f}")
+
+    for n in (16, 20):
+        inv = np.array(make_named_group("cyclic", n).generators[0].inverse().images, dtype=np.int64)
+        row("action_table", f"cyclic n={n} d=2", n, lambda: kernels.action_table(inv, 2))
+        row("orbit_reps", f"cyclic n={n} d=2", n, lambda: kernels.orbit_reps(inv.reshape(1, n), n, 2))
+    long_order = Permutation.from_cycles(ORDER_420_CYCLES, 20)
+    invs = np.array([long_order.inverse().images], dtype=np.int64)
+    row("orbit_reps", "order 420, n=20 d=2", 20, lambda: kernels.orbit_reps(invs, 20, 2))
+    c12 = make_named_group("cyclic", 12)
+    table = character_table(c12)
+    row("ambient_multiplicities", "C12 d=2, per_orbit", 12,
+        lambda: ambient_multiplicities(c12, 2, table=table, per_orbit=True))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-min", type=int, default=12)
-    parser.add_argument("--n-max", type=int, default=20)
-    parser.add_argument("--d", type=int, default=2)
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
-
-    backend = "numba" if kernels.JIT_ENABLED else "numpy"
-    if importlib.util.find_spec("numba") is None:
-        print("note: numba is not installed; both columns use numpy")
-    elif not kernels.JIT_ENABLED:
-        print("note: JIT disabled (PERMCHANNEL_DISABLE_JIT); both columns use numpy")
-
-    dispatch = f"{backend} (s)"
-    print(f"{'kernel':<14}{'n':>4}{'d':>3}{'size':>10}{dispatch:>12}{'fallback (s)':>13}{'speedup':>9}")
-    for n in range(args.n_min, args.n_max + 1, 2):
-        group = make_named_group("cyclic", n)
-        inv = np.array(group.generators[0].inverse().images, dtype=np.int64)
-        invs = inv.reshape(1, n)
-
-        run_t = timeit(lambda: kernels.action_table(inv, args.d), args.repeats)
-        np_t = timeit(lambda: kernels.action_table_numpy(inv, args.d), args.repeats)
-        size = args.d**n
-        print(f"{'action_table':<14}{n:>4}{args.d:>3}{size:>10}{run_t:>12.4f}{np_t:>13.4f}{np_t / run_t:>9.1f}")
-
-        run_t = timeit(lambda: kernels.orbit_reps(invs, n, args.d), args.repeats)
-        np_t = timeit(lambda: kernels.orbit_reps_numpy(invs, n, args.d), args.repeats)
-        print(f"{'orbit_reps':<14}{n:>4}{args.d:>3}{size:>10}{run_t:>12.4f}{np_t:>13.4f}{np_t / run_t:>9.1f}")
-
+    kernel_layer(args.repeats)
     group_layer(args.repeats)
 
 

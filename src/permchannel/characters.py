@@ -37,7 +37,7 @@ from .perms import (
     PermutationGroup,
     conjugacy_classes,
     cycle_count,
-    orbits,
+    orbit_rep_array,
 )
 
 DEFAULT_MAX_GROUP_ORDER = 5040
@@ -308,7 +308,9 @@ def ambient_multiplicities(
     """Multiplicity of each irrep in the position action on all d**n strings.
 
     The ambient character value on sigma is d**c(sigma), the number of strings
-    sigma fixes.
+    sigma fixes.  With ``per_orbit``, each class representative's action table
+    gives its fixed strings, and one ``bincount`` over the orbit labels splits
+    them by orbit: one table per class, not per (orbit, class).
     """
     if table is None:
         table = character_table(group)
@@ -321,15 +323,16 @@ def ambient_multiplicities(
         raise MultiplicityRoundingError(f"sum of m*dim is {total}, expected d**n = {expected}")
     by_orbit = None
     if per_orbit:
-        orbit_rows = []
-        for orbit in orbits(group, d, max_states=max_states):
-            member_set = set(int(i) for i in orbit.member_indices)
-            fixed = []
-            for c in table.classes:
-                t = kernels.action_table(c.representative.inverse().images, d)
-                fixed.append(float(sum(1 for ix in member_set if int(t[ix]) == ix)))
-            orbit_rows.append(_project_class_function(table, fixed, tol, what="orbit multiplicity"))
-        by_orbit = tuple(orbit_rows)
+        # orbit_of[ix]: position of string ix's orbit in representative order, as in perms.orbits
+        reps, orbit_of = np.unique(orbit_rep_array(group, d, max_states=max_states), return_inverse=True)
+        points = np.arange(orbit_of.shape[0])
+        fixed = np.empty((len(table.classes), len(reps)))
+        for row, c in zip(fixed, table.classes):
+            moved = kernels.action_table(c.representative.inverse().images, d)
+            row[:] = np.bincount(orbit_of[moved == points], minlength=len(reps))
+        by_orbit = tuple(
+            _project_class_function(table, column.tolist(), tol, what="orbit multiplicity") for column in fixed.T
+        )
         for mu in range(len(table.irreps)):
             if sum(row[mu] for row in by_orbit) != values[mu]:
                 raise MultiplicityRoundingError("per-orbit multiplicities do not sum to the total")

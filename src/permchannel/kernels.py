@@ -1,31 +1,20 @@
-"""Index-space kernels for the position action, JIT-compiled when possible.
+"""Index-space kernels for the position action on all d**n strings.
 
 Length-``n`` strings over ``{0..d-1}`` are identified with integers in
-``[0, d**n)``, position 0 being the most significant base-``d`` digit.  The
-two kernels below dominate the runtime of orbit enumeration and channel
-simulation.  Each has a numba implementation and a pure-numpy fallback with
-identical output; set ``PERMCHANNEL_DISABLE_JIT=1`` to force the fallback
-(useful for debugging and as the benchmark baseline).
+``[0, d**n)``, position 0 being the most significant base-``d`` digit.  Then
+``arange(d**n).reshape((d,) * n)`` holds each string's index at the string
+itself, and moving positions is moving axes: :func:`action_table` is one
+axis transpose and copy, O(d**n).
+
+:func:`orbit_minima` labels every point with the least point of its orbit
+under a few bijections of ``range(size)``.  :func:`orbit_reps` applies it to
+the generators' action tables; ``perms`` applies it to rank tables of group
+elements.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-JIT_ENABLED = os.environ.get("PERMCHANNEL_DISABLE_JIT", "").strip().lower() not in {
-    "1",
-    "true",
-    "yes",
-    "on",
-}
-
-if JIT_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a hard dependency
-        JIT_ENABLED = False
 
 
 def digit_powers(n: int, d: int) -> np.ndarray:
@@ -33,123 +22,59 @@ def digit_powers(n: int, d: int) -> np.ndarray:
     return d ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
-def action_table_numpy(inv_images: np.ndarray, d: int, chunk: int = 1 << 16) -> np.ndarray:
-    """``out[ix]`` = index of the permuted string; pure-numpy backend.
+def action_table(inv_images, d: int) -> np.ndarray:
+    """Index table of one permutation's action on all d**n strings.
 
     ``inv_images`` are the images of the *inverse* permutation, so that
-    ``permuted[i] == original[inv_images[i]]``.
+    ``permuted[i] == original[inv_images[i]]``; ``out[ix]`` is the index of
+    string ``ix`` permuted.  So axis ``inv_images[i]`` of the output is axis
+    i of the index array: a transpose by the inverse, ``argsort(inv_images)``.
     """
     inv = np.asarray(inv_images, dtype=np.int64)
     n = inv.shape[0]
-    pows = digit_powers(n, d)
-    size = int(d) ** n
-    out = np.empty(size, dtype=np.int64)
-    for lo in range(0, size, chunk):
-        ix = np.arange(lo, min(lo + chunk, size), dtype=np.int64)
-        digits = (ix[:, None] // pows[None, :]) % d
-        out[lo : lo + ix.shape[0]] = digits[:, inv] @ pows
-    return out
+    d = int(d)
+    if d == 1:  # the one string; n axes could exceed numpy's limit on array rank
+        return np.zeros(1, dtype=np.int64)
+    return np.arange(d**n, dtype=np.int64).reshape((d,) * n).transpose(np.argsort(inv)).ravel()
 
 
-def orbit_reps_numpy(inv_images: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Minimal orbit member per string index; pure-numpy backend.
+def orbit_minima(tables: np.ndarray) -> np.ndarray:
+    """Least point of each point's orbit under the bijections ``tables`` (one per row).
 
-    ``inv_images`` holds one row per generator (inverse images).  Min-label
-    propagation along the generator tables (both directions, with path
-    compression) until a fixpoint; at the fixpoint the label is constant on
-    each orbit and equals its smallest member.
+    For one table t, round k pulls the label of the point 2**k steps ahead
+    (``label[t**(2**k)]``), so after k rounds each label is the least over a
+    window of 2**k steps.  A round that changes nothing means every window
+    already holds its cycle's minimum, so a long cycle settles in about
+    log2(length) rounds.  The tables are taken in turn until all of them in a
+    row leave the labels unchanged; then the labels are constant on every
+    orbit, and equal its least point.  The jump ``label[label]`` after a
+    change carries a lower label found elsewhere to every point that points
+    at it.
     """
-    size = int(d) ** n
-    rep = np.arange(size, dtype=np.int64)
-    tables = []
-    for inv in np.asarray(inv_images, dtype=np.int64).reshape(-1, n):
-        t = action_table_numpy(inv, d)
-        t_back = np.empty_like(t)
-        t_back[t] = np.arange(size, dtype=np.int64)
-        tables.extend((t, t_back))
-    if not tables:
-        return rep
-    while True:
-        prev = rep
-        for t in tables:
-            rep = np.minimum(rep, rep[t])
-        rep = rep[rep]
-        if np.array_equal(rep, prev):
-            return rep
-
-
-if JIT_ENABLED:
-
-    @njit(cache=True)
-    def _action_table_jit(inv, d, size):  # pragma: no cover - exercised via dispatch
-        n = inv.shape[0]
-        out = np.empty(size, np.int64)
-        digits = np.empty(n, np.int64)
-        for ix in range(size):
-            v = ix
-            for i in range(n - 1, -1, -1):
-                digits[i] = v % d
-                v //= d
-            acc = 0
-            for i in range(n):
-                acc = acc * d + digits[inv[i]]
-            out[ix] = acc
-        return out
-
-    @njit(cache=True)
-    def _orbit_reps_jit(invs, d, size):  # pragma: no cover - exercised via dispatch
-        g = invs.shape[0]
-        n = invs.shape[1]
-        rep = np.full(size, -1, np.int64)
-        stack = np.empty(size, np.int64)
-        digits = np.empty(n, np.int64)
-        for start in range(size):
-            if rep[start] >= 0:
-                continue
-            # Any index smaller than `start` in this orbit would already have
-            # swept it, so `start` is the orbit minimum.
-            rep[start] = start
-            stack[0] = start
-            top = 1
-            while top > 0:
-                top -= 1
-                v = stack[top]
-                for i in range(n - 1, -1, -1):
-                    digits[i] = v % d
-                    v //= d
-                for a in range(g):
-                    acc = 0
-                    for i in range(n):
-                        acc = acc * d + digits[invs[a, i]]
-                    if rep[acc] < 0:
-                        rep[acc] = start
-                        stack[top] = acc
-                        top += 1
-        return rep
-
-
-def action_table(inv_images, d: int) -> np.ndarray:
-    """Index table of one permutation's action on all d**n strings."""
-    inv = np.ascontiguousarray(inv_images, dtype=np.int64)
-    size = int(d) ** inv.shape[0]
-    if JIT_ENABLED:
-        return _action_table_jit(inv, d, size)
-    return action_table_numpy(inv, d)
+    label = np.arange(tables.shape[1])
+    settled = k = 0
+    while settled < len(tables):
+        jump, changed = tables[k % len(tables)], False
+        while True:
+            pulled = np.minimum(label, label[jump])
+            if np.array_equal(pulled, label):
+                break
+            label, jump, changed = pulled, jump[jump], True
+        if changed:
+            label, settled = label[label], 1
+        else:
+            settled += 1
+        k += 1
+    return label
 
 
 def orbit_reps(inv_images, n: int, d: int) -> np.ndarray:
-    """Per-index minimal orbit member under the group the generators span."""
-    invs = np.ascontiguousarray(inv_images, dtype=np.int64).reshape(-1, n)
-    size = int(d) ** n
-    if invs.shape[0] == 0:
-        return np.arange(size, dtype=np.int64)
-    if JIT_ENABLED:
-        return _orbit_reps_jit(invs, d, size)
-    return orbit_reps_numpy(invs, n, d)
+    """Per-index minimal orbit member under the group the generators span.
 
-
-def warmup() -> None:
-    """Trigger JIT compilation on tiny inputs (no-op on the numpy path)."""
-    inv = np.array([1, 0], dtype=np.int64)
-    action_table(inv, 2)
-    orbit_reps(inv.reshape(1, 2), 2, 2)
+    ``inv_images`` holds one row of inverse images per generator.
+    """
+    invs = np.asarray(inv_images, dtype=np.int64).reshape(-1, n)
+    tables = np.empty((len(invs), int(d) ** n), dtype=np.int64)
+    for row, inv in zip(tables, invs):
+        row[:] = action_table(inv, d)
+    return orbit_minima(tables)

@@ -231,22 +231,6 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(f"V{4 * rows.shape[-1]}").reshape(rows.shape[:-1])
 
 
-def _orbit_minima(tables: np.ndarray) -> np.ndarray:
-    """Least point of each point's orbit under the permutations ``tables`` (one per row).
-
-    Each table is a bijection of ``range(size)``, so following its arrows
-    forward reaches the whole orbit; pulling the minimum along them settles
-    after at most the orbit's diameter.
-    """
-    label = np.arange(tables.shape[1])
-    while len(tables):
-        pulled = np.minimum(label, label[tables].min(axis=0))
-        if np.array_equal(pulled, label):
-            break
-        label = pulled
-    return label
-
-
 @dataclass(frozen=True)
 class PermutationGroup:
     """A finite permutation group given by its full, closed element list.
@@ -346,7 +330,7 @@ class PermutationGroup:
             if (moved < 0).any():
                 p = self.elements[int(np.argmax(moved < 0))]
                 raise ValueError(f"product {p} * {g} escapes the element set")
-        minima = _orbit_minima(right)
+        minima = kernels.orbit_minima(right)
         if np.count_nonzero(minima == minima[self._rank_of(self.identity)]) != len(self.elements):
             raise ValueError("generators do not span the element set")
 
@@ -522,7 +506,7 @@ def conjugacy_classes(group: PermutationGroup) -> list[ConjugacyClass]:
     tables = np.array(tables, dtype=np.int64).reshape(len(tables), len(group))
     if (tables < 0).any():
         raise ValueError("a conjugate escapes the element set; the group is not closed")
-    minima = _orbit_minima(tables)
+    minima = kernels.orbit_minima(tables)
     by_class = np.argsort(minima, kind="stable")
     starts = np.flatnonzero(np.diff(minima[by_class])) + 1
     classes = []

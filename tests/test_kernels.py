@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import act_tuple, brute_orbits
+from oracles import act_tuple, brute_orbits, index_table
 from permchannel import Permutation, act_on_index, make_named_group
 from permchannel import kernels
 
@@ -27,21 +27,37 @@ def test_action_table_matches_tuple_action(n, d):
             assert table[ix] == act_on_index(p, ix, d)
 
 
-@pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (4, 3), (6, 2)])
-def test_backends_agree_on_action_tables(n, d):
+@pytest.mark.parametrize("n,d", [(0, 2), (1, 1), (3, 1), (70, 1), (1, 3), (4, 2), (5, 2), (4, 3), (6, 2)])
+def test_action_table_matches_oracle(n, d):
     rng = np.random.default_rng(3)
     for _ in range(10):
-        inv = np.array(rng.permutation(n), dtype=np.int64)
-        jit_or_default = kernels.action_table(inv, d)
-        fallback = kernels.action_table_numpy(inv, d)
-        assert np.array_equal(jit_or_default, fallback)
+        images = tuple(rng.permutation(n).tolist())
+        table = kernels.action_table(inverse_images(Permutation(images)), d)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, index_table(images, n, d))
 
 
-def test_action_table_numpy_chunking_is_invisible():
-    inv = np.array([2, 0, 1, 3, 4], dtype=np.int64)
-    assert np.array_equal(
-        kernels.action_table_numpy(inv, 2, chunk=4), kernels.action_table_numpy(inv, 2, chunk=1 << 16)
-    )
+def brute_orbit_minima(tables, size):
+    """Least point of each point's orbit, by search along every table."""
+    label = [-1] * size
+    for start in range(size):
+        if label[start] < 0:
+            label[start], stack = start, [start]
+            while stack:
+                x = stack.pop()
+                for t in tables:
+                    if label[t[x]] < 0:
+                        label[t[x]] = start
+                        stack.append(t[x])
+    return label
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+def test_orbit_minima_match_search(count):
+    rng = np.random.default_rng(count)
+    for size in (1, 2, 17, 60):
+        tables = np.array([rng.permutation(size) for _ in range(count)], dtype=np.int64).reshape(count, size)
+        assert kernels.orbit_minima(tables).tolist() == brute_orbit_minima(tables.tolist(), size)
 
 
 @pytest.mark.parametrize(
@@ -51,9 +67,10 @@ def test_orbit_reps_match_brute_force(kind, n, d):
     group = make_named_group(kind, n)
     invs = np.array([g.inverse().images for g in group.generators], dtype=np.int64)
     rep = kernels.orbit_reps(invs, n, d)
-    fallback = kernels.orbit_reps_numpy(invs, n, d)
-    assert np.array_equal(rep, fallback)
-    brute = brute_orbits([p.images for p in group], n, d)
+    assert_rep_matches_brute(rep, brute_orbits([p.images for p in group], n, d), d)
+
+
+def assert_rep_matches_brute(rep, brute, d):
     # rep must be constant on each brute-force orbit and equal its min index.
     for orbit in brute:
         indices = []
@@ -63,6 +80,17 @@ def test_orbit_reps_match_brute_force(kind, n, d):
                 ix = ix * d + s
             indices.append(ix)
         assert {int(rep[i]) for i in indices} == {min(indices)}
+
+
+def test_orbit_reps_of_a_long_order_generator():
+    # Cycle type 3.4.5: order 60, so labels must travel 60 steps around a cycle.
+    p = Permutation.from_cycles([(0, 1, 2), (3, 4, 5, 6), (7, 8, 9, 10, 11)], 12)
+    assert p.order() == 60
+    rep = kernels.orbit_reps(inverse_images(p).reshape(1, 12), 12, 2)
+    powers = [Permutation.identity(12)]
+    for _ in range(59):
+        powers.append(p * powers[-1])
+    assert_rep_matches_brute(rep, brute_orbits([q.images for q in powers], 12, 2), 2)
 
 
 def test_orbit_reps_with_no_generators_is_identity():

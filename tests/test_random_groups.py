@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    act_tuple,
     brute_class_structure,
     brute_conjugacy_classes,
     brute_is_group,
@@ -22,6 +23,8 @@ from oracles import (
 from permchannel import (
     Permutation,
     PermutationGroup,
+    ambient_multiplicities,
+    character_table,
     conjugacy_classes,
     count_ancilla_polya,
     count_classical_burnside,
@@ -36,6 +39,7 @@ from permchannel import (
     stabilizer,
 )
 from permchannel.characters import _class_structure_matrices
+from permchannel.perms import orbit_rep_array
 
 
 def group_strategy(max_degree=5):
@@ -62,6 +66,46 @@ def test_group_average_equals_brute_force_orbit_count(group, d):
     brute = len(brute_orbits([p.images for p in group], group.degree, d))
     assert count_classical_burnside(group, d) == brute
     assert len(orbits(group, d)) == brute
+
+
+def _index(x, d):
+    ix = 0
+    for s in x:
+        ix = ix * d + s
+    return ix
+
+
+def _orbits_by_least_index(group, d):
+    """Brute-force orbits as sorted index lists, ordered by their least index."""
+    brute = brute_orbits([p.images for p in group], group.degree, d)
+    return sorted(sorted(_index(x, d) for x in orbit) for orbit in brute)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group_strategy(), st.integers(1, 3))
+def test_orbit_rep_array_labels_each_orbit_by_its_least_index(group, d):
+    rep = orbit_rep_array(group, d)
+    for indices in _orbits_by_least_index(group, d):
+        assert {int(rep[i]) for i in indices} == {indices[0]}
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group_strategy(max_degree=4), st.integers(2, 3))
+def test_per_orbit_multiplicities_match_fixed_point_projection(group, d):
+    table = character_table(group)
+    strings = list(itertools.product(range(d), repeat=group.degree))
+    expected = []
+    for indices in _orbits_by_least_index(group, d):
+        fixed = [
+            sum(1 for i in indices if act_tuple(c.representative.images, strings[i]) == strings[i])
+            for c in table.classes
+        ]
+        row = []
+        for irrep in table.irreps:
+            raw = sum(size * f * v.conjugate() for size, f, v in zip(table.class_sizes, fixed, irrep.values))
+            row.append(round((raw / len(group)).real))
+        expected.append(tuple(row))
+    assert ambient_multiplicities(group, d, table=table, per_orbit=True).by_orbit == tuple(expected)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
