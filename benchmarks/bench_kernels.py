@@ -7,6 +7,11 @@ timed on the cyclic generator at 2**16 and 2**20 strings, the labelling also
 on one generator of order 420 (cycle type 3.4.5.7 at n=20), whose long cycles
 the fixpoint must cross in few sweeps.  ``ambient_multiplicities`` with its
 per-orbit split is the kernels' heaviest caller in ``characters``.
+``move_indices`` moves given strings by their digits, without a d**n table;
+it is timed on all 2**16 strings and on the 4,116 necklace representatives
+at n=16.  ``verify_classical`` (orbit labels plus every element moving every
+representative) is timed on fresh copies of S7 and C16 at d=2, so that each
+sample labels the orbits anew.
 
 The group layer scales with |G| instead: group validation, the square-root
 tally, conjugacy classes and the character table, each timed on a fresh copy
@@ -33,7 +38,9 @@ from permchannel import (
     kernels,
     load_group_file,
     make_named_group,
+    orbit_labels,
     square_root_count,
+    verify_classical,
 )
 
 ORDER_420_CYCLES = [(0, 1, 2), (3, 4, 5, 6), (7, 8, 9, 10, 11), (12, 13, 14, 15, 16, 17, 18)]
@@ -93,6 +100,14 @@ def kernel_layer(repeats):
     long_order = Permutation.from_cycles(ORDER_420_CYCLES, 20)
     invs = np.array([long_order.inverse().images], dtype=np.int64)
     row("orbit_reps", "order 420, n=20 d=2", 20, lambda: kernels.orbit_reps(invs, 20, 2))
+    c16 = make_named_group("cyclic", 16)
+    inv = np.array(c16.generators[0].inverse().images, dtype=np.int64)
+    inverses = np.array([p.inverse().images for p in c16], dtype=np.int64)
+    reps = orbit_labels(c16, 2)[0]
+    row("move_indices", "cyclic n=16 d=2, all", 16, lambda: kernels.move_indices(inv, np.arange(2**16), 2))
+    row("move_indices", "C16 d=2, reps x |G|", 16, lambda: kernels.move_indices(inverses, reps, 2))
+    for label, group in (("S7", make_named_group("symmetric", 7)), ("C16", c16)):
+        row("verify_classical", f"{label} d=2", group.degree, lambda: verify_classical(dataclasses.replace(group), 2))
     c12 = make_named_group("cyclic", 12)
     table = character_table(c12)
     row("ambient_multiplicities", "C12 d=2, per_orbit", 12,

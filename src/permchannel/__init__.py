@@ -18,6 +18,7 @@ from .channel import (
     dense_coding_certify,
     dense_coding_instance,
     dense_coding_roundtrip,
+    verify_classical,
     verify_zero_error,
     weyl_operators,
 )
@@ -67,7 +68,6 @@ from .perms import (
     Orbit,
     Permutation,
     PermutationGroup,
-    act_on_index,
     act_on_string,
     conjugacy_classes,
     cycle_count,
@@ -76,6 +76,7 @@ from .perms import (
     generate_group,
     load_group_file,
     make_named_group,
+    orbit_labels,
     orbits,
     parse_group_file,
     square_root_count,

@@ -2,20 +2,22 @@
 
 The channel applies an element of the group to the positions of the carriers;
 the element is unknown to the receiver.  Classical decoding maps a received
-string to its orbit; quantum decoding projects onto the message basis.  Both
-are certified zero-error by exhausting every (message, element) pair, and the
-ancilla-assisted protocol is simulated sector by sector with clock-shift
-unitaries on the multiplicity index.
+string to its orbit (one lookup in ``perms.orbit_labels``); quantum decoding
+projects onto the message basis.  Both are certified zero-error by exhausting
+every (message, element) pair, and the ancilla-assisted protocol is simulated
+sector by sector with clock-shift unitaries on the multiplicity index.
 
-Certification never forms d**n-sized dense operators.  U(sigma) only moves
-string indices, so the quantum sweep splits the basis into blocks of
-connected support (one rotation orbit of size n_j per block for the cyclic
-Fourier basis) and multiplies each block by the blocks its image lands in:
-O(|G| * sum_j n_j**3).  The ancilla sweep reduces every round trip in a
-sector of multiplicity m to the m x m sector operator V = B^H U(sigma) B,
-one pass over d**n entries, and reads all (a, b) -> (a', b')
-probabilities |tr(W'^H V W)|**2 / m**2 off at most m length-m FFTs:
-O(|G| * (d**n + m**2 log m)) per sector.
+Certification never forms d**n-sized dense operators.  The classical sweep
+moves the N_c orbit representatives under blocks of elements with
+``kernels.move_indices`` and compares orbit labels: O(|G| * N_c * n).
+U(sigma) only moves string indices, so the quantum sweep splits the basis
+into blocks of connected support (one rotation orbit of size n_j per block
+for the cyclic Fourier basis) and multiplies each block by the blocks its
+image lands in: O(|G| * sum_j n_j**3).  The ancilla sweep reduces every
+round trip in a sector of multiplicity m to the m x m sector operator
+V = B^H U(sigma) B, one pass over d**n entries, and reads all
+(a, b) -> (a', b') probabilities |tr(W'^H V W)|**2 / m**2 off at most m
+length-m FFTs: O(|G| * (d**n + m**2 log m)) per sector.
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ from .perms import (
     ColoredString,
     Permutation,
     PermutationGroup,
-    act_on_index,
     act_on_string,
-    orbit_rep_array,
+    orbit_labels,
 )
 
 EXHAUSTIVE = "exhaustive"
@@ -47,6 +48,7 @@ FIXED = "fixed"
 # Complex amplitudes one dense-coding instance may hold: 256 MiB, the
 # size of the largest isotypic projector within the default bounds.
 MAX_DENSE_ENTRIES = 1 << 24
+MAX_MOVED_INDICES = 1 << 18  # string indices ``verify_classical`` moves per block of elements (2 MiB)
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,8 @@ def apply_permutation_state(sigma: Permutation, psi: StateVector) -> StateVector
     """U(sigma)|psi>: amplitudes permute across basis indices, no arithmetic."""
     if sigma.degree != psi.n:
         raise DegreeMismatchError(f"permutation degree {sigma.degree} != state length {psi.n}")
-    moved = {act_on_index(sigma, ix, psi.d): amp for ix, amp in psi.amplitudes.items()}
-    return StateVector(psi.n, psi.d, moved)
+    moved = kernels.move_indices(sigma.inverse().images, list(psi.amplitudes), psi.d)
+    return StateVector(psi.n, psi.d, dict(zip(moved.tolist(), psi.amplitudes.values())))
 
 
 def apply_channel_quantum(
@@ -113,23 +115,14 @@ def apply_channel_quantum(
     return [(sigma, apply_permutation_state(sigma, psi)) for sigma in spec.draw_elements(rng)]
 
 
-def _decode_table(group: PermutationGroup, d: int, max_states: int):
-    """Orbit representative per string and the sorted representatives, cached on the group."""
-    tables = group._decode_tables
-    if (d, max_states) not in tables:
-        rep = orbit_rep_array(group, d, max_states=max_states)
-        tables[d, max_states] = rep, np.unique(rep)
-    return tables[d, max_states]
-
-
 def decode_classical(
     group: PermutationGroup, y: ColoredString, *, max_states: int = DEFAULT_MAX_STATES
 ) -> int:
     """Index of the orbit containing y, in canonical (representative) order."""
     if group.degree != y.n:
         raise DegreeMismatchError(f"group degree {group.degree} != string length {y.n}")
-    rep, reps = _decode_table(group, y.d, max_states)
-    return int(np.searchsorted(reps, rep[y.index]))
+    _reps, orbit_of = orbit_labels(group, y.d, max_states=max_states)
+    return int(orbit_of[y.index])
 
 
 def decode_quantum(
@@ -230,13 +223,7 @@ def _support_blocks(basis: MessageBasis) -> tuple[list[_Block], np.ndarray, np.n
     return blocks, block_of_row, row_in_block
 
 
-def verify_zero_error(
-    group: PermutationGroup,
-    basis: MessageBasis,
-    *,
-    exhaustive: bool = True,
-    tol: float = 1e-9,
-) -> ZeroErrorReport:
+def verify_zero_error(group: PermutationGroup, basis: MessageBasis, *, tol: float = 1e-9) -> ZeroErrorReport:
     """Decode U(sigma)|u_m> for every message m and element sigma.
 
     Decoding is by the largest overlap |<u_t|U(sigma)|u_m>|**2 (ties to the
@@ -244,18 +231,14 @@ def verify_zero_error(
     indices, so the overlaps of one support block are nonzero only with the
     blocks its image lands in; each such pair is one small product, and the
     sweep costs O(|G| * sum of n_j**3) over blocks of size n_j.
-
-    With ``exhaustive`` False only the generators are applied (a quick smoke
-    pass); certification uses the default exhaustive sweep.
     """
     if group.degree != basis.n:
         raise DegreeMismatchError("group degree does not match the basis")
     blocks, block_of_row, row_in_block = _support_blocks(basis)
-    elements = group.elements if exhaustive else (group.generators or (group.identity,))
     failures = []
     max_offdiag = 0.0
     count = len(basis.entries)
-    for sigma in elements:
+    for sigma in group.elements:
         table = kernels.action_table(sigma.inverse().images, basis.d)
         decoded = np.zeros(count, dtype=bool)
         for block in blocks:
@@ -281,10 +264,29 @@ def verify_zero_error(
         failures.extend((int(message), sigma.images) for message in np.flatnonzero(~decoded))
     return ZeroErrorReport(
         messages_tested=count,
-        group_elements_tested=len(elements),
+        group_elements_tested=len(group.elements),
         failures=tuple(failures),
         max_offdiag_overlap=max_offdiag,
     )
+
+
+def verify_classical(group: PermutationGroup, d: int, *, max_states: int = DEFAULT_MAX_STATES) -> ZeroErrorReport:
+    """Decode sigma(x) for every orbit representative x and element sigma; it must land in x's orbit.
+
+    Messages are the orbits of ``perms.orbit_labels`` (so only generators
+    that do not span the elements can fail).  Each block of elements moves
+    all N_c representatives in one ``kernels.move_indices`` call:
+    O(|G| * N_c * n), no Python work per (orbit, element) pair.
+    """
+    reps, orbit_of = orbit_labels(group, d, max_states=max_states)
+    inverses = np.argsort(group._images, axis=1)
+    step = max(1, MAX_MOVED_INDICES // len(reps))
+    failures = []
+    for start in range(0, len(group), step):
+        moved = orbit_of[kernels.move_indices(inverses[start : start + step], reps, d)]
+        for row, message in np.argwhere(moved != np.arange(len(reps))).tolist():
+            failures.append((message, group.elements[start + row].images))
+    return ZeroErrorReport(len(reps), len(group), tuple(failures), max_offdiag_overlap=0.0)
 
 
 def weyl_operators(m: int) -> list[np.ndarray]:

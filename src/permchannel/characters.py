@@ -37,7 +37,7 @@ from .perms import (
     PermutationGroup,
     conjugacy_classes,
     cycle_count,
-    orbit_rep_array,
+    orbit_labels,
 )
 
 DEFAULT_MAX_GROUP_ORDER = 5040
@@ -323,8 +323,7 @@ def ambient_multiplicities(
         raise MultiplicityRoundingError(f"sum of m*dim is {total}, expected d**n = {expected}")
     by_orbit = None
     if per_orbit:
-        # orbit_of[ix]: position of string ix's orbit in representative order, as in perms.orbits
-        reps, orbit_of = np.unique(orbit_rep_array(group, d, max_states=max_states), return_inverse=True)
+        reps, orbit_of = orbit_labels(group, d, max_states=max_states)
         points = np.arange(orbit_of.shape[0])
         fixed = np.empty((len(table.classes), len(reps)))
         for row, c in zip(fixed, table.classes):

@@ -1,8 +1,8 @@
 """Command-line interface: counting tables, basis export, certification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-bound exceeded.  All output is deterministic for a given invocation (and
-seed), so identical runs are byte-identical.
+bound exceeded.  All output is deterministic for a given invocation, so
+identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,14 +13,17 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import channel as channel_mod
 from . import characters, counting, encoding
 from .errors import PermChannelError, ResourceBoundError
 from .perms import (
+    ColoredString,
     PermutationGroup,
     load_group_file,
     make_named_group,
-    orbits,
+    orbit_labels,
     square_root_count,
     stabilizer,
 )
@@ -33,7 +36,13 @@ EXIT_BOUND = 3
 DEFAULT_ENUM_BOUND = 1 << 20
 DEFAULT_ORACLE_BOUND = 5040
 
-NAMED_KINDS = ("cyclic", "dihedral", "symmetric")
+# The named families and their closed-form counts.
+CLOSED_FORMS = {
+    "cyclic": counting.count_cyclic,
+    "dihedral": counting.count_dihedral,
+    "symmetric": counting.count_symmetric,
+}
+NAMED_KINDS = tuple(CLOSED_FORMS)
 QUANTITY_BY_MODE = {"classical": "N_c", "quantum": "N_q", "ancilla": "N_a"}
 
 
@@ -50,7 +59,6 @@ class RunConfig:
     d: int | None
     mode: str
     fmt: str
-    seed: int
     out: str | None
     n_max: int | None
     enum_bound: int
@@ -84,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="which protocol(s) to consider",
         )
         sp.add_argument("--format", choices=("json", "csv", "table"), default=None)
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized channel draws")
         sp.add_argument("--out", help="output file (encode: basis JSON)")
         sp.add_argument("--unsafe-bounds", action="store_true", help="lift the default size bounds")
         if name == "scaling":
@@ -105,7 +112,6 @@ def _config(ns: argparse.Namespace) -> RunConfig:
         d=ns.d,
         mode=ns.mode,
         fmt=fmt,
-        seed=ns.seed,
         out=ns.out,
         n_max=getattr(ns, "n_max", None),
         enum_bound=sys.maxsize if unsafe else DEFAULT_ENUM_BOUND,
@@ -151,15 +157,9 @@ def _print_rows(cfg: RunConfig, header: list[str], rows: list[list], json_obj=No
 
 def cmd_count(cfg: RunConfig) -> int:
     _require(cfg, "d")
-    if cfg.group_kind == "cyclic":
+    if cfg.group_kind:
         _require(cfg, "n")
-        report = counting.count_cyclic(cfg.n, cfg.d)
-    elif cfg.group_kind == "dihedral":
-        _require(cfg, "n")
-        report = counting.count_dihedral(cfg.n, cfg.d)
-    elif cfg.group_kind == "symmetric":
-        _require(cfg, "n")
-        report = counting.count_symmetric(cfg.n, cfg.d)
+        report = CLOSED_FORMS[cfg.group_kind](cfg.n, cfg.d)
     else:
         group = _resolve_group(cfg)
         report = counting.count_report(group, cfg.d, oracle_max_order=cfg.oracle_bound)
@@ -218,21 +218,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
     reports = {}
     failed = False
     if "classical" in modes:
-        obs = orbits(group, cfg.d, max_states=cfg.enum_bound)
-        mismatches = 0
-        spec = channel_mod.ChannelSpec.exhaustive(group)
-        for orbit in obs:
-            x = orbit.representative
-            want = channel_mod.decode_classical(group, x, max_states=cfg.enum_bound)
-            for _sigma, y in channel_mod.apply_channel_classical(spec, x):
-                if channel_mod.decode_classical(group, y, max_states=cfg.enum_bound) != want:
-                    mismatches += 1
+        report = channel_mod.verify_classical(group, cfg.d, max_states=cfg.enum_bound)
         reports["classical"] = {
-            "messages": len(obs),
-            "elements": len(group),
-            "failures": mismatches,
+            "messages": report.messages_tested,
+            "elements": report.group_elements_tested,
+            "failures": len(report.failures),
         }
-        failed |= mismatches > 0
+        failed |= not report.zero_error
     basis = None
     if "quantum" in modes or "ancilla" in modes:
         basis = encoding.message_basis_cyclic(group.degree, cfg.d, max_states=cfg.enum_bound)
@@ -261,19 +253,14 @@ def _verify_checks(cfg: RunConfig, group: PermutationGroup, d: int):
 
     n_c = counting.count_classical_burnside(group, d)
     if d**group.degree <= cfg.enum_bound:
-        obs = orbits(group, d, max_states=cfg.enum_bound)
-        yield "orbit count matches group average", n_c == len(obs), f"{n_c} == {len(obs)}"
-        sample = obs if len(obs) <= 200 else obs[:200]
-        ok = all(len(stabilizer(group, o.representative)) * o.size == len(group) for o in sample)
-        yield "orbit-stabilizer product", ok, f"{len(sample)} representatives"
-        spec = channel_mod.ChannelSpec.exhaustive(group)
-        mism = sum(
-            1
-            for o in obs
-            for _s, y in channel_mod.apply_channel_classical(spec, o.representative)
-            if channel_mod.decode_classical(group, y, max_states=cfg.enum_bound) != o.index
-        )
-        yield "classical decoding is orbit-invariant", mism == 0, f"{mism} mismatches"
+        reps, orbit_of = orbit_labels(group, d, max_states=cfg.enum_bound)
+        yield "orbit count matches group average", n_c == len(reps), f"{n_c} == {len(reps)}"
+        sizes = np.bincount(orbit_of)[:200].tolist()
+        stabs = (len(stabilizer(group, ColoredString.from_index(x, group.degree, d))) for x in reps[:200].tolist())
+        ok = all(stab * size == len(group) for stab, size in zip(stabs, sizes))
+        yield "orbit-stabilizer product", ok, f"{len(sizes)} representatives"
+        report = channel_mod.verify_classical(group, d, max_states=cfg.enum_bound)
+        yield "classical decoding is orbit-invariant", report.zero_error, f"{len(report.failures)} mismatches"
     n_a = counting.count_ancilla_polya(group, d)
     yield (
         "ancilla count equals squared-alphabet classical count",
@@ -281,12 +268,8 @@ def _verify_checks(cfg: RunConfig, group: PermutationGroup, d: int):
         f"{n_a}",
     )
 
-    if group.kind in NAMED_KINDS:
-        closed = {
-            "cyclic": counting.count_cyclic,
-            "dihedral": counting.count_dihedral,
-            "symmetric": counting.count_symmetric,
-        }[group.kind](group.degree, d)
+    if group.kind in CLOSED_FORMS:
+        closed = CLOSED_FORMS[group.kind](group.degree, d)
         ok = closed.n_c == n_c and closed.n_a == n_a
         yield "closed forms match group averages", ok, f"N_c {closed.n_c}, N_a {closed.n_a}"
 
@@ -325,9 +308,9 @@ def _verify_checks(cfg: RunConfig, group: PermutationGroup, d: int):
             )
 
     if group.kind == "cyclic" and d**group.degree <= cfg.enum_bound:
-        obs = orbits(group, d, max_states=cfg.enum_bound)
+        reps, _orbit_of = orbit_labels(group, d, max_states=cfg.enum_bound)
         fkm = encoding.fkm_representatives(group.degree, d, max_count=cfg.enum_bound)
-        ok = [r.symbols for r in fkm] == [o.representative.symbols for o in obs]
+        ok = [r.index for r in fkm] == reps.tolist()
         yield "necklace generator matches orbit representatives", ok, f"{len(fkm)} representatives"
         basis = encoding.message_basis_cyclic(group.degree, d, max_states=cfg.enum_bound)
         report = channel_mod.verify_zero_error(group, basis)
@@ -413,11 +396,7 @@ def cmd_scaling(cfg: RunConfig) -> int:
     n_hi = cfg.n_max if cfg.n_max is not None else cfg.n
     if n_hi < n_lo:
         raise UsageError("--n-max must be >= --n")
-    counter = {
-        "cyclic": counting.count_cyclic,
-        "dihedral": counting.count_dihedral,
-        "symmetric": counting.count_symmetric,
-    }[cfg.group_kind]
+    counter = CLOSED_FORMS[cfg.group_kind]
     rows = []
     for n in range(n_lo, n_hi + 1):
         report = counter(n, cfg.d)

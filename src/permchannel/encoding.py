@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .characters import unit_root
 from .counting import count_cyclic
 from .errors import StateSpaceBoundError
@@ -31,7 +32,6 @@ from .perms import (
     Orbit,
     Permutation,
     PermutationGroup,
-    act_on_index,
     make_named_group,
     orbits,
 )
@@ -163,14 +163,14 @@ def irrep_label(orbit: Orbit, k: int) -> int:
 
 def _rotation_walk(orbit: Orbit, rotation: Permutation, d: int) -> list[int]:
     """Orbit members in rotation order starting from the representative."""
-    ix = orbit.representative.index
-    walk = [ix]
-    for _ in range(orbit.size - 1):
-        ix = act_on_index(rotation, ix, d)
-        walk.append(ix)
-    if act_on_index(rotation, ix, d) != walk[0]:
+    step = np.array(rotation.inverse().images, dtype=np.int64)
+    powers = [np.arange(len(step))]  # inverse images of rotation**0 .. rotation**size
+    for _ in range(orbit.size):
+        powers.append(step[powers[-1]])
+    walk = kernels.move_indices(np.array(powers), [orbit.representative.index], d)[:, 0].tolist()
+    if walk[-1] != walk[0]:
         raise ValueError("orbit does not close after size steps; not a rotation orbit")
-    return walk
+    return walk[:-1]
 
 
 def orbit_fourier_basis(orbit: Orbit, n: int, d: int) -> list[FourierState]:

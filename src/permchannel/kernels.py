@@ -4,7 +4,8 @@ Length-``n`` strings over ``{0..d-1}`` are identified with integers in
 ``[0, d**n)``, position 0 being the most significant base-``d`` digit.  Then
 ``arange(d**n).reshape((d,) * n)`` holds each string's index at the string
 itself, and moving positions is moving axes: :func:`action_table` is one
-axis transpose and copy, O(d**n).
+axis transpose and copy, O(d**n).  :func:`move_indices` moves only a few
+given strings, by their digits, without a d**n table.
 
 :func:`orbit_minima` labels every point with the least point of its orbit
 under a few bijections of ``range(size)``.  :func:`orbit_reps` applies it to
@@ -36,6 +37,23 @@ def action_table(inv_images, d: int) -> np.ndarray:
     if d == 1:  # the one string; n axes could exceed numpy's limit on array rank
         return np.zeros(1, dtype=np.int64)
     return np.arange(d**n, dtype=np.int64).reshape((d,) * n).transpose(np.argsort(inv)).ravel()
+
+
+def move_indices(inv_images, indices, d: int) -> np.ndarray:
+    """Index of each string in ``indices`` after each permutation: ``action_table(inv, d)[indices]``.
+
+    ``inv_images`` is one row of inverse images, or a 2-D array of rows, which
+    gives one output row per permutation.  Digit i of a moved string is digit
+    ``inv[i]`` of the original, so the output is one gather of digit rows per
+    position: O(rows * len(indices) * n), with no d**n table.
+    """
+    inv = np.asarray(inv_images, dtype=np.int64)
+    powers = digit_powers(inv.shape[-1], int(d))
+    digits = np.asarray(indices, dtype=np.int64) // powers[:, None] % d  # row j: digit j of each index
+    out = np.zeros(inv.shape[:-1] + digits.shape[1:], dtype=np.int64)
+    for position, power in enumerate(powers.tolist()):
+        out += digits[inv[..., position]] * power
+    return out
 
 
 def orbit_minima(tables: np.ndarray) -> np.ndarray:

@@ -26,6 +26,10 @@ generators:
 * ``cycle_count_tally`` (the group averages): O(|G| * n log n).
 
 No group operation builds an array with |G|**2 entries.
+
+:func:`orbit_labels` (sorted representatives, each string's orbit) is the one
+orbit labelling, memoised on the group per d; :func:`orbits`, the per-orbit
+multiplicities and the classical decoder and certifier all read it.
 """
 
 from __future__ import annotations
@@ -205,20 +209,6 @@ def act_on_string(p: Permutation, x: ColoredString) -> ColoredString:
     return ColoredString(tuple(x.symbols[inv(i)] for i in range(x.n)), x.d)
 
 
-def act_on_index(p: Permutation, ix: int, d: int) -> int:
-    """Index-space version of :func:`act_on_string`."""
-    n = p.degree
-    digits = [0] * n
-    for i in range(n - 1, -1, -1):
-        digits[i] = ix % d
-        ix //= d
-    inv = p.inverse()
-    out = 0
-    for i in range(n):
-        out = out * d + digits[inv(i)]
-    return out
-
-
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One fixed-width byte string per image row, ordered as the image tuples.
 
@@ -290,8 +280,8 @@ class PermutationGroup:
         return np.bincount(squares[squares >= 0], minlength=len(self.elements))
 
     @cached_property
-    def _decode_tables(self) -> dict:
-        """Orbit tables of ``channel.decode_classical`` by (d, max_states); they live as long as the group."""
+    def _orbit_labels(self) -> dict:
+        """:func:`orbit_labels` by alphabet size; they live as long as the group."""
         return {}
 
     @cached_property
@@ -431,26 +421,33 @@ class Orbit:
         return f"Orbit({self.index}, rep={self.representative}, size={self.size})"
 
 
-def _inverse_generator_images(group: PermutationGroup) -> np.ndarray:
-    invs = [g.inverse().images for g in group.generators]
-    return np.array(invs, dtype=np.int64).reshape(len(invs), group.degree)
+def orbit_labels(
+    group: PermutationGroup, d: int, *, max_states: int = DEFAULT_MAX_STATES
+) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, orbit_of): the orbits' least indices, ascending, and each string's orbit.
 
-
-def orbit_rep_array(group: PermutationGroup, d: int, *, max_states: int = DEFAULT_MAX_STATES) -> np.ndarray:
-    """rep[ix] = index of the minimal member of the orbit of string ix."""
+    Orbit j is the j-th in representative order, as in :func:`orbits`, so
+    ``orbit_of[reps[j]] == j``.  Memoised on the group by d (read-only
+    arrays); the d**n bound is checked on every call.
+    """
     n = group.degree
-    size = d**n
-    if size > max_states:
-        raise StateSpaceBoundError(f"d**n = {size} exceeds the bound {max_states}")
-    return kernels.orbit_reps(_inverse_generator_images(group), n, d)
+    if d**n > max_states:
+        raise StateSpaceBoundError(f"d**n = {d**n} exceeds the bound {max_states}")
+    labels = group._orbit_labels
+    if d not in labels:
+        invs = np.array([g.inverse().images for g in group.generators], dtype=np.int64).reshape(-1, n)
+        reps, orbit_of = np.unique(kernels.orbit_reps(invs, n, d), return_inverse=True)
+        reps.flags.writeable = orbit_of.flags.writeable = False
+        labels[d] = reps, orbit_of
+    return labels[d]
 
 
 def orbits(group: PermutationGroup, d: int, *, max_states: int = DEFAULT_MAX_STATES) -> list[Orbit]:
     """All orbits of the group action on d**n strings, ordered by representative."""
     n = group.degree
-    rep = orbit_rep_array(group, d, max_states=max_states)
-    reps, inverse_map, counts = np.unique(rep, return_inverse=True, return_counts=True)
-    order = np.lexsort((np.arange(rep.shape[0]), inverse_map))
+    reps, orbit_of = orbit_labels(group, d, max_states=max_states)
+    counts = np.bincount(orbit_of, minlength=len(reps))
+    order = np.argsort(orbit_of, kind="stable")
     offsets = np.concatenate(([0], np.cumsum(counts)))
     result = []
     for j, (rep_ix, size) in enumerate(zip(reps.tolist(), counts.tolist())):

@@ -93,15 +93,6 @@ def test_dense_coding_roundtrip_matches_dense_oracle(kind, n, d):
                     assert sent[result.a * m + result.b] > sent.max() - 1e-12
 
 
-def test_smoke_pass_matches_oracle_on_generators():
-    group = make_named_group("dihedral", 4)
-    basis = message_basis_cyclic(4, 2)
-    report = verify_zero_error(group, basis, exhaustive=False)
-    failures, _ = dense_zero_error([g.images for g in group.generators], basis.dense_matrix(), 4, 2)
-    assert report.group_elements_tested == len(group.generators)
-    assert report.failures == failures
-
-
 @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (3, 3)])
 def test_elements_that_split_orbits_match_oracle(n, d):
     # Symmetric-group elements send one rotation orbit across several.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import act_tuple, brute_orbits, index_table
-from permchannel import Permutation, act_on_index, make_named_group
+from permchannel import Permutation, make_named_group
 from permchannel import kernels
 
 
@@ -24,7 +24,6 @@ def test_action_table_matches_tuple_action(n, d):
             for s in image:
                 expected = expected * d + s
             assert table[ix] == expected
-            assert table[ix] == act_on_index(p, ix, d)
 
 
 @pytest.mark.parametrize("n,d", [(0, 2), (1, 1), (3, 1), (70, 1), (1, 3), (4, 2), (5, 2), (4, 3), (6, 2)])
@@ -35,6 +34,33 @@ def test_action_table_matches_oracle(n, d):
         table = kernels.action_table(inverse_images(Permutation(images)), d)
         assert table.dtype == np.int64
         assert np.array_equal(table, index_table(images, n, d))
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (4, 1), (1, 3), (3, 2), (5, 2), (4, 3), (3, 4)])
+def test_move_indices_matches_oracle(n, d):
+    rng = np.random.default_rng(11)
+    perms = [Permutation(tuple(rng.permutation(n).tolist())) for _ in range(4)]
+    invs = np.array([p.inverse().images for p in perms], dtype=np.int64)
+    indices = rng.integers(d**n, size=7)
+    moved = kernels.move_indices(invs, indices, d)
+    assert moved.dtype == np.int64 and moved.shape == (4, 7)
+    for p, inv, row in zip(perms, invs, moved):
+        oracle = index_table(p.images, n, d)
+        assert np.array_equal(row, oracle[indices])
+        assert np.array_equal(kernels.move_indices(inv, np.arange(d**n), d), oracle)
+
+
+def test_move_indices_of_no_strings():
+    invs = np.array([[1, 2, 0], [0, 1, 2]], dtype=np.int64)
+    assert kernels.move_indices(invs, [], 2).shape == (2, 0)
+    assert kernels.move_indices(invs[0], np.array([], dtype=np.int64), 3).shape == (0,)
+
+
+def test_move_indices_under_every_element_of_s4_at_d3():
+    group = make_named_group("symmetric", 4)
+    invs = np.array([p.inverse().images for p in group], dtype=np.int64)
+    moved = kernels.move_indices(invs, np.arange(3**4), 3)
+    assert np.array_equal(moved, np.array([index_table(p.images, 4, 3) for p in group]))
 
 
 def brute_orbit_minima(tables, size):

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import act_tuple, brute_fixed_count, brute_orbits, brute_square_roots
+from oracles import act_tuple, brute_fixed_count, brute_orbits, brute_square_roots, index_table
 from permchannel import (
     ColoredString,
     Permutation,
     PermutationGroup,
-    act_on_index,
     act_on_string,
     conjugacy_classes,
     cycle_count,
@@ -17,6 +16,7 @@ from permchannel import (
     cycle_type,
     generate_group,
     make_named_group,
+    orbit_labels,
     orbits,
     parse_group_file,
     square_root_count,
@@ -143,7 +143,7 @@ class TestAction:
         n = p.degree
         ix = data.draw(st.integers(0, 2**n - 1))
         x = ColoredString.from_index(ix, n, 2)
-        assert act_on_index(p, ix, 2) == act_on_string(p, x).index
+        assert act_on_string(p, x).index == index_table(p.images, n, 2)[ix]
 
 
 class TestGroupGeneration:
@@ -286,6 +286,16 @@ class TestOrbits:
     def test_state_space_bound(self):
         with pytest.raises(StateSpaceBoundError):
             orbits(make_named_group("cyclic", 30), 2, max_states=1 << 20)
+
+    def test_labels_are_memoised_per_alphabet_and_bounded_on_every_call(self):
+        group = make_named_group("dihedral", 5)
+        reps, orbit_of = orbit_labels(group, 2)
+        assert orbit_labels(group, 2)[1] is orbit_of
+        assert orbit_labels(group, 3)[1] is not orbit_of
+        assert orbit_of[reps].tolist() == list(range(len(reps)))
+        assert not orbit_of.flags.writeable and not reps.flags.writeable
+        with pytest.raises(StateSpaceBoundError):
+            orbit_labels(group, 2, max_states=31)
 
 
 class TestStabilizer:

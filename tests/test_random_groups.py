@@ -19,6 +19,7 @@ from oracles import (
     brute_is_group,
     brute_orbits,
     brute_square_roots,
+    compose_images,
 )
 from permchannel import (
     Permutation,
@@ -37,9 +38,10 @@ from permchannel import (
     orbits,
     square_root_count,
     stabilizer,
+    verify_classical,
 )
 from permchannel.characters import _class_structure_matrices
-from permchannel.perms import orbit_rep_array
+from permchannel.perms import orbit_labels
 
 
 def group_strategy(max_degree=5):
@@ -84,9 +86,55 @@ def _orbits_by_least_index(group, d):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(group_strategy(), st.integers(1, 3))
 def test_orbit_rep_array_labels_each_orbit_by_its_least_index(group, d):
-    rep = orbit_rep_array(group, d)
-    for indices in _orbits_by_least_index(group, d):
+    reps, orbit_of = orbit_labels(group, d)
+    rep = reps[orbit_of]
+    brute = _orbits_by_least_index(group, d)
+    for indices in brute:
         assert {int(rep[i]) for i in indices} == {indices[0]}
+    assert reps.tolist() == [indices[0] for indices in brute]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group_strategy(), st.integers(1, 3))
+def test_classical_certification_passes_on_random_groups(group, d):
+    report = verify_classical(group, d)
+    assert report.failures == ()
+    assert report.messages_tested == len(brute_orbits([p.images for p in group], group.degree, d))
+    assert report.group_elements_tested == len(group)
+
+
+def _span(generator_images, n):
+    """All products of the generators, by breadth-first closure."""
+    identity = tuple(range(n))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        p = frontier.pop()
+        for g in generator_images:
+            q = compose_images(p, g)
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return seen
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group_strategy(), st.integers(2, 3), st.data())
+def test_classical_failures_match_brute_force_when_generators_span_a_subgroup(group, d, data):
+    # All of G's elements, but generators spanning a subgroup H: the messages
+    # are H's orbits, and every (orbit, element) pair leaving the orbit fails.
+    n = group.degree
+    generators = data.draw(st.lists(st.sampled_from(group.elements), max_size=2))
+    report = verify_classical(PermutationGroup(n, group.elements, tuple(generators)), d)
+    subgroup_orbits = sorted(brute_orbits(_span([g.images for g in generators], n), n, d), key=min)
+    expected = tuple(
+        (message, p.images)
+        for p in group.elements
+        for message, orbit in enumerate(subgroup_orbits)
+        if act_tuple(p.images, min(orbit)) not in orbit
+    )
+    assert report.failures == expected
+    assert report.messages_tested == len(subgroup_orbits)
+    assert report.group_elements_tested == len(group)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
