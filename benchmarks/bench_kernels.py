@@ -11,7 +11,9 @@ per-orbit split is the kernels' heaviest caller in ``characters``.
 it is timed on all 2**16 strings and on the 4,116 necklace representatives
 at n=16.  ``verify_classical`` (orbit labels plus every element moving every
 representative) is timed on fresh copies of S7 and C16 at d=2, so that each
-sample labels the orbits anew.
+sample labels the orbits anew.  The quantum layer is timed at C16 d=2:
+``message_basis_cyclic`` (orbit labels and rotation walks), the streamed
+``write_basis_json`` export to a temporary file, and ``verify_zero_error``.
 
 The group layer scales with |G| instead: group validation, the square-root
 tally, conjugacy classes and the character table, each timed on a fresh copy
@@ -25,6 +27,7 @@ array and rank index.  Run from the repo root:
 import argparse
 import dataclasses
 import statistics
+import tempfile
 import time
 from pathlib import Path
 
@@ -38,10 +41,13 @@ from permchannel import (
     kernels,
     load_group_file,
     make_named_group,
+    message_basis_cyclic,
     orbit_labels,
     square_root_count,
     verify_classical,
+    verify_zero_error,
 )
+from permchannel.encoding import write_basis_json
 
 ORDER_420_CYCLES = [(0, 1, 2), (3, 4, 5, 6), (7, 8, 9, 10, 11), (12, 13, 14, 15, 16, 17, 18)]
 GROUP_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "groups" / "s4xs4.txt"
@@ -108,6 +114,12 @@ def kernel_layer(repeats):
     row("move_indices", "C16 d=2, reps x |G|", 16, lambda: kernels.move_indices(inverses, reps, 2))
     for label, group in (("S7", make_named_group("symmetric", 7)), ("C16", c16)):
         row("verify_classical", f"{label} d=2", group.degree, lambda: verify_classical(dataclasses.replace(group), 2))
+    basis = message_basis_cyclic(16, 2)
+    row("message_basis_cyclic", "C16 d=2", 16, lambda: message_basis_cyclic(16, 2))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "basis.json"
+        row("write_basis_json", "C16 d=2, temp file", 16, lambda: write_basis_json(basis, path))
+    row("verify_zero_error", "C16 d=2", 16, lambda: verify_zero_error(basis.group, basis))
     c12 = make_named_group("cyclic", 12)
     table = character_table(c12)
     row("ambient_multiplicities", "C12 d=2, per_orbit", 12,

@@ -6,21 +6,13 @@ certification, all at desk scale.
 """
 
 from .channel import (
-    ChannelSpec,
-    DenseCodingInstance,
     DenseCodingResult,
     ZeroErrorReport,
-    apply_channel_classical,
-    apply_channel_quantum,
-    apply_permutation_state,
     decode_classical,
-    decode_quantum,
     dense_coding_certify,
-    dense_coding_instance,
     dense_coding_roundtrip,
     verify_classical,
     verify_zero_error,
-    weyl_operators,
 )
 from .characters import (
     CharacterTable,
@@ -51,16 +43,7 @@ from .counting import (
     series_coefficient_nq,
     symmetric_class_size,
 )
-from .encoding import (
-    FourierState,
-    MessageBasis,
-    StateVector,
-    encode_message,
-    fkm_representatives,
-    irrep_label,
-    message_basis_cyclic,
-    orbit_fourier_basis,
-)
+from .encoding import MessageBasis, encode_message, fkm_representatives, message_basis_cyclic
 from .perms import (
     ColoredString,
     ConjugacyClass,
@@ -68,7 +51,6 @@ from .perms import (
     Orbit,
     Permutation,
     PermutationGroup,
-    act_on_string,
     conjugacy_classes,
     cycle_count,
     cycle_decomposition,

@@ -203,7 +203,7 @@ def cmd_encode(cfg: RunConfig) -> int:
     if cfg.out:
         encoding.write_basis_json(basis, cfg.out)
     else:
-        print(json.dumps(encoding.basis_json(basis), indent=1))
+        sys.stdout.writelines(encoding.basis_json_lines(basis))
     print(f"states: {len(basis)}")
     print(f"m: [{','.join(str(m) for m in basis.multiplicities)}]")
     return EXIT_OK

@@ -12,13 +12,25 @@ labels, so it is fixed here once and for all.
 
 Message ordering is ascending mu, then ascending orbit representative, which
 makes encode/decode deterministic.
+
+A ``MessageBasis`` holds arrays, not states.  One walk array lists each
+orbit's members in rotation order (``walk[offsets[j] + l]`` is r**l applied
+to orbit j's representative), ``position`` gives each string's l, and the
+message order is one orbit and one Fourier index k per message.  Amplitudes
+stay implicit: u_(j, k) has amplitude ``dft(n_j)[k, l]`` at
+``walk[offsets[j] + l]``, each size's DFT table built once.  The basis costs
+one ``perms.orbit_labels`` call and one ``kernels.move_indices`` call over
+all representatives, O(n * d**n); :func:`basis_json_lines` streams its JSON
+text from the same arrays.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -26,103 +38,64 @@ from . import kernels
 from .characters import unit_root
 from .counting import count_cyclic
 from .errors import StateSpaceBoundError
-from .perms import (
-    DEFAULT_MAX_STATES,
-    ColoredString,
-    Orbit,
-    Permutation,
-    PermutationGroup,
-    make_named_group,
-    orbits,
-)
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Sparse complex state over the d**n computational basis strings."""
-
-    n: int
-    d: int
-    amplitudes: dict[int, complex] = field(default_factory=dict)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.amplitudes))
-
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
-    def normalized(self) -> "StateVector":
-        norm = self.norm()
-        if norm == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.n, self.d, {k: v / norm for k, v in self.amplitudes.items()})
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.d**self.n, dtype=complex)
-        for ix, amp in self.amplitudes.items():
-            out[ix] = amp
-        return out
-
-    def inner(self, other: "StateVector") -> complex:
-        small, big = self.amplitudes, other.amplitudes
-        if len(big) < len(small):
-            return other.inner(self).conjugate()
-        return sum(amp.conjugate() * big.get(ix, 0j) for ix, amp in small.items())
-
-    @staticmethod
-    def basis_state(x: ColoredString) -> "StateVector":
-        return StateVector(x.n, x.d, {x.index: 1.0 + 0.0j})
-
-    def json_entries(self) -> list[dict]:
-        """Amplitudes in lexicographic basis-string order."""
-        return [
-            {
-                "basis_string": str(ColoredString.from_index(ix, self.n, self.d)),
-                "re": float(self.amplitudes[ix].real),
-                "im": float(self.amplitudes[ix].imag),
-            }
-            for ix in self.support
-        ]
-
-
-@dataclass(frozen=True, eq=False)
-class FourierState:
-    """One rotation eigenvector supported on a single orbit."""
-
-    state: StateVector
-    orbit_index: int
-    fourier_index: int
-    irrep_label: int
+from .perms import DEFAULT_MAX_STATES, ColoredString, PermutationGroup, make_named_group, orbit_labels
 
 
 @dataclass(frozen=True, eq=False)
 class MessageBasis:
-    """The full orthonormal encoding basis, grouped by sector label mu."""
+    """The full orthonormal encoding basis, as orbit walks and a message order.
+
+    Orbit j's members in rotation order are ``walk[offsets[j]:offsets[j + 1]]``;
+    string x is at place ``position[x]`` of orbit ``orbit_of[x]``'s walk.
+    Message i (ascending mu, then orbit) is the Fourier state k = ``fourier[i]``
+    on orbit ``orbit[i]``, with amplitude ``dft(size)[k, l]`` at walk place l.
+    """
 
     n: int
     d: int
     group: PermutationGroup
-    entries: tuple[tuple[int, int, StateVector], ...]  # (mu, alpha, state)
     multiplicities: tuple[int, ...]
+    walk: np.ndarray
+    offsets: np.ndarray
+    orbit_of: np.ndarray
+    position: np.ndarray
+    orbit: np.ndarray
+    fourier: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.orbit)
 
-    def state(self, mu: int, alpha: int) -> StateVector:
-        offset = sum(self.multiplicities[:mu])
-        entry = self.entries[offset + alpha]
-        if entry[0] != mu or entry[1] != alpha:
-            raise IndexError(f"no entry ({mu}, {alpha})")
-        return entry[2]
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Orbit sizes n_j."""
+        return np.diff(self.offsets)
 
-    def dense_matrix(self) -> np.ndarray:
-        """d**n x len matrix whose columns are the basis states."""
-        out = np.zeros((self.d**self.n, len(self.entries)), dtype=complex)
-        for col, (_mu, _alpha, state) in enumerate(self.entries):
-            for ix, amp in state.amplitudes.items():
-                out[ix, col] = amp
-        return out
+    @cached_property
+    def _dft(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every orbit size's DFT table, ravelled end to end, and each size's start in it."""
+        start = np.zeros(self.n + 1, dtype=np.int64)
+        values = []
+        for size in np.unique(self.sizes).tolist():
+            start[size] = len(values)
+            scale = 1.0 / math.sqrt(size)
+            values += [unit_root(size, -k * l) * scale for k in range(size) for l in range(size)]
+        return np.array(values, dtype=complex), start
+
+    def dft(self, size: int) -> np.ndarray:
+        """(size, size) table: entry [k, l] is w**(-k*l) / sqrt(size), w = exp(2 pi i / size)."""
+        values, start = self._dft
+        return values[start[size] : start[size] + size * size].reshape(size, size)
+
+    def support(self, messages) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(strings, amplitudes, sizes): each given message's walk and amplitudes, message after message."""
+        orbit = self.orbit[messages]
+        sizes = self.sizes[orbit]
+        ends = np.cumsum(sizes)
+        place = np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - sizes, sizes)
+        values, start = self._dft
+        strings = self.walk[np.repeat(self.offsets[orbit], sizes) + place]
+        amplitudes = values[np.repeat(start[sizes] + self.fourier[messages] * sizes, sizes) + place]
+        return strings, amplitudes, sizes
 
 
 def fkm_representatives(n: int, d: int, *, max_count: int = DEFAULT_MAX_STATES) -> list[ColoredString]:
@@ -154,87 +127,92 @@ def fkm_representatives(n: int, d: int, *, max_count: int = DEFAULT_MAX_STATES) 
     return out
 
 
-def irrep_label(orbit: Orbit, k: int) -> int:
-    """Sector label mu = (n / n_j) * k mod n of the k-th Fourier state."""
-    if not 0 <= k < orbit.size:
-        raise ValueError(f"fourier index {k} out of range for orbit size {orbit.size}")
-    return (orbit.n // orbit.size) * k % orbit.n
-
-
-def _rotation_walk(orbit: Orbit, rotation: Permutation, d: int) -> list[int]:
-    """Orbit members in rotation order starting from the representative."""
-    step = np.array(rotation.inverse().images, dtype=np.int64)
-    powers = [np.arange(len(step))]  # inverse images of rotation**0 .. rotation**size
-    for _ in range(orbit.size):
-        powers.append(step[powers[-1]])
-    walk = kernels.move_indices(np.array(powers), [orbit.representative.index], d)[:, 0].tolist()
-    if walk[-1] != walk[0]:
-        raise ValueError("orbit does not close after size steps; not a rotation orbit")
-    return walk[:-1]
-
-
-def orbit_fourier_basis(orbit: Orbit, n: int, d: int) -> list[FourierState]:
-    """The n_j orthonormal rotation eigenvectors supported on one orbit."""
-    if orbit.period_factor is None:
-        raise ValueError("orbit was not computed under a cyclic group")
-    rotation = Permutation(tuple((i + 1) % n for i in range(n)))
-    walk = _rotation_walk(orbit, rotation, d)
-    size = orbit.size
-    scale = 1.0 / math.sqrt(size)
-    states = []
-    for k in range(size):
-        amplitudes = {walk[l]: unit_root(size, -k * l) * scale for l in range(size)}
-        states.append(
-            FourierState(
-                state=StateVector(n, d, amplitudes),
-                orbit_index=orbit.index,
-                fourier_index=k,
-                irrep_label=irrep_label(orbit, k),
-            )
-        )
-    return states
-
-
 def message_basis_cyclic(n: int, d: int, *, max_states: int = DEFAULT_MAX_STATES) -> MessageBasis:
     """All d**n encoding states for the cyclic channel, grouped by sector."""
     group = make_named_group("cyclic", n)
-    fourier_states: list[FourierState] = []
-    for orbit in orbits(group, d, max_states=max_states):
-        fourier_states.extend(orbit_fourier_basis(orbit, n, d))
-    fourier_states.sort(key=lambda fs: (fs.irrep_label, fs.orbit_index))
-    multiplicities = [0] * n
-    entries = []
-    for fs in fourier_states:
-        mu = fs.irrep_label
-        entries.append((mu, multiplicities[mu], fs.state))
-        multiplicities[mu] += 1
-    if len(entries) != d**n:
-        raise ValueError(f"built {len(entries)} states, expected d**n = {d**n}")
-    return MessageBasis(n, d, group, tuple(entries), tuple(multiplicities))
+    reps, orbit_of = orbit_labels(group, d, max_states=max_states)
+    step = np.array(group.generators[0].inverse().images, dtype=np.int64)
+    powers = [np.arange(n)]  # inverse images of rotation**0 .. rotation**(n-1)
+    for _ in range(n - 1):
+        powers.append(step[powers[-1]])
+    moved = kernels.move_indices(np.array(powers), reps, d)  # [l, j]: rotation**l of representative j
+    sizes = np.bincount(orbit_of, minlength=len(reps))
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    walk = moved.T[np.arange(n) < sizes[:, None]]
+    walk_orbit = np.repeat(np.arange(len(reps)), sizes)
+    place = np.arange(d**n) - offsets[walk_orbit]
+    position = np.full(d**n, -1, dtype=np.int64)
+    position[walk] = place
+    if (position < 0).any():
+        raise ValueError("rotation walks do not cover every string once; not the rotation orbits")
+    mu = (n // sizes)[walk_orbit] * place
+    order = np.lexsort((walk_orbit, mu))
+    multiplicities = tuple(np.bincount(mu, minlength=n).tolist())
+    return MessageBasis(n, d, group, multiplicities, walk, offsets, orbit_of, position, walk_orbit[order], place[order])
 
 
-def encode_message(basis: MessageBasis, message_index: int) -> StateVector:
-    """Basis entry at the canonical position (mu ascending, then orbit)."""
-    if not 0 <= message_index < len(basis.entries):
-        raise IndexError(f"message index {message_index} out of range 0..{len(basis.entries) - 1}")
-    return basis.entries[message_index][2]
+def encode_message(basis: MessageBasis, message_index: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(mu, alpha, strings, amplitudes) of the message at the canonical position (mu ascending, then orbit).
+
+    The strings are the state's support as ascending indices, each with its amplitude.
+    """
+    if not 0 <= message_index < len(basis):
+        raise IndexError(f"message index {message_index} out of range 0..{len(basis) - 1}")
+    strings, amplitudes, sizes = basis.support([message_index])
+    mu = basis.n // int(sizes[0]) * int(basis.fourier[message_index])
+    order = np.argsort(strings)
+    return mu, message_index - sum(basis.multiplicities[:mu]), strings[order], amplitudes[order]
 
 
-def basis_json(basis: MessageBasis) -> dict:
-    """JSON payload for a whole basis; amplitudes per state in lex order."""
-    return {
-        "group": basis.group.kind,
-        "n": basis.n,
-        "d": basis.d,
-        "multiplicities": list(basis.multiplicities),
-        "entries": [
-            {"mu": mu, "alpha": alpha, "amplitudes": state.json_entries()}
-            for mu, alpha, state in basis.entries
-        ],
+def _basis_strings(n: int, d: int) -> list[str]:
+    """``str(ColoredString)`` of every index, in index order."""
+    indices = np.arange(d**n, dtype=np.int64)
+    digits = np.empty((d**n, n), dtype=np.uint8 if d <= 10 else np.int64)
+    for i, power in enumerate(kernels.digit_powers(n, d).tolist()):
+        digits[:, i] = indices // power % d
+    if d <= 10:
+        return (digits + ord("0")).view(f"S{n}").ravel().astype(str).tolist()
+    return [",".join(row) for row in digits.astype(str).tolist()]
+
+
+def basis_json_lines(basis: MessageBasis) -> Iterator[str]:
+    """``json.dumps(payload, indent=1) + "\\n"`` in pieces, one per message, streamed from the arrays.
+
+    The payload holds ``group``, ``n``, ``d``, ``multiplicities`` and one entry
+    per message: ``mu``, ``alpha`` and its amplitudes as ``basis_string``,
+    ``re`` and ``im``, in lexicographic string order.  Each (size, k, l)
+    amplitude is formatted once.
+    """
+    head = {"group": basis.group.kind, "n": basis.n, "d": basis.d, "multiplicities": list(basis.multiplicities)}
+    yield json.dumps(head, indent=1)[:-2] + ',\n "entries": [\n'
+    names = _basis_strings(basis.n, basis.d)
+    members = np.argsort(basis.orbit_of, kind="stable")  # each orbit's members, ascending
+    places = basis.position[members]
+    tails = {
+        size: [
+            [f'",\n     "re": {float(a.real)!r},\n     "im": {float(a.imag)!r}\n    }}' for a in row]
+            for row in basis.dft(size).tolist()
+        ]
+        for size in np.unique(basis.sizes).tolist()
     }
+    sizes = basis.sizes.tolist()
+    offsets = basis.offsets.tolist()
+    alpha, mu = -1, 0
+    for i, (j, k) in enumerate(zip(basis.orbit.tolist(), basis.fourier.tolist())):
+        size = sizes[j]
+        sector = basis.n // size * k
+        alpha = alpha + 1 if sector == mu else 0
+        mu = sector
+        tail = tails[size][k]
+        span = slice(offsets[j], offsets[j + 1])
+        amplitudes = ",\n".join(
+            f'    {{\n     "basis_string": "{names[x]}{tail[l]}'
+            for x, l in zip(members[span].tolist(), places[span].tolist())
+        )
+        close = "\n  },\n" if i + 1 < len(basis) else "\n  }\n ]\n}\n"
+        yield f'  {{\n   "mu": {mu},\n   "alpha": {alpha},\n   "amplitudes": [\n{amplitudes}\n   ]{close}'
 
 
 def write_basis_json(basis: MessageBasis, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(basis_json(basis), fh, indent=1)
-        fh.write("\n")
+        fh.writelines(basis_json_lines(basis))

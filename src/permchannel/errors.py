@@ -40,10 +40,3 @@ class CharacterTableError(PermChannelError):
 class MultiplicityRoundingError(PermChannelError):
     """A computed multiplicity or indicator was too far from an integer."""
 
-
-class AmbiguousDecodingError(PermChannelError):
-    """Two decoding outcomes had overlaps within the tie tolerance.
-
-    Genuine channel outputs of basis states decode with probability 1, so a
-    tie indicates the input was not a (possibly permuted) basis state.
-    """

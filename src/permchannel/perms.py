@@ -6,7 +6,9 @@ Conventions, fixed package-wide:
   functional sense: ``(p * q)(i) == p(q(i))``, i.e. ``q`` acts first.  Both
   conventions exist in the wild; everything here assumes this one.
 * A permutation moves the *content* of position ``j`` to position ``p(j)``:
-  ``act_on_string(p, x)[i] == x[p.inverse()(i)]``.
+  the moved string y has ``y[i] == x[p.inverse()(i)]``.  In index space that
+  is ``kernels.move_indices(p.inverse().images, [x.index], d)``, or entry
+  ``x.index`` of ``kernels.action_table(p.inverse().images, d)``.
 * A length-``n`` string over ``{0..d-1}`` is identified with its base-``d``
   value, position 0 most significant.  Index order is therefore lexicographic
   order, and membership lookups are O(1).
@@ -199,14 +201,6 @@ class ColoredString:
         if self.d <= 10:
             return "".join(str(s) for s in self.symbols)
         return ",".join(str(s) for s in self.symbols)
-
-
-def act_on_string(p: Permutation, x: ColoredString) -> ColoredString:
-    """Move the content of position j to position p(j): result[i] = x[p^-1(i)]."""
-    if p.degree != x.n:
-        raise DegreeMismatchError(f"permutation degree {p.degree} != string length {x.n}")
-    inv = p.inverse()
-    return ColoredString(tuple(x.symbols[inv(i)] for i in range(x.n)), x.d)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -405,13 +399,15 @@ class Orbit:
     """
 
     index: int
-    representative: ColoredString
     member_indices: np.ndarray
     n: int
     d: int
     size: int
     stabilizer_order: int
-    period_factor: int | None = None
+
+    @property
+    def representative(self) -> ColoredString:
+        return ColoredString.from_index(int(self.member_indices[0]), self.n, self.d)
 
     @property
     def members(self) -> tuple[ColoredString, ...]:
@@ -444,29 +440,16 @@ def orbit_labels(
 
 def orbits(group: PermutationGroup, d: int, *, max_states: int = DEFAULT_MAX_STATES) -> list[Orbit]:
     """All orbits of the group action on d**n strings, ordered by representative."""
-    n = group.degree
     reps, orbit_of = orbit_labels(group, d, max_states=max_states)
     counts = np.bincount(orbit_of, minlength=len(reps))
     order = np.argsort(orbit_of, kind="stable")
     offsets = np.concatenate(([0], np.cumsum(counts)))
     result = []
-    for j, (rep_ix, size) in enumerate(zip(reps.tolist(), counts.tolist())):
-        members = order[offsets[j] : offsets[j + 1]]
+    for j, size in enumerate(counts.tolist()):
         if len(group) % size != 0:
             raise ValueError("orbit size does not divide the group order; group is not closed")
-        stab = len(group) // size
-        result.append(
-            Orbit(
-                index=j,
-                representative=ColoredString.from_index(rep_ix, n, d),
-                member_indices=members,
-                n=n,
-                d=d,
-                size=size,
-                stabilizer_order=stab,
-                period_factor=stab if group.kind == "cyclic" else None,
-            )
-        )
+        members = order[offsets[j] : offsets[j + 1]]
+        result.append(Orbit(j, members, group.degree, d, size, len(group) // size))
     return result
 
 

@@ -202,3 +202,36 @@ def dense_coding_certify(element_images, sectors, n: int, d: int, tol: float = 1
                     failures.append({"mu": mu, "a": a, "b": b, "element": list(images)})
             triples += all(ok[pos] for ok in decoded)
     return {"triples": triples, "failures": failures}
+
+
+def cyclic_fourier_basis(n: int, d: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The d**n x d**n cyclic message basis (columns) and each column's (mu, alpha).
+
+    Each rotation orbit (from ``brute_orbits``) is walked from its least
+    member by the one-step rotation; its k-th Fourier state has amplitude
+    exp(-2 pi i k l / s) / sqrt(s) at the l-th string of the walk, s the
+    orbit size, and sector mu = (n / s) * k.  Columns are ordered by mu, then
+    by least member; alpha counts within a sector.
+    """
+    rotation = tuple((i + 1) % n for i in range(n))
+    rotations = [tuple(range(n))]
+    for _ in range(n - 1):
+        rotations.append(compose_images(rotation, rotations[-1]))
+    rank = {x: ix for ix, x in enumerate(all_strings(n, d))}
+    columns = []
+    for j, rep in enumerate(sorted(min(orbit) for orbit in brute_orbits(rotations, n, d))):
+        walk = [rep]
+        while act_tuple(rotation, walk[-1]) != rep:
+            walk.append(act_tuple(rotation, walk[-1]))
+        size = len(walk)
+        for k in range(size):
+            column = np.zeros(d**n, dtype=complex)
+            for l, x in enumerate(walk):
+                column[rank[x]] = np.exp(-2j * np.pi * k * l / size) / np.sqrt(size)
+            columns.append(((n // size) * k, j, column))
+    columns.sort(key=lambda c: c[:2])
+    labels, seen = [], {}
+    for mu, _j, _column in columns:
+        labels.append((mu, seen.get(mu, 0)))
+        seen[mu] = seen.get(mu, 0) + 1
+    return np.stack([c[2] for c in columns], axis=1), labels

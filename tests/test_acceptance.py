@@ -38,7 +38,7 @@ from permchannel import (
     symmetric_class_size,
     verify_zero_error,
 )
-from test_encoding import GOLDEN_BASIS, unnormalized_coefficients
+from test_encoding import GOLDEN_BASIS, coefficient_table
 
 
 @contextmanager
@@ -63,10 +63,7 @@ def test_criterion_1_worked_example_reproduction():
         assert reps == ["0000", "0001", "0011", "0101", "0111", "1111"]
         basis = message_basis_cyclic(4, 2)
         assert basis.multiplicities == (6, 3, 4, 3)
-        constructed = {
-            (mu, alpha): unnormalized_coefficients(state) for mu, alpha, state in basis.entries
-        }
-        assert constructed == GOLDEN_BASIS  # exact complex equality
+        assert coefficient_table(basis) == GOLDEN_BASIS  # exact complex equality
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"worked example took {elapsed:.2f}s"
 

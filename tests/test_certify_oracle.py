@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
+from oracles import cyclic_fourier_basis, dense_coding_probabilities, dense_zero_error, index_table
 from oracles import dense_coding_certify as oracle_dense_coding
-from oracles import dense_coding_probabilities, dense_zero_error, index_table
 from permchannel import (
     dense_coding_certify,
     dense_coding_roundtrip,
@@ -13,7 +13,6 @@ from permchannel import (
     message_basis_cyclic,
     verify_zero_error,
 )
-from permchannel.encoding import StateVector
 
 CYCLIC_CASES = [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 5)]
 DIHEDRAL_CASES = [(n, 2) for n in range(3, 7)] + [(3, 3), (4, 3)]
@@ -25,19 +24,19 @@ def _images(group):
     return [p.images for p in group.elements]
 
 
-def _sectors(basis):
-    matrix = basis.dense_matrix()
+def oracle_sectors(n, d):
+    """(mu, block) for each nonempty sector of the oracle basis, block its columns."""
+    matrix, labels = cyclic_fourier_basis(n, d)
     return [
-        (mu, matrix[:, [col for col, entry in enumerate(basis.entries) if entry[0] == mu]])
-        for mu, m in enumerate(basis.multiplicities)
-        if m
+        (mu, matrix[:, [col for col, (label, _alpha) in enumerate(labels) if label == mu]])
+        for mu in sorted({mu for mu, _alpha in labels})
     ]
 
 
 def _assert_zero_error_matches(group, basis):
     report = verify_zero_error(group, basis)
-    failures, max_offdiag = dense_zero_error(_images(group), basis.dense_matrix(), basis.n, basis.d)
-    assert report.messages_tested == len(basis.entries)
+    failures, max_offdiag = dense_zero_error(_images(group), cyclic_fourier_basis(basis.n, basis.d)[0], basis.n, basis.d)
+    assert report.messages_tested == len(basis)
     assert report.group_elements_tested == len(group)
     assert report.failures == failures
     assert abs(report.max_offdiag_overlap - max_offdiag) < 1e-12
@@ -46,7 +45,7 @@ def _assert_zero_error_matches(group, basis):
 
 def _assert_dense_coding_matches(basis):
     summary = dense_coding_certify(basis.n, basis.d, basis=basis)
-    assert summary == oracle_dense_coding(_images(basis.group), _sectors(basis), basis.n, basis.d)
+    assert summary == oracle_dense_coding(_images(basis.group), oracle_sectors(basis.n, basis.d), basis.n, basis.d)
     return summary
 
 
@@ -81,7 +80,7 @@ def test_dense_coding_roundtrip_matches_dense_oracle(kind, n, d):
     group = dataclasses.replace(make_named_group(kind, n), kind="cyclic")
     basis = message_basis_cyclic(n, d)
     relabeled = dataclasses.replace(basis, group=group)
-    for mu, block in _sectors(basis):
+    for mu, block in oracle_sectors(n, d):
         m = block.shape[1]
         for sigma in group.elements:
             probs = dense_coding_probabilities(index_table(sigma.images, n, d), block)
@@ -100,30 +99,3 @@ def test_elements_that_split_orbits_match_oracle(n, d):
     basis = message_basis_cyclic(n, d)
     _assert_zero_error_matches(group, basis)
     _assert_dense_coding_matches(dataclasses.replace(basis, group=group))
-
-
-def _mixed_basis(n, d):
-    """Cyclic basis with two sector-0 states rotated into each other across orbits."""
-    basis = message_basis_cyclic(n, d)
-    entries = list(basis.entries)
-    first, second = (col for col, entry in enumerate(entries) if entry[0] == 0 and entry[1] in (1, 2))
-    s, t = entries[first][2].amplitudes, entries[second][2].amplitudes
-    keys = set(s) | set(t)
-    mixed = (
-        {k: 0.6 * s.get(k, 0) + 0.8 * t.get(k, 0) for k in keys},
-        {k: 0.8 * s.get(k, 0) - 0.6 * t.get(k, 0) for k in keys},
-    )
-    entries[first] = (0, 1, StateVector(n, d, mixed[0]))
-    entries[second] = (0, 2, StateVector(n, d, mixed[1]))
-    return dataclasses.replace(basis, entries=tuple(entries))
-
-
-@pytest.mark.parametrize("kind", ["cyclic", "dihedral", "symmetric"])
-def test_overlapping_supports_join_blocks(kind):
-    report = _assert_zero_error_matches(make_named_group(kind, 4), _mixed_basis(4, 2))
-    assert report.zero_error == (kind == "cyclic")
-
-
-def test_dense_coding_rejects_sector_states_sharing_an_index():
-    with pytest.raises(ValueError):
-        dense_coding_certify(4, 2, basis=_mixed_basis(4, 2))

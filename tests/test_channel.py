@@ -1,99 +1,56 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
+from oracles import act_tuple, weyl_family
 from permchannel import (
-    ChannelSpec,
     ColoredString,
     Permutation,
     PermutationGroup,
-    apply_channel_classical,
-    apply_channel_quantum,
-    apply_permutation_state,
     count_ancilla_polya,
     decode_classical,
-    decode_quantum,
     dense_coding_certify,
-    dense_coding_instance,
     dense_coding_roundtrip,
     generate_group,
+    kernels,
     make_named_group,
     message_basis_cyclic,
     orbits,
     unit_root,
     verify_classical,
     verify_zero_error,
-    weyl_operators,
 )
 from permchannel import channel as channel_module
 from permchannel.channel import sector_unitary
-from permchannel.encoding import StateVector
-from permchannel.errors import AmbiguousDecodingError, DegreeMismatchError, StateSpaceBoundError
+from permchannel.errors import DegreeMismatchError, StateSpaceBoundError
 
 C4 = make_named_group("cyclic", 4)
 R4 = C4.generators[0]
 
 
-class TestChannelSpec:
-    def test_fixed_requires_group_element(self):
-        with pytest.raises(ValueError):
-            ChannelSpec.fixed(C4, Permutation((0, 2, 1, 3)))
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            ChannelSpec(C4, "sometimes")
-
-    def test_random_draw_is_seed_deterministic(self):
-        spec = ChannelSpec.uniform_random(C4, seed=42)
-        assert spec.draw_elements() == spec.draw_elements()
-        assert spec.draw_elements()[0] in C4
-
-
 class TestClassicalChannel:
+    """The channel moves a string's content as the classical certifier does, with ``kernels.move_indices``."""
+
+    @staticmethod
+    def send(sigmas, text: str) -> set[str]:
+        x = ColoredString.parse(text, 2)
+        inverses = np.array([sigma.inverse().images for sigma in sigmas])
+        moved = kernels.move_indices(inverses, [x.index], 2)[:, 0]
+        return {str(ColoredString.from_index(ix, x.n, 2)) for ix in moved.tolist()}
+
     def test_identity_passthrough(self):
-        x = ColoredString.parse("0011", 2)
-        [(sigma, y)] = apply_channel_classical(ChannelSpec.fixed(C4, C4.identity), x)
-        assert y == x and sigma == C4.identity
+        assert self.send([C4.identity], "0011") == {"0011"}
 
     def test_one_step_rotation(self):
-        x = ColoredString.parse("0001", 2)
-        [(_, y)] = apply_channel_classical(ChannelSpec.fixed(C4, R4), x)
-        assert str(y) == "1000"
+        assert self.send([R4], "0001") == {"1000"}
 
     def test_exhaustive_image_set(self):
-        x = ColoredString.parse("0101", 2)
-        outs = {str(y) for _s, y in apply_channel_classical(ChannelSpec.exhaustive(C4), x)}
-        assert outs == {"0101", "1010"}
+        assert self.send(C4.elements, "0101") == {"0101", "1010"}
 
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
-            apply_channel_classical(ChannelSpec.exhaustive(C4), ColoredString.parse("01", 2))
-
-
-class TestQuantumChannel:
-    def test_identity_passthrough(self):
-        psi = StateVector(4, 2, {3: 1.0})
-        [(_, out)] = apply_channel_quantum(ChannelSpec.fixed(C4, C4.identity), psi)
-        assert out.amplitudes == psi.amplitudes
-
-    def test_symmetric_combination_is_invariant(self):
-        a = 1 / math.sqrt(2)
-        psi = StateVector(4, 2, {0b0101: a, 0b1010: a})
-        [(_, out)] = apply_channel_quantum(ChannelSpec.fixed(C4, R4), psi)
-        assert out.amplitudes == psi.amplitudes
-
-    def test_antisymmetric_combination_flips_sign(self):
-        a = 1 / math.sqrt(2)
-        psi = StateVector(4, 2, {0b0101: a, 0b1010: -a})
-        [(_, out)] = apply_channel_quantum(ChannelSpec.fixed(C4, R4), psi)
-        assert out.amplitudes[0b0101] == -a and out.amplitudes[0b1010] == a
-
-    def test_amplitude_multiset_is_preserved_exactly(self):
-        psi = StateVector(4, 2, {0: 0.25, 7: -0.5j, 11: 0.125 + 0.25j})
-        moved = apply_permutation_state(R4, psi)
-        assert sorted(moved.amplitudes.values(), key=str) == sorted(psi.amplitudes.values(), key=str)
+            decode_classical(C4, ColoredString.parse("01", 2))
 
 
 class TestClassicalDecoding:
@@ -113,11 +70,11 @@ class TestClassicalDecoding:
     )
     def test_invariant_under_every_channel_element(self, kind, n, d):
         group = make_named_group(kind, n)
-        spec = ChannelSpec.exhaustive(group)
         for ix in range(d**n):
             x = ColoredString.from_index(ix, n, d)
             want = decode_classical(group, x)
-            assert all(decode_classical(group, y) == want for _s, y in apply_channel_classical(spec, x))
+            outputs = (ColoredString(act_tuple(p.images, x.symbols), d) for p in group)
+            assert all(decode_classical(group, y) == want for y in outputs)
 
 
 class TestClassicalCertification:
@@ -159,26 +116,6 @@ class TestClassicalCertification:
             decode_classical(group, ColoredString.parse("00011", 2), max_states=31)
 
 
-class TestQuantumDecoding:
-    def test_channel_output_of_basis_state_decodes_perfectly(self):
-        basis = message_basis_cyclic(4, 2)
-        mu, alpha, state = basis.entries[7]
-        moved = apply_permutation_state(R4, state)
-        decoded = decode_quantum(basis, moved)
-        assert decoded[:2] == (mu, alpha)
-        assert abs(decoded[2] - 1.0) < 1e-9
-
-    def test_constant_string_is_its_own_message(self):
-        basis = message_basis_cyclic(4, 2)
-        decoded = decode_quantum(basis, StateVector(4, 2, {0: 1.0}))
-        assert decoded[:2] == (0, 0) and abs(decoded[2] - 1.0) < 1e-9
-
-    def test_bare_aperiodic_string_is_ambiguous(self):
-        basis = message_basis_cyclic(4, 2)
-        with pytest.raises(AmbiguousDecodingError):
-            decode_quantum(basis, StateVector(4, 2, {0b0001: 1.0}))
-
-
 class TestZeroError:
     def test_worked_example_certifies(self):
         basis = message_basis_cyclic(4, 2)
@@ -199,6 +136,24 @@ class TestZeroError:
         assert report.zero_error
         assert report.messages_tested == 64 and report.group_elements_tested == 6
 
+    @pytest.mark.parametrize("tol", [-1e-12, 0.5, 1.0, float("nan")])
+    def test_tolerance_outside_half_open_unit_half_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            verify_zero_error(C4, message_basis_cyclic(4, 2), tol=tol)
+
+    def test_zero_tolerance_accepts_an_own_overlap_of_exactly_one(self):
+        # Single-string orbits have amplitude exactly 1, so every own overlap is exactly 1.0.
+        report = verify_zero_error(make_named_group("cyclic", 1), message_basis_cyclic(1, 3), tol=0.0)
+        assert report.zero_error and report.messages_tested == 3
+
+    def test_overlap_batches_do_not_change_the_report(self, monkeypatch):
+        basis = message_basis_cyclic(5, 2)
+        group = make_named_group("dihedral", 5)
+        whole = verify_zero_error(group, basis)
+        monkeypatch.setattr(channel_module, "MAX_OVERLAP_BYTES", 1)
+        assert verify_zero_error(group, basis) == whole
+        assert len(whole.failures) > 0
+
     def test_json_payload(self):
         report = verify_zero_error(C4, message_basis_cyclic(4, 2))
         payload = report.to_json()
@@ -208,12 +163,14 @@ class TestZeroError:
 
 
 class TestWeylOperators:
+    """The clock-shift family X**a Z**b of the dense-coding oracle."""
+
     def test_single_dimension(self):
-        ops = weyl_operators(1)
+        ops = weyl_family(1)
         assert len(ops) == 1 and np.allclose(ops[0], np.eye(1))
 
     def test_qubit_family_is_pauli_like(self):
-        identity, z, x, xz = weyl_operators(2)
+        identity, z, x, xz = weyl_family(2)
         assert np.allclose(identity, np.eye(2))
         assert np.allclose(z, np.diag([1, -1]))
         assert np.allclose(x, np.array([[0, 1], [1, 0]]))
@@ -221,7 +178,7 @@ class TestWeylOperators:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
     def test_trace_orthogonality(self, m):
-        ops = weyl_operators(m)
+        ops = weyl_family(m)
         assert len(ops) == m * m
         vted = np.stack([w.reshape(-1) for w in ops])
         gram = vted.conj() @ vted.T
@@ -244,26 +201,18 @@ class TestSectorPhases:
 
 
 class TestDenseCoding:
-    def test_instance_states_are_orthonormal(self):
-        basis = message_basis_cyclic(4, 2)
-        inst = dense_coding_instance(basis, 0)
-        assert inst.m == 6 and inst.entangled.shape == (36, 96)
-
     def test_empty_sector_rejected(self):
         basis = message_basis_cyclic(2, 2)
-        with pytest.raises(ValueError):
-            dense_coding_instance(basis, 2)
-
-    def test_instance_bound_refuses_before_allocating(self, monkeypatch):
-        # n=10, d=2, sector 0 has m=108: 108**3 * 2**10 amplitudes, 20.6 GB dense.
-        basis = message_basis_cyclic(10, 2)
-        assert basis.multiplicities[0] == 108
-        monkeypatch.setattr(channel_module, "sector_matrix", lambda *args: pytest.fail("dense matrix built"))
-        with pytest.raises(StateSpaceBoundError, match="1289945088"):
-            dense_coding_instance(basis, 0)
+        for mu in (-1, 2):
+            with pytest.raises(ValueError, match="empty"):
+                sector_unitary(basis, mu, Permutation.identity(2))
+            with pytest.raises(ValueError, match="empty"):
+                dense_coding_roundtrip(2, 2, mu, 0, 0, Permutation.identity(2), basis=basis)
 
     def test_roundtrip_in_the_sector_the_dense_bound_refuses(self):
+        # n=10, d=2, sector 0 has m=108: its entangled states would take 20.6 GB as a dense matrix.
         basis = message_basis_cyclic(10, 2)
+        assert basis.multiplicities[0] == 108
         sigma = basis.group.generators[0] ** 3
         result = dense_coding_roundtrip(10, 2, 0, 5, 107, sigma, basis=basis)
         assert (result.a, result.b) == (5, 107)

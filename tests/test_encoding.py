@@ -1,9 +1,9 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
+from oracles import cyclic_fourier_basis
 from permchannel import (
     ColoredString,
     Permutation,
@@ -11,15 +11,15 @@ from permchannel import (
     count_cyclic,
     encode_message,
     fkm_representatives,
-    irrep_label,
+    kernels,
     make_named_group,
     message_basis_cyclic,
-    orbit_fourier_basis,
+    orbit_labels,
     orbits,
     unit_root,
 )
-from permchannel.channel import apply_permutation_state
-from permchannel.encoding import StateVector, basis_json, write_basis_json
+from permchannel import cli
+from permchannel.encoding import basis_json_lines, write_basis_json
 from permchannel.errors import StateSpaceBoundError
 
 I = 1j
@@ -46,38 +46,50 @@ GOLDEN_BASIS = {
 }
 
 
-def unnormalized_coefficients(state: StateVector) -> dict[str, complex]:
-    rep_ix = min(state.amplitudes)
-    rep_amp = state.amplitudes[rep_ix]
-    return {
-        str(ColoredString.from_index(ix, state.n, state.d)): amp / rep_amp
-        for ix, amp in state.amplitudes.items()
-    }
+def unnormalized_coefficients(n, d, strings, amplitudes) -> dict[str, complex]:
+    """Amplitudes by basis string, divided by the amplitude of the least string."""
+    strings, amplitudes = strings.tolist(), amplitudes.tolist()
+    return {str(ColoredString.from_index(ix, n, d)): amp / amplitudes[0] for ix, amp in zip(strings, amplitudes)}
 
 
-class TestStateVector:
-    def test_norm_and_normalization(self):
-        state = StateVector(2, 2, {0: 3.0, 3: 4.0})
-        assert state.norm() == 5.0
-        normalized = state.normalized()
-        assert abs(normalized.norm() - 1.0) < 1e-12
+def coefficient_table(basis) -> dict[tuple[int, int], dict[str, complex]]:
+    table = {}
+    for i in range(len(basis)):
+        mu, alpha, strings, amplitudes = encode_message(basis, i)
+        table[(mu, alpha)] = unnormalized_coefficients(basis.n, basis.d, strings, amplitudes)
+    return table
 
-    def test_zero_vector_cannot_normalize(self):
-        with pytest.raises(ValueError):
-            StateVector(2, 2, {}).normalized()
 
-    def test_inner_product(self):
-        a = StateVector(2, 2, {0: 1 / math.sqrt(2), 3: 1j / math.sqrt(2)})
-        b = StateVector(2, 2, {3: 1.0})
-        assert abs(a.inner(b) - (-1j) / math.sqrt(2)) < 1e-15
-        assert abs(a.inner(a) - 1.0) < 1e-15
+def messages_on_orbit(basis, rep: str) -> list[tuple[int, dict[str, complex]]]:
+    """(mu, coefficients) of the messages supported on the orbit of ``rep``, in message order."""
+    out = []
+    for i in range(len(basis)):
+        mu, _alpha, strings, amplitudes = encode_message(basis, i)
+        if str(ColoredString.from_index(int(strings[0]), basis.n, basis.d)) == rep:
+            out.append((mu, unnormalized_coefficients(basis.n, basis.d, strings, amplitudes)))
+    return out
 
-    def test_json_entries_in_lexicographic_order(self):
-        state = StateVector(2, 2, {3: 0.5j, 0: -0.5})
-        entries = state.json_entries()
-        assert [e["basis_string"] for e in entries] == ["00", "11"]
-        assert entries[0] == {"basis_string": "00", "re": -0.5, "im": 0.0}
-        assert entries[1] == {"basis_string": "11", "re": 0.0, "im": 0.5}
+
+def dense_matrix(basis) -> np.ndarray:
+    """d**n x len(basis) matrix of the encoded messages, in message order."""
+    matrix = np.zeros((basis.d**basis.n, len(basis)), dtype=complex)
+    for i in range(len(basis)):
+        _mu, _alpha, strings, amplitudes = encode_message(basis, i)
+        matrix[strings, i] = amplitudes
+    return matrix
+
+
+def assert_rotation_eigenvectors(n, d):
+    """U(r)u = exp(2 pi i mu / n) u for every message u of sector mu."""
+    basis = message_basis_cyclic(n, d)
+    r = Permutation(tuple((i + 1) % n for i in range(n)))
+    for i in range(len(basis)):
+        mu, _alpha, strings, amplitudes = encode_message(basis, i)
+        moved = kernels.move_indices(r.inverse().images, strings, d)  # U(r) moves amplitude a_x to r(x)
+        assert sorted(moved.tolist()) == strings.tolist()
+        at = dict(zip(strings.tolist(), amplitudes.tolist()))
+        for amp, target in zip(amplitudes.tolist(), moved.tolist()):
+            assert abs(amp - unit_root(n, mu) * at[target]) < 1e-12
 
 
 class TestFKM:
@@ -109,56 +121,39 @@ class TestFKM:
 
 
 class TestIrrepLabel:
+    """Sector label mu = (n / n_j) * k of the k-th Fourier state on an orbit of size n_j."""
+
+    @staticmethod
+    def label(basis, rep: str, k: int) -> int:
+        orbit = basis.orbit_of[ColoredString.parse(rep, basis.d).index]
+        [message] = np.flatnonzero((basis.orbit == orbit) & (basis.fourier == k)).tolist()
+        return encode_message(basis, message)[0]
+
     def test_alternating_orbit_second_state(self):
-        orbit = next(o for o in orbits(make_named_group("cyclic", 4), 2) if str(o.representative) == "0101")
-        assert irrep_label(orbit, 0) == 0
-        assert irrep_label(orbit, 1) == 2
+        basis = message_basis_cyclic(4, 2)
+        assert self.label(basis, "0101", 0) == 0
+        assert self.label(basis, "0101", 1) == 2
 
     def test_aperiodic_orbit_third_state(self):
-        orbit = next(o for o in orbits(make_named_group("cyclic", 4), 2) if str(o.representative) == "0001")
-        assert irrep_label(orbit, 3) == 3
-
-    def test_out_of_range(self):
-        orbit = orbits(make_named_group("cyclic", 4), 2)[0]
-        with pytest.raises(ValueError):
-            irrep_label(orbit, orbit.size)
+        assert self.label(message_basis_cyclic(4, 2), "0001", 3) == 3
 
 
 class TestOrbitFourierBasis:
     def test_alternating_orbit_splits_into_sum_and_difference(self):
-        orbit = next(o for o in orbits(make_named_group("cyclic", 4), 2) if str(o.representative) == "0101")
-        states = orbit_fourier_basis(orbit, 4, 2)
-        assert [fs.irrep_label for fs in states] == [0, 2]
-        assert unnormalized_coefficients(states[0].state) == {"0101": 1, "1010": 1}
-        assert unnormalized_coefficients(states[1].state) == {"0101": 1, "1010": -1}
+        states = messages_on_orbit(message_basis_cyclic(4, 2), "0101")
+        assert states == [(0, {"0101": 1, "1010": 1}), (2, {"0101": 1, "1010": -1})]
 
     def test_constant_orbit_single_state(self):
-        orbit = orbits(make_named_group("cyclic", 4), 2)[0]
-        states = orbit_fourier_basis(orbit, 4, 2)
-        assert len(states) == 1 and states[0].irrep_label == 0
-        assert unnormalized_coefficients(states[0].state) == {"0000": 1}
+        assert messages_on_orbit(message_basis_cyclic(4, 2), "0000") == [(0, {"0000": 1})]
 
     def test_aperiodic_orbit_four_phases(self):
-        orbit = next(o for o in orbits(make_named_group("cyclic", 4), 2) if str(o.representative) == "0001")
-        states = orbit_fourier_basis(orbit, 4, 2)
-        assert [fs.irrep_label for fs in states] == [0, 1, 2, 3]
-        assert unnormalized_coefficients(states[1].state) == {"0001": 1, "1000": -I, "0100": -1, "0010": I}
-
-    def test_rejects_non_cyclic_orbit(self):
-        orbit = orbits(make_named_group("dihedral", 4), 2)[1]
-        with pytest.raises(ValueError):
-            orbit_fourier_basis(orbit, 4, 2)
+        states = messages_on_orbit(message_basis_cyclic(4, 2), "0001")
+        assert [mu for mu, _coefficients in states] == [0, 1, 2, 3]
+        assert states[1][1] == {"0001": 1, "1000": -I, "0100": -1, "0010": I}
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (4, 3)])
     def test_rotation_eigenvector_property(self, n, d):
-        r = Permutation(tuple((i + 1) % n for i in range(n)))
-        for orbit in orbits(make_named_group("cyclic", n), d):
-            for fs in orbit_fourier_basis(orbit, n, d):
-                rotated = apply_permutation_state(r, fs.state)
-                phase = unit_root(n, fs.irrep_label)
-                assert set(rotated.amplitudes) == set(fs.state.amplitudes)
-                for ix, amp in fs.state.amplitudes.items():
-                    assert abs(rotated.amplitudes[ix] - phase * amp) < 1e-12
+        assert_rotation_eigenvectors(n, d)
 
 
 class TestMessageBasis:
@@ -170,26 +165,23 @@ class TestMessageBasis:
     def test_single_position(self):
         basis = message_basis_cyclic(1, 3)
         assert len(basis) == 3
-        assert all(mu == 0 for mu, _a, _s in basis.entries)
+        assert all(encode_message(basis, i)[0] == 0 for i in range(3))
 
     def test_two_positions(self):
         basis = message_basis_cyclic(2, 2)
         assert basis.multiplicities == (3, 1)
 
     def test_golden_table_exact(self):
-        basis = message_basis_cyclic(4, 2)
-        seen = {}
-        for mu, alpha, state in basis.entries:
-            seen[(mu, alpha)] = unnormalized_coefficients(state)
-        assert seen == GOLDEN_BASIS
+        assert coefficient_table(message_basis_cyclic(4, 2)) == GOLDEN_BASIS
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3)])
     def test_orthonormal_and_complete(self, n, d):
+        oracle, labels = cyclic_fourier_basis(n, d)
+        assert oracle.shape == (d**n, d**n)
+        assert np.abs(oracle.conj().T @ oracle - np.eye(d**n)).max() < 1e-9
         basis = message_basis_cyclic(n, d)
-        matrix = basis.dense_matrix()
-        assert matrix.shape == (d**n, d**n)
-        gram = matrix.conj().T @ matrix
-        assert np.abs(gram - np.eye(d**n)).max() < 1e-9
+        assert [encode_message(basis, i)[:2] for i in range(len(basis))] == labels
+        assert np.abs(dense_matrix(basis) - oracle).max() < 1e-12
 
     @pytest.mark.parametrize("n,d", [(2, 2), (4, 2), (6, 2), (8, 2), (4, 3), (5, 3)])
     def test_multiplicities_match_character_oracle(self, n, d):
@@ -202,41 +194,41 @@ class TestMessageBasis:
         # Every orbit contributes exactly one state to each sector it meets,
         # so the character-side breakdown must mirror the label sets.
         group = make_named_group("cyclic", n)
+        _reps, orbit_of = orbit_labels(group, d)
+        basis = message_basis_cyclic(n, d)
+        labels = [set() for _ in orbits(group, d)]
+        for i in range(len(basis)):
+            mu, _alpha, strings, _amplitudes = encode_message(basis, i)
+            labels[orbit_of[strings[0]]].add(mu)
         oracle = ambient_multiplicities(group, d, per_orbit=True)
-        for orbit in orbits(group, d):
-            labels = {fs.irrep_label for fs in orbit_fourier_basis(orbit, n, d)}
-            row = oracle.by_orbit[orbit.index]
-            assert row == tuple(1 if mu in labels else 0 for mu in range(n))
+        for row, sectors in zip(oracle.by_orbit, labels):
+            assert row == tuple(1 if mu in sectors else 0 for mu in range(n))
 
     def test_equal_label_states_share_the_rotation_phase(self):
-        basis = message_basis_cyclic(4, 2)
-        r = Permutation((1, 2, 3, 0))
-        for mu, _alpha, state in basis.entries:
-            rotated = apply_permutation_state(r, state)
-            phase = unit_root(4, mu)
-            for ix, amp in state.amplitudes.items():
-                assert abs(rotated.amplitudes[ix] - phase * amp) < 1e-12
+        assert_rotation_eigenvectors(4, 2)
 
     def test_state_lookup(self):
         basis = message_basis_cyclic(4, 2)
-        assert basis.state(2, 2).amplitudes == basis.entries[6 + 3 + 2][2].amplitudes
+        mu, alpha, _strings, _amplitudes = encode_message(basis, 6 + 3 + 2)
+        assert (mu, alpha) == (2, 2)
 
 
 class TestEncodeMessage:
     def test_first_message_is_constant_string(self):
-        basis = message_basis_cyclic(4, 2)
-        assert encode_message(basis, 0).amplitudes == {0: 1.0 / 1.0}
+        mu, alpha, strings, amplitudes = encode_message(message_basis_cyclic(4, 2), 0)
+        assert (mu, alpha, strings.tolist(), amplitudes.tolist()) == (0, 0, [0], [1.0])
 
     def test_last_message_is_final_sector_entry(self):
         basis = message_basis_cyclic(4, 2)
-        state = encode_message(basis, 15)
-        assert basis.entries[15][0] == 3
-        assert unnormalized_coefficients(state) == GOLDEN_BASIS[(3, 2)]
+        mu, alpha, strings, amplitudes = encode_message(basis, 15)
+        assert (mu, alpha) == (3, 2)
+        assert unnormalized_coefficients(4, 2, strings, amplitudes) == GOLDEN_BASIS[(3, 2)]
 
     def test_single_position_messages_are_basis_states(self):
         basis = message_basis_cyclic(1, 4)
         for j in range(4):
-            assert encode_message(basis, j).amplitudes == {j: 1.0}
+            _mu, _alpha, strings, amplitudes = encode_message(basis, j)
+            assert (strings.tolist(), amplitudes.tolist()) == ([j], [1.0])
 
     def test_out_of_range(self):
         basis = message_basis_cyclic(2, 2)
@@ -244,10 +236,36 @@ class TestEncodeMessage:
             encode_message(basis, 4)
 
 
+def oracle_payload(n, d) -> dict:
+    """The export payload with labels and supports from the oracle basis.
+
+    Amplitude values come from ``encode_message``, checked against the
+    oracle's to 1e-12, since the export must reproduce the package's floats.
+    """
+    oracle, labels = cyclic_fourier_basis(n, d)
+    basis = message_basis_cyclic(n, d)
+    entries = []
+    for i, (mu, alpha) in enumerate(labels):
+        support = np.flatnonzero(np.abs(oracle[:, i]) > 1e-9)
+        got_mu, got_alpha, strings, amplitudes = encode_message(basis, i)
+        assert (got_mu, got_alpha, strings.tolist()) == (mu, alpha, support.tolist())
+        assert np.abs(amplitudes - oracle[support, i]).max() < 1e-12
+        amps = [
+            {"basis_string": str(ColoredString.from_index(ix, n, d)), "re": a.real, "im": a.imag}
+            for ix, a in zip(support.tolist(), amplitudes.tolist())
+        ]
+        entries.append({"mu": mu, "alpha": alpha, "amplitudes": amps})
+    multiplicities = [sum(1 for mu, _alpha in labels if mu == s) for s in range(n)]
+    return {"group": "cyclic", "n": n, "d": d, "multiplicities": multiplicities, "entries": entries}
+
+
+JSON_CASES = [(1, 2), (4, 2), (6, 2), (4, 3), (3, 11), (70, 1)]
+
+
 class TestJsonExport:
     def test_payload_shape(self):
         basis = message_basis_cyclic(2, 2)
-        payload = basis_json(basis)
+        payload = json.loads("".join(basis_json_lines(basis)))
         assert payload["n"] == 2 and payload["d"] == 2
         assert payload["multiplicities"] == [3, 1]
         assert len(payload["entries"]) == 4
@@ -267,3 +285,15 @@ class TestJsonExport:
             for entry in state["amplitudes"]
         )
         assert abs(total - 8.0) < 1e-9
+
+    @pytest.mark.parametrize("n,d", JSON_CASES)
+    def test_file_bytes_equal_json_dumps_of_the_oracle_payload(self, n, d, tmp_path):
+        path = tmp_path / "basis.json"
+        write_basis_json(message_basis_cyclic(n, d), path)
+        assert path.read_text(encoding="utf-8") == json.dumps(oracle_payload(n, d), indent=1) + "\n"
+
+    @pytest.mark.parametrize("n,d", JSON_CASES)
+    def test_encode_stdout_is_the_same_text(self, n, d, capsys):
+        assert cli.main(["encode", "--group", "cyclic", "--n", str(n), "--d", str(d)]) == 0
+        summary = f"states: {d**n}\nm: [{','.join(str(m) for m in message_basis_cyclic(n, d).multiplicities)}]\n"
+        assert capsys.readouterr().out == json.dumps(oracle_payload(n, d), indent=1) + "\n" + summary

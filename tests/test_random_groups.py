@@ -5,6 +5,7 @@ arbitrary generator sets so the counting/oracle identities are exercised on
 subgroups nobody hand-picked.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -20,7 +21,10 @@ from oracles import (
     brute_orbits,
     brute_square_roots,
     compose_images,
+    cyclic_fourier_basis,
+    dense_zero_error,
 )
+from oracles import dense_coding_certify as oracle_dense_coding
 from permchannel import (
     Permutation,
     PermutationGroup,
@@ -31,17 +35,21 @@ from permchannel import (
     count_classical_burnside,
     count_report,
     cycle_count,
+    dense_coding_certify,
     generate_group,
     make_named_group,
+    message_basis_cyclic,
     na_oracle,
     nq_oracle,
     orbits,
     square_root_count,
     stabilizer,
     verify_classical,
+    verify_zero_error,
 )
 from permchannel.characters import _class_structure_matrices
 from permchannel.perms import orbit_labels
+from test_certify_oracle import oracle_sectors
 
 
 def group_strategy(max_degree=5):
@@ -135,6 +143,22 @@ def test_classical_failures_match_brute_force_when_generators_span_a_subgroup(gr
     assert report.failures == expected
     assert report.messages_tested == len(subgroup_orbits)
     assert report.group_elements_tested == len(group)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group_strategy(), st.integers(2, 3))
+def test_cyclic_basis_certification_matches_dense_oracle(group, d):
+    # Elements outside the rotations split orbits, so failures and off-diagonal overlaps appear.
+    n = group.degree
+    assert d**n <= 243
+    images = [p.images for p in group]
+    report = verify_zero_error(group, message_basis_cyclic(n, d))
+    failures, max_offdiag = dense_zero_error(images, cyclic_fourier_basis(n, d)[0], n, d)
+    assert report.failures == failures
+    assert abs(report.max_offdiag_overlap - max_offdiag) < 1e-12
+    if d**n <= 32:  # the dense-coding oracle costs m**5 * d**n per element and sector
+        relabeled = dataclasses.replace(message_basis_cyclic(n, d), group=group)
+        assert dense_coding_certify(n, d, basis=relabeled) == oracle_dense_coding(images, oracle_sectors(n, d), n, d)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
