@@ -90,7 +90,7 @@ def verify_zero_error(group: PermutationGroup, basis: MessageBasis, *, tol: floa
     if group.degree != basis.n:
         raise DegreeMismatchError("group degree does not match the basis")
     count, sizes = len(basis), basis.sizes
-    members = np.argsort(basis.orbit_of, kind="stable")  # each orbit's strings, ascending
+    members = basis.members
     source = np.repeat(np.arange(len(sizes)), sizes)
     place = basis.position[members]
     own_slot = basis.offsets[basis.orbit] + basis.fourier  # message (orbit j, k) at offsets[j] + k

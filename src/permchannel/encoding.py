@@ -71,6 +71,11 @@ class MessageBasis:
         return np.diff(self.offsets)
 
     @cached_property
+    def members(self) -> np.ndarray:
+        """Each orbit's strings in ascending order, orbit after orbit (same offsets as ``walk``)."""
+        return np.argsort(self.orbit_of, kind="stable")
+
+    @cached_property
     def _dft(self) -> tuple[np.ndarray, np.ndarray]:
         """Every orbit size's DFT table, ravelled end to end, and each size's start in it."""
         start = np.zeros(self.n + 1, dtype=np.int64)
@@ -186,8 +191,7 @@ def basis_json_lines(basis: MessageBasis) -> Iterator[str]:
     head = {"group": basis.group.kind, "n": basis.n, "d": basis.d, "multiplicities": list(basis.multiplicities)}
     yield json.dumps(head, indent=1)[:-2] + ',\n "entries": [\n'
     names = _basis_strings(basis.n, basis.d)
-    members = np.argsort(basis.orbit_of, kind="stable")  # each orbit's members, ascending
-    places = basis.position[members]
+    members, places = basis.members, basis.position[basis.members]
     tails = {
         size: [
             [f'",\n     "re": {float(a.real)!r},\n     "im": {float(a.imag)!r}\n    }}' for a in row]
