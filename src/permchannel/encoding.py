@@ -145,7 +145,7 @@ def message_basis_cyclic(n: int, d: int, *, max_states: int = DEFAULT_MAX_STATES
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     walk = moved.T[np.arange(n) < sizes[:, None]]
     walk_orbit = np.repeat(np.arange(len(reps)), sizes)
-    place = np.arange(d**n) - offsets[walk_orbit]
+    place = np.arange(d**n) - offsets[walk_orbit]  # walk place l; as k, slot offsets[j] + k is message (j, k)
     position = np.full(d**n, -1, dtype=np.int64)
     position[walk] = place
     if (position < 0).any():
