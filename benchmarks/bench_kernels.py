@@ -13,7 +13,9 @@ at n=16.  ``verify_classical`` (orbit labels plus every element moving every
 representative) is timed on fresh copies of S7 and C16 at d=2, so that each
 sample labels the orbits anew.  The quantum layer is timed at C16 d=2:
 ``message_basis_cyclic`` (orbit labels and rotation walks), the streamed
-``write_basis_json`` export to a temporary file, and ``verify_zero_error``.
+``write_basis_json`` export to a temporary file, ``verify_zero_error``, and
+``dense_coding_certify``, which decides each (sector, element) pair by one
+trace of the sector operator.
 
 The group layer scales with |G| instead: group validation, the square-root
 tally, conjugacy classes and the character table, each timed on a fresh copy
@@ -38,6 +40,7 @@ from permchannel import (
     ambient_multiplicities,
     character_table,
     conjugacy_classes,
+    dense_coding_certify,
     kernels,
     load_group_file,
     make_named_group,
@@ -120,6 +123,7 @@ def kernel_layer(repeats):
         path = Path(tmp) / "basis.json"
         row("write_basis_json", "C16 d=2, temp file", 16, lambda: write_basis_json(basis, path))
     row("verify_zero_error", "C16 d=2", 16, lambda: verify_zero_error(basis.group, basis))
+    row("dense_coding_certify", "C16 d=2", 16, lambda: dense_coding_certify(16, 2, basis=basis))
     c12 = make_named_group("cyclic", 12)
     table = character_table(c12)
     row("ambient_multiplicities", "C12 d=2, per_orbit", 12,

@@ -15,9 +15,11 @@ each string's image orbit and walk place off the array-backed basis, and
 multiplies the DFT-table gathers of every (source orbit, image orbit) pair in
 batches: O(|G| * n * sum_j n_j**2), no Python loop per orbit.  The ancilla
 sweep reduces every round trip in a sector of multiplicity m to the m x m
-sector operator V = B^H U(sigma) B, one pass over d**n entries, and reads all
-(a, b) -> (a', b') probabilities |tr(W'^H V W)|**2 / m**2 off at most m
-length-m FFTs: O(|G| * (d**n + m**2 log m)) per sector.
+sector operator V = B^H U(sigma) B: each (a, b) is decoded as itself with
+probability |tr V|**2 / m**2 and one signal's m**2 outcomes sum to at most 1,
+so for tol < 1/2 an element passes all (a, b) of the sector or none.  One
+pass over the sector's support for the diagonal of V decides it:
+O(|G| * sum_j n_j**2) in all, O(d**n) memory per sector.
 """
 
 from __future__ import annotations
@@ -222,6 +224,8 @@ def dense_coding_roundtrip(
     """
     if basis is None:
         basis = message_basis_cyclic(n, d)
+    elif (n, d) != (basis.n, basis.d):
+        raise ValueError(f"(n, d) = ({n}, {d}) does not match the basis ({basis.n}, {basis.d})")
     if basis.group.kind != "cyclic":
         raise ValueError("dense coding is implemented for cyclic groups only")
     if sigma not in basis.group:
@@ -233,7 +237,7 @@ def dense_coding_roundtrip(
     norms = np.bincount(sector.owner[sector.rows], np.abs(sector.amp[sector.rows]) ** 2, m)
     if float(np.abs(norms - 1.0).max()) > 1e-9:
         raise ValueError("entangled signal states are not orthonormal")
-    table = kernels.action_table(sigma.inverse().images, d)
+    table = kernels.action_table(sigma.inverse().images, basis.d)
     probs = np.roll(_shift_probabilities(sector, table), (a, b), axis=(0, 1))
     best = int(np.argmax(probs))
     return DenseCodingResult(best // m, best % m, float(probs.flat[best]))
@@ -258,40 +262,26 @@ def _shift_probabilities(sector: _Sector, table: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _dense_coding_decoded(sector: _Sector, table: np.ndarray, tol: float) -> np.ndarray:
-    """(m, m) mask of the pairs (a, b) decoded correctly under one channel element.
-
-    Every round trip reads the same shift table (``_shift_probabilities``).
-    The receiver takes the first (a', b') of largest probability, as argmax
-    does over the (a, b) ordering; a tie (s, q) precedes (a, b) exactly when
-    a + s wraps past m (s > 0), or s == 0 and b + q wraps past m.
-    """
-    m = sector.m
-    probs = _shift_probabilities(sector, table)
-    best = probs.max()
-    if probs[0, 0] != best or best < 1.0 - tol:
-        return np.zeros((m, m), dtype=bool)
-    tied = probs == best
-    s_wrap = np.flatnonzero(tied.any(axis=1)).max()
-    q_wrap = np.flatnonzero(tied[0]).max()
-    i = np.arange(m)
-    return (i[:, None] < m - s_wrap) & (i[None, :] < m - q_wrap)
-
-
 def dense_coding_certify(
     n: int, d: int, *, basis: MessageBasis | None = None, tol: float = 1e-9
 ) -> dict:
     """Round-trip every (mu, a, b) under every channel element.
 
     Returns the number of triples that survive all elements; it equals the
-    ancilla-assisted message count when the construction is sound.  Each
-    (sector, element) pair costs one pass over the sector's support for the
-    terms of its m x m operator V = B^H U(sigma) B and at most m length-m
-    FFTs for all m**4 decoding probabilities: O(|G| * (d**n + m**2 log m))
-    per sector.
+    ancilla-assisted message count when the construction is sound.  Every
+    (a, b) of a sector is decoded as itself with probability |tr V|**2 / m**2,
+    V = B^H U(sigma) B, and one signal's m**2 outcomes sum to at most 1, so
+    for 0 <= tol < 1/2 an element passes all m**2 pairs of the sector or
+    none.  The trace is one pass over the sector's support per element:
+    O(|G| * sum_j n_j**2) in all, O(d**n) memory per sector.  Failures are
+    listed by (a, b), then element.
     """
+    if not 0 <= tol < 0.5:
+        raise ValueError(f"tol must lie in [0, 1/2), got {tol}")
     if basis is None:
         basis = message_basis_cyclic(n, d)
+    elif (n, d) != (basis.n, basis.d):
+        raise ValueError(f"(n, d) = ({n}, {d}) does not match the basis ({basis.n}, {basis.d})")
     elements = basis.group.elements
     tables = [kernels.action_table(sigma.inverse().images, basis.d) for sigma in elements]
     failures = []
@@ -300,8 +290,16 @@ def dense_coding_certify(
         if m == 0:
             continue
         sector = _sector(basis, mu)
-        decoded = np.stack([_dense_coding_decoded(sector, table, tol) for table in tables], axis=-1)
-        triples += int(decoded.all(axis=-1).sum())
-        for a, b, g in np.argwhere(~decoded):
-            failures.append({"mu": mu, "a": int(a), "b": int(b), "element": list(elements[g].images)})
+        failed = []
+        for sigma, table in zip(elements, tables):
+            rows, cols, values = _sector_entries(sector, table)
+            if abs(values[rows == cols].sum()) ** 2 / m**2 < 1.0 - tol:
+                failed.append(sigma.images)
+        if not failed:
+            triples += m * m
+            continue
+        failures.extend(
+            {"mu": mu, "a": a, "b": b, "element": list(images)}
+            for a in range(m) for b in range(m) for images in failed
+        )
     return {"triples": triples, "failures": failures}

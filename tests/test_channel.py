@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,10 +137,18 @@ class TestZeroError:
         assert report.zero_error
         assert report.messages_tested == 64 and report.group_elements_tested == 6
 
+    @pytest.mark.parametrize(
+        "certify",
+        [
+            lambda tol: verify_zero_error(C4, message_basis_cyclic(4, 2), tol=tol),
+            lambda tol: dense_coding_certify(4, 2, tol=tol),
+        ],
+        ids=["verify_zero_error", "dense_coding_certify"],
+    )
     @pytest.mark.parametrize("tol", [-1e-12, 0.5, 1.0, float("nan")])
-    def test_tolerance_outside_half_open_unit_half_rejected(self, tol):
+    def test_tolerance_outside_half_open_unit_half_rejected(self, tol, certify):
         with pytest.raises(ValueError, match="tol"):
-            verify_zero_error(C4, message_basis_cyclic(4, 2), tol=tol)
+            certify(tol)
 
     def test_zero_tolerance_accepts_an_own_overlap_of_exactly_one(self):
         # Single-string orbits have amplitude exactly 1, so every own overlap is exactly 1.0.
@@ -239,6 +248,31 @@ class TestDenseCoding:
             summary = dense_coding_certify(n, 2)
             assert summary["failures"] == []
             assert summary["triples"] == expected == count_ancilla_polya(make_named_group("cyclic", n), 2)
+
+    def test_certify_rejects_n_and_d_that_disagree_with_the_basis(self):
+        basis = message_basis_cyclic(4, 2)
+        for n, d in [(5, 2), (4, 3)]:
+            with pytest.raises(ValueError, match="does not match the basis"):
+                dense_coding_certify(n, d, basis=basis)
+
+    def test_roundtrip_rejects_n_and_d_that_disagree_with_the_basis(self):
+        basis = message_basis_cyclic(4, 2)
+        sigma = basis.group.generators[0]
+        for n, d in [(5, 2), (4, 3)]:
+            with pytest.raises(ValueError, match="does not match the basis"):
+                dense_coding_roundtrip(n, d, 0, 0, 0, sigma, basis=basis)
+
+    def test_certify_peak_memory_stays_below_the_sector_tables(self):
+        # Sector 0 has m=1182 here: one m x m float64 table is 11.2 MB, an (m, m, |G|) boolean mask 19.6 MB.
+        basis = message_basis_cyclic(14, 2)
+        tracemalloc.start()
+        try:
+            summary = dense_coding_certify(14, 2, basis=basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary == {"triples": 19175140, "failures": []}
+        assert peak < 8_000_000  # 5.0 MB measured with numpy 2.4 on x86-64
 
     def test_rejects_non_cyclic_basis(self):
         import dataclasses

@@ -143,6 +143,14 @@ class TestSimulate:
         ancilla = json.loads(out)["ancilla"]
         assert ancilla["failures"] == [] and ancilla["triples"] == ancilla["expected_triples"] == 104968
 
+    def test_ten_positions_three_symbols_ancilla_finishes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--group", "cyclic", "--n", "10", "--d", "3", "--mode", "ancilla", "--format", "json"
+        )
+        assert code == 0
+        ancilla = json.loads(out)["ancilla"]
+        assert ancilla["failures"] == [] and ancilla["triples"] == ancilla["expected_triples"] == 348684381
+
     def test_fourteen_positions_quantum_finishes(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--group", "cyclic", "--n", "14", "--d", "2", "--mode", "quantum", "--format", "json"

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -22,7 +22,9 @@ from oracles import (
     brute_square_roots,
     compose_images,
     cyclic_fourier_basis,
+    dense_coding_probabilities,
     dense_zero_error,
+    index_table,
 )
 from oracles import dense_coding_certify as oracle_dense_coding
 from permchannel import (
@@ -159,6 +161,20 @@ def test_cyclic_basis_certification_matches_dense_oracle(group, d):
     if d**n <= 32:  # the dense-coding oracle costs m**5 * d**n per element and sector
         relabeled = dataclasses.replace(message_basis_cyclic(n, d), group=group)
         assert dense_coding_certify(n, d, basis=relabeled) == oracle_dense_coding(images, oracle_sectors(n, d), n, d)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group_strategy(), st.integers(2, 3))
+def test_dense_coding_decodes_all_pairs_of_a_sector_or_none(group, d):
+    # Each (a, b) succeeds with the same probability |tr V|**2 / m**2 and one signal's outcomes sum to at most 1.
+    n = group.degree
+    assume(d**n <= 32)
+    for _mu, block in oracle_sectors(n, d):
+        m = block.shape[1]
+        for p in group:
+            probs = dense_coding_probabilities(index_table(p.images, n, d), block)
+            decoded = (np.argmax(probs, axis=0) == np.arange(m * m)) & (probs.max(axis=0) >= 1.0 - 1e-9)
+            assert decoded.all() or not decoded.any()
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
