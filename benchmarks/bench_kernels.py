@@ -5,7 +5,11 @@ The two index kernels are the per-permutation action table (an axis
 transpose) and the orbit labelling fixpoint; both scale with d**n.  They are
 timed on the cyclic generator at 2**16 and 2**20 strings, the labelling also
 on one generator of order 420 (cycle type 3.4.5.7 at n=20), whose long cycles
-the fixpoint must cross in few sweeps.  ``ambient_multiplicities`` with its
+the fixpoint must cross in few sweeps.  ``orbit_labels`` (sort-free labels
+from the orbit minima) at C20 and D20, ``len(orbits(...))`` at C20 (labels
+and sizes, no Orbit objects) and the ``representatives`` command at C20
+(iterative FKM, stdout to a null sink) run on a fresh group per sample.
+``ambient_multiplicities`` with its
 per-orbit split is the kernels' heaviest caller in ``characters``.
 ``move_indices`` moves given strings by their digits, without a d**n table;
 it is timed on all 2**16 strings and on the 4,116 necklace representatives
@@ -27,7 +31,9 @@ array and rank index.  Run from the repo root:
 """
 
 import argparse
+import contextlib
 import dataclasses
+import os
 import statistics
 import tempfile
 import time
@@ -39,6 +45,7 @@ from permchannel import (
     Permutation,
     ambient_multiplicities,
     character_table,
+    cli,
     conjugacy_classes,
     dense_coding_certify,
     kernels,
@@ -46,6 +53,7 @@ from permchannel import (
     make_named_group,
     message_basis_cyclic,
     orbit_labels,
+    orbits,
     square_root_count,
     verify_classical,
     verify_zero_error,
@@ -83,6 +91,11 @@ def time_on_fresh_group(op, group, repeats):
     return statistics.median(samples[1:])
 
 
+def representatives_c20():
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        cli.main(["representatives", "--group", "cyclic", "--n", "20", "--d", "2"])
+
+
 def group_layer(repeats):
     groups = {
         "S6": make_named_group("symmetric", 6),
@@ -106,6 +119,11 @@ def kernel_layer(repeats):
         inv = np.array(make_named_group("cyclic", n).generators[0].inverse().images, dtype=np.int64)
         row("action_table", f"cyclic n={n} d=2", n, lambda: kernels.action_table(inv, 2))
         row("orbit_reps", f"cyclic n={n} d=2", n, lambda: kernels.orbit_reps(inv.reshape(1, n), n, 2))
+    for label, group in (("C20", make_named_group("cyclic", 20)), ("D20", make_named_group("dihedral", 20))):
+        row("orbit_labels", f"{label} d=2, fresh group", 20, lambda: orbit_labels(dataclasses.replace(group), 2))
+    c20 = make_named_group("cyclic", 20)
+    row("len(orbits)", "C20 d=2, fresh group", 20, lambda: len(orbits(dataclasses.replace(c20), 2)))
+    row("representatives", "C20 d=2, cli to null", 20, representatives_c20)
     long_order = Permutation.from_cycles(ORDER_420_CYCLES, 20)
     invs = np.array([long_order.inverse().images], dtype=np.int64)
     row("orbit_reps", "order 420, n=20 d=2", 20, lambda: kernels.orbit_reps(invs, 20, 2))

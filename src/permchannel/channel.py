@@ -220,7 +220,9 @@ def dense_coding_roundtrip(
     largest probability.  For cyclic groups the channel is a global phase on
     each sector, so decoding succeeds with probability 1.  The probabilities
     come from the m x m sector operator (see ``_shift_probabilities``), so no
-    entangled state is formed: O(d**n + m**2 log m).
+    entangled state is formed, and only the shifts that hold a term of the
+    operator get a row of m probabilities: O(d**n + k * m log m) for k such
+    shifts.
     """
     if basis is None:
         basis = message_basis_cyclic(n, d)
@@ -238,28 +240,33 @@ def dense_coding_roundtrip(
     if float(np.abs(norms - 1.0).max()) > 1e-9:
         raise ValueError("entangled signal states are not orthonormal")
     table = kernels.action_table(sigma.inverse().images, basis.d)
-    probs = np.roll(_shift_probabilities(sector, table), (a, b), axis=(0, 1))
+    shifts, probs = _shift_probabilities(sector, table)
+    decoded = (shifts + a) % m  # the a' of each row
+    order = np.argsort(decoded)
+    probs = np.roll(probs[order], b, axis=1)  # column b' of each row
+    if not probs.any():  # every (a', b') has probability 0: the first one
+        return DenseCodingResult(0, 0, 0.0)
     best = int(np.argmax(probs))
-    return DenseCodingResult(best // m, best % m, float(probs.flat[best]))
+    return DenseCodingResult(int(decoded[order[best // m]]), best % m, float(probs.flat[best]))
 
 
-def _shift_probabilities(sector: _Sector, table: np.ndarray) -> np.ndarray:
-    """probs[s, q]: probability of decoding (a + s, b + q) mod m after sending (a, b).
+def _shift_probabilities(sector: _Sector, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(shifts, probs): probs[i, q] is the probability of decoding (a + shifts[i], b + q) mod m after sending (a, b).
 
     With V = B^H U(sigma) B, sending (a, b) and measuring (a', b') succeeds
     with probability |tr(W'^H V W)|**2 / m**2 for W = X**a Z**b, and the
     trace is sum_j V[j + a', j + a] * w**(j * (b - b')).  Up to a phase that
     is the FFT of the cyclic diagonal V[i + s, i], s = a' - a, at
-    q = b' - b, so the table is the same for every (a, b); only diagonals
-    holding a term of V need an FFT.
+    q = b' - b, so the table is the same for every (a, b).  Only the
+    ascending shifts s whose diagonal holds a term of V get a row; every
+    other row of the m x m table is zero.  For a cyclic group V is a phase
+    times the identity, so that is the one row s = 0.
     """
     m = sector.m
     rows, cols, values = _sector_entries(sector, table)
     shifts, slot = np.unique((rows - cols) % m, return_inverse=True)
     diagonals = _scatter(slot * m + cols, values, len(shifts) * m).reshape(-1, m)
-    probs = np.zeros((m, m))
-    probs[shifts] = np.abs(np.fft.fft(diagonals, axis=1)) ** 2 / m**2
-    return probs
+    return shifts, np.abs(np.fft.fft(diagonals, axis=1)) ** 2 / m**2
 
 
 def dense_coding_certify(

@@ -44,6 +44,7 @@ CLOSED_FORMS = {
 }
 NAMED_KINDS = tuple(CLOSED_FORMS)
 QUANTITY_BY_MODE = {"classical": "N_c", "quantum": "N_q", "ancilla": "N_a"}
+DIGIT_BYTES = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 class UsageError(Exception):
@@ -185,13 +186,15 @@ def cmd_representatives(cfg: RunConfig) -> int:
     _require(cfg, "n", "d")
     if cfg.group_kind != "cyclic":
         raise UsageError("representatives are generated for --group cyclic only")
-    reps = encoding.fkm_representatives(cfg.n, cfg.d, max_count=cfg.enum_bound)
-    strings = [str(r) for r in reps]
+    reps = encoding.necklaces(cfg.n, cfg.d, max_count=cfg.enum_bound)
+    if cfg.d <= 10:  # as str(ColoredString): one digit per symbol, else comma-joined
+        strings = [bytes(symbols).translate(DIGIT_BYTES).decode("ascii") for symbols in reps]
+    else:
+        strings = [",".join(map(str, symbols)) for symbols in reps]
     if cfg.fmt == "json":
         print(json.dumps(strings))
     else:
-        for s in strings:
-            print(s)
+        print("\n".join(strings))
     return EXIT_OK
 
 

@@ -103,33 +103,42 @@ class MessageBasis:
         return strings, amplitudes, sizes
 
 
-def fkm_representatives(n: int, d: int, *, max_count: int = DEFAULT_MAX_STATES) -> list[ColoredString]:
-    """One lexicographically minimal representative per rotation orbit, in order.
+def necklaces(n: int, d: int, *, max_count: int = DEFAULT_MAX_STATES) -> Iterator[tuple[int, ...]]:
+    """Symbol tuples of the lexicographically minimal rotation-orbit representatives, in order.
 
-    Standard prenecklace recursion: a prefix a[1..t] is extended keeping its
-    current period p, and a completed string is emitted iff p divides n.
+    Iterative FKM: from a prenecklace, raise the last symbol below d - 1, keep
+    the prefix up to it (length p) and repeat that prefix periodically to
+    length n; the result is the next prenecklace, and it is a necklace iff p
+    divides n.  The count bound is checked before the first tuple.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     expected = count_cyclic(n, d).n_c
     if expected > max_count:
         raise StateSpaceBoundError(f"{expected} representatives exceed the bound {max_count}")
-    a = [0] * (n + 1)
-    out: list[ColoredString] = []
+    return _fkm(n, d)
 
-    def gen(t: int, p: int) -> None:
-        if t > n:
-            if n % p == 0:
-                out.append(ColoredString(tuple(a[1 : n + 1]), d))
+
+def _fkm(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    a = [0] * n
+    yield tuple(a)
+    top = d - 1
+    while True:
+        i = n - 1
+        while i >= 0 and a[i] == top:
+            i -= 1
+        if i < 0:
             return
-        a[t] = a[t - p]
-        gen(t + 1, p)
-        for symbol in range(a[t - p] + 1, d):
-            a[t] = symbol
-            gen(t + 1, t)
+        a[i] += 1
+        p = i + 1
+        a[p:] = (a[:p] * (n // p))[: n - p]
+        if n % p == 0:
+            yield tuple(a)
 
-    gen(1, 1)
-    return out
+
+def fkm_representatives(n: int, d: int, *, max_count: int = DEFAULT_MAX_STATES) -> list[ColoredString]:
+    """One lexicographically minimal representative per rotation orbit, in order: :func:`necklaces` as strings."""
+    return [ColoredString(symbols, d) for symbols in necklaces(n, d, max_count=max_count)]
 
 
 def message_basis_cyclic(n: int, d: int, *, max_states: int = DEFAULT_MAX_STATES) -> MessageBasis:

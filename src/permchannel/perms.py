@@ -29,18 +29,24 @@ generators:
 
 No group operation builds an array with |G|**2 entries.
 
-:func:`orbit_labels` (sorted representatives, each string's orbit) is the one
-orbit labelling, memoised on the group per d; :func:`orbits`, the per-orbit
-multiplicities and the classical decoder and certifier all read it.
+:func:`orbit_labels` (ascending representatives, each string's orbit) is the
+one orbit labelling, memoised on the group per d.  It numbers the orbits from
+``kernels.orbit_minima`` by a running count of the strings that are their own
+minimum: O(d**n), no sort.  :func:`orbits`, the per-orbit multiplicities and
+the classical decoder and certifier all read it.  :func:`orbits` returns an
+array-backed sequence: the check that every orbit size divides |G| runs
+eagerly, ``len`` builds nothing, and the members are grouped by one sort the
+first time an orbit is read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -423,8 +429,11 @@ def orbit_labels(
     """(reps, orbit_of): the orbits' least indices, ascending, and each string's orbit.
 
     Orbit j is the j-th in representative order, as in :func:`orbits`, so
-    ``orbit_of[reps[j]] == j``.  Memoised on the group by d (read-only
-    arrays); the d**n bound is checked on every call.
+    ``orbit_of[reps[j]] == j``.  ``kernels.orbit_minima`` labels each string
+    with its orbit's least member; a representative is a string that is its
+    own label, and a running count of those numbers the orbits in order, so
+    the labelling costs O(d**n) with no sort.  Memoised on the group by d
+    (read-only arrays); the d**n bound is checked on every call.
     """
     n = group.degree
     if d**n > max_states:
@@ -432,25 +441,69 @@ def orbit_labels(
     labels = group._orbit_labels
     if d not in labels:
         invs = np.array([g.inverse().images for g in group.generators], dtype=np.int64).reshape(-1, n)
-        reps, orbit_of = np.unique(kernels.orbit_reps(invs, n, d), return_inverse=True)
+        minima = kernels.orbit_reps(invs, n, d)
+        is_rep = minima == np.arange(len(minima))
+        reps = np.flatnonzero(is_rep)
+        orbit_of = (np.cumsum(is_rep) - 1)[minima]
         reps.flags.writeable = orbit_of.flags.writeable = False
         labels[d] = reps, orbit_of
     return labels[d]
 
 
-def orbits(group: PermutationGroup, d: int, *, max_states: int = DEFAULT_MAX_STATES) -> list[Orbit]:
-    """All orbits of the group action on d**n strings, ordered by representative."""
+class Orbits(Sequence):
+    """The orbits of :func:`orbits` as a read-only sequence, built from the labels on demand.
+
+    ``len`` reads the orbit sizes and builds nothing.  The members of every
+    orbit are grouped by one stable argsort of ``orbit_of`` the first time an
+    orbit is read; each item is then a fresh :class:`Orbit` whose
+    ``member_indices`` is an ascending view into that grouping.
+    """
+
+    def __init__(self, orbit_of: np.ndarray, sizes: np.ndarray, n: int, d: int, group_order: int):
+        self._orbit_of = orbit_of
+        self._sizes = sizes
+        self._n = n
+        self._d = d
+        self._group_order = group_order
+
+    def __len__(self) -> int:
+        return len(self._sizes)
+
+    @cached_property
+    def _grouped(self) -> tuple[np.ndarray, list[int]]:
+        """All strings grouped by orbit, ascending within each, and the offset of each orbit."""
+        members = np.argsort(self._orbit_of, kind="stable")
+        return members, [0] + np.cumsum(self._sizes).tolist()
+
+    def _orbit(self, j: int) -> Orbit:
+        members, offsets = self._grouped
+        size = offsets[j + 1] - offsets[j]
+        return Orbit(j, members[offsets[j] : offsets[j + 1]], self._n, self._d, size, self._group_order // size)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self._orbit(i) for i in range(*j.indices(len(self)))]
+        j = operator.index(j)
+        if not -len(self) <= j < len(self):
+            raise IndexError(f"orbit index {j} out of range for {len(self)} orbits")
+        return self._orbit(j % len(self))
+
+    def __iter__(self) -> Iterator[Orbit]:
+        return map(self._orbit, range(len(self)))
+
+
+def orbits(group: PermutationGroup, d: int, *, max_states: int = DEFAULT_MAX_STATES) -> Orbits:
+    """All orbits of the group action on d**n strings, ordered by representative.
+
+    The sequence holds :func:`orbit_labels` and the orbit sizes (one
+    ``bincount``); members are grouped the first time an orbit is read.  The
+    check that every orbit size divides |G| runs here, before any item is read.
+    """
     reps, orbit_of = orbit_labels(group, d, max_states=max_states)
-    counts = np.bincount(orbit_of, minlength=len(reps))
-    order = np.argsort(orbit_of, kind="stable")
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    result = []
-    for j, size in enumerate(counts.tolist()):
-        if len(group) % size != 0:
-            raise ValueError("orbit size does not divide the group order; group is not closed")
-        members = order[offsets[j] : offsets[j + 1]]
-        result.append(Orbit(j, members, group.degree, d, size, len(group) // size))
-    return result
+    sizes = np.bincount(orbit_of, minlength=len(reps))
+    if (len(group) % sizes).any():
+        raise ValueError("orbit size does not divide the group order; group is not closed")
+    return Orbits(orbit_of, sizes, group.degree, d, len(group))
 
 
 def stabilizer(group: PermutationGroup, x: ColoredString) -> PermutationGroup:

@@ -2,11 +2,13 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from oracles import cyclic_fourier_basis, dense_coding_probabilities, dense_zero_error, index_table
 from oracles import dense_coding_certify as oracle_dense_coding
 from permchannel import (
+    Permutation,
     dense_coding_certify,
     dense_coding_roundtrip,
     make_named_group,
@@ -90,6 +92,45 @@ def test_dense_coding_roundtrip_matches_dense_oracle(kind, n, d):
                     sent = probs[:, a * m + b]
                     assert abs(result.probability - sent.max()) < 1e-12
                     assert sent[result.a * m + result.b] > sent.max() - 1e-12
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (4, 2), (5, 2), (2, 3), (3, 3)])
+def test_cyclic_dense_coding_roundtrip_matches_dense_oracle(n, d):
+    basis = message_basis_cyclic(n, d)
+    for mu, block in oracle_sectors(n, d):
+        m = block.shape[1]
+        for sigma in basis.group.elements:
+            probs = dense_coding_probabilities(index_table(sigma.images, n, d), block)
+            for a in range(m):
+                for b in range(m):
+                    result = dense_coding_roundtrip(n, d, mu, a, b, sigma, basis=basis)
+                    sent = probs[:, a * m + b]
+                    assert (result.a, result.b) == divmod(int(np.argmax(sent)), m) == (a, b)
+                    assert abs(result.probability - sent.max()) < 1e-12
+
+
+def test_dense_coding_roundtrip_ties_go_to_the_first_outcome():
+    # In S4 at d=2, swapping positions 2 and 3 spreads each sector-2 signal (m=4)
+    # over four outcomes of probability 1/64 each; a reflection sends sector 1
+    # (m=3) out of the sector, which leaves every outcome at probability 0.
+    n, d = 4, 2
+    group = dataclasses.replace(make_named_group("symmetric", n), kind="cyclic")
+    basis = dataclasses.replace(message_basis_cyclic(n, d), group=group)
+    sectors = dict(oracle_sectors(n, d))
+    swap, reflection = Permutation((0, 1, 3, 2)), Permutation((3, 2, 1, 0))
+    probs = dense_coding_probabilities(index_table(swap.images, n, d), sectors[2])
+    for a in range(4):
+        for b in range(4):
+            sent = probs[:, a * 4 + b]
+            tied = np.flatnonzero(sent > sent.max() - 1e-12)
+            assert len(tied) == 4 and abs(sent.max() - 1 / 64) < 1e-12
+            result = dense_coding_roundtrip(n, d, 2, a, b, swap, basis=basis)
+            assert result.a * 4 + result.b == tied[0]
+    probs = dense_coding_probabilities(index_table(reflection.images, n, d), sectors[1])
+    assert probs.max() < 1e-12
+    for a in range(3):
+        for b in range(3):
+            assert dense_coding_roundtrip(n, d, 1, a, b, reflection, basis=basis) == (0, 0, 0.0)
 
 
 @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (3, 3)])

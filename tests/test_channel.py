@@ -227,6 +227,21 @@ class TestDenseCoding:
         assert (result.a, result.b) == (5, 107)
         assert abs(result.probability - 1.0) < 1e-9
 
+    def test_roundtrip_peak_memory_stays_far_below_the_shift_table(self):
+        # Sector 0 has m=5934 here: one m x m float64 shift table would be 282 MB.
+        basis = message_basis_cyclic(10, 3)
+        assert basis.multiplicities[0] == 5934
+        sigma = basis.group.generators[0] ** 3
+        tracemalloc.start()
+        try:
+            result = dense_coding_roundtrip(10, 3, 0, 5, 5933, sigma, basis=basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.a, result.b) == (5, 5933)
+        assert abs(result.probability - 1.0) < 1e-9
+        assert peak < 16_000_000  # 8.3 MB measured with numpy 2.4 on x86-64
+
     def test_trivial_roundtrip(self):
         result = dense_coding_roundtrip(2, 2, 0, 0, 0, Permutation.identity(2))
         assert (result.a, result.b) == (0, 0)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from permchannel import cli
+from permchannel import cli, fkm_representatives
 from permchannel.cli import main
 
 
@@ -70,6 +70,17 @@ class TestRepresentatives:
         )
         assert code == 0
         assert json.loads(out) == ["0", "1", "2"]
+
+    @pytest.mark.parametrize("n,d", [(6, 2), (3, 10), (3, 11), (2, 12), (5, 1)])
+    def test_lines_are_the_representative_strings(self, capsys, n, d):
+        expected = [str(r) for r in fkm_representatives(n, d)]
+        args = ("representatives", "--group", "cyclic", "--n", str(n), "--d", str(d))
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert out == "\n".join(expected) + "\n"
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(expected) + "\n"
 
     def test_non_cyclic_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "representatives", "--group", "dihedral", "--n", "4", "--d", "2")

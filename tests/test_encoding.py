@@ -19,7 +19,7 @@ from permchannel import (
     unit_root,
 )
 from permchannel import cli
-from permchannel.encoding import basis_json_lines, write_basis_json
+from permchannel.encoding import basis_json_lines, necklaces, write_basis_json
 from permchannel.errors import StateSpaceBoundError
 
 I = 1j
@@ -118,6 +118,20 @@ class TestFKM:
     def test_count_bound(self):
         with pytest.raises(StateSpaceBoundError):
             fkm_representatives(30, 2, max_count=1000)
+
+    def test_necklace_bound_is_checked_before_the_first_tuple(self):
+        with pytest.raises(StateSpaceBoundError):
+            necklaces(30, 2, max_count=1000)
+        with pytest.raises(ValueError):
+            necklaces(0, 2)
+
+    @pytest.mark.parametrize("n,d", [(20, 2), (12, 3), (8, 3), (6, 4), (1, 3), (5, 1), (3, 11)])
+    def test_necklaces_are_the_orbit_minima(self, n, d):
+        reps = orbit_labels(make_named_group("cyclic", n), d)[0]
+        powers = kernels.digit_powers(n, d)
+        expected = (reps[:, None] // powers % d).tolist()
+        assert [list(symbols) for symbols in necklaces(n, d)] == expected
+        assert all(type(symbols) is tuple for symbols in necklaces(n, d))
 
 
 class TestIrrepLabel:

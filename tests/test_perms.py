@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import act_tuple, brute_fixed_count, brute_orbits, brute_square_roots, index_table
@@ -298,6 +299,85 @@ class TestOrbits:
         assert not orbit_of.flags.writeable and not reps.flags.writeable
         with pytest.raises(StateSpaceBoundError):
             orbit_labels(group, 2, max_states=31)
+
+
+class TestOrbitSequence:
+    C4 = [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)]
+
+    @staticmethod
+    def fields(orbit):
+        return (orbit.index, orbit.member_indices.tolist(), orbit.n, orbit.d, orbit.size, orbit.stabilizer_order)
+
+    def test_indexing_slicing_and_iteration_agree(self):
+        group = make_named_group("dihedral", 5)
+        obs = orbits(group, 2)
+        reps, orbit_of = orbit_labels(group, 2)
+        assert len(obs) == len(reps) == 8
+        items = list(obs)
+        assert [o.index for o in items] == list(range(8))
+        assert [int(o.member_indices[0]) for o in items] == reps.tolist()
+        for o in items:
+            assert o.member_indices.tolist() == np.flatnonzero(orbit_of == o.index).tolist()
+            assert o.size * o.stabilizer_order == len(group)
+        for j in range(-8, 8):
+            assert self.fields(obs[j]) == self.fields(items[j])
+        for window in (slice(1, 5), slice(None, None, -2), slice(-3, None), slice(6, 2), slice(-20, 20)):
+            assert [self.fields(o) for o in obs[window]] == [self.fields(o) for o in items[window]]
+        for j in (8, -9, 100):
+            with pytest.raises(IndexError):
+                obs[j]
+        with pytest.raises(TypeError):
+            obs["0"]
+
+    def test_unclosed_element_set_is_refused_before_any_item_is_read(self):
+        # C4 plus one transposition: rotation orbits of size 2 and 4 cannot divide |S| = 5.
+        group = _raw_group(self.C4 + [(1, 0, 2, 3)], [(1, 2, 3, 0)])
+        with pytest.raises(ValueError, match="does not divide the group order"):
+            orbits(group, 2)
+
+    def test_length_sorts_nothing_and_members_are_grouped_once(self, monkeypatch):
+        big = []
+        for name in ("argsort", "sort", "unique", "lexsort"):
+            original = getattr(np, name)
+
+            def spy(a, *args, _original=original, **kwargs):
+                big.append(np.size(a) >= 2**10)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, spy)
+        group = make_named_group("cyclic", 10)
+        obs = orbits(group, 2)
+        assert len(obs) == 108 and not any(big)
+        assert int(obs[-1].member_indices[0]) == 2**10 - 1
+        assert int(obs[1].member_indices[0]) == 1
+        list(obs)
+        assert big.count(True) == 1
+
+
+def _bijection_sets(n):
+    """(n, d, generators): up to three random bijections of n positions, with d**n <= 243."""
+    d_max = max(d for d in range(1, 244) if d**n <= 243)
+    return st.tuples(
+        st.just(n),
+        st.integers(1, d_max),
+        st.lists(st.permutations(list(range(n))).map(lambda im: Permutation(tuple(im))), max_size=3),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(_bijection_sets))
+@example((1, 243, []))
+@example((5, 1, [Permutation((1, 2, 3, 4, 0))]))
+@example((5, 3, [Permutation((1, 2, 3, 4, 0)), Permutation((0, 4, 3, 2, 1))]))
+def test_orbit_labels_equal_a_sort_of_the_orbit_minima(case):
+    n, d, gens = case
+    group = generate_group(gens, degree=n)
+    reps, orbit_of = orbit_labels(group, d)
+    invs = np.array([g.inverse().images for g in group.generators], dtype=np.int64).reshape(-1, n)
+    want_reps, want_orbit_of = np.unique(kernels.orbit_reps(invs, n, d), return_inverse=True)
+    assert reps.dtype == want_reps.dtype and orbit_of.dtype == want_orbit_of.dtype
+    assert np.array_equal(reps, want_reps) and np.array_equal(orbit_of, want_orbit_of)
+    assert not reps.flags.writeable and not orbit_of.flags.writeable
 
 
 class TestStabilizer:
