@@ -10,7 +10,9 @@ from the orbit minima) at C20 and D20, ``len(orbits(...))`` at C20 (labels
 and sizes, no Orbit objects) and the ``representatives`` command at C20
 (iterative FKM, stdout to a null sink) run on a fresh group per sample.
 ``ambient_multiplicities`` with its
-per-orbit split is the kernels' heaviest caller in ``characters``.
+per-orbit split is the kernels' heaviest caller in ``characters``;
+``isotypic_projector`` builds all 11 dense projectors of S6 at d=3 from
+their orbit-representative columns.
 ``move_indices`` moves given strings by their digits, without a d**n table;
 it is timed on all 2**16 strings and on the 4,116 necklace representatives
 at n=16.  ``verify_classical`` (orbit labels plus every element moving every
@@ -48,6 +50,7 @@ from permchannel import (
     cli,
     conjugacy_classes,
     dense_coding_certify,
+    isotypic_projector,
     kernels,
     load_group_file,
     make_named_group,
@@ -112,8 +115,8 @@ def group_layer(repeats):
 def kernel_layer(repeats):
     print(f"{'kernel':<26}{'case':<22}{'strings':>10}{'time (s)':>10}")
 
-    def row(kernel, case, n, fn):
-        print(f"{kernel:<26}{case:<22}{2**n:>10}{timeit(fn, repeats):>10.4f}")
+    def row(kernel, case, n, fn, d=2):
+        print(f"{kernel:<26}{case:<22}{d**n:>10}{timeit(fn, repeats):>10.4f}")
 
     for n in (16, 20):
         inv = np.array(make_named_group("cyclic", n).generators[0].inverse().images, dtype=np.int64)
@@ -146,6 +149,10 @@ def kernel_layer(repeats):
     table = character_table(c12)
     row("ambient_multiplicities", "C12 d=2, per_orbit", 12,
         lambda: ambient_multiplicities(c12, 2, table=table, per_orbit=True))
+    s6 = make_named_group("symmetric", 6)
+    s6_table = character_table(s6)
+    row("isotypic_projector", "S6 d=3, every irrep", 6,
+        lambda: [isotypic_projector(s6, 3, mu, table=s6_table) for mu in range(len(s6_table.irreps))], d=3)
 
 
 def main():

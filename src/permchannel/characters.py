@@ -83,6 +83,13 @@ class CharacterTable:
         return self._class_lookup[p]
 
     @cached_property
+    def class_index(self) -> np.ndarray:
+        """(|G|,) int64, read-only: the class index of each element, in ``group.elements`` order."""
+        class_of = _element_classes(self.group, self.classes)
+        class_of.flags.writeable = False
+        return class_of
+
+    @cached_property
     def _class_lookup(self) -> dict:
         return {m: i for i, c in enumerate(self.classes) for m in c.members}
 
@@ -183,6 +190,14 @@ def _abelian_character_rows(group: PermutationGroup, classes) -> np.ndarray:
     return np.array(rows)
 
 
+def _element_classes(group: PermutationGroup, classes) -> np.ndarray:
+    """(|G|,) int64: the index in ``classes`` of each element, in ``group.elements`` order."""
+    members = np.array([m.images for c in classes for m in c.members], dtype=np.int64).reshape(-1, group.degree)
+    class_of = np.empty(len(group), dtype=np.int64)
+    class_of[group._rank(members)] = np.repeat(np.arange(len(classes)), [c.size for c in classes])
+    return class_of
+
+
 def _class_structure_matrices(group: PermutationGroup, classes) -> np.ndarray:
     """a[i, j, t]: ways to write (fixed z in class t) as x*y with x in i, y in j.
 
@@ -190,9 +205,7 @@ def _class_structure_matrices(group: PermutationGroup, classes) -> np.ndarray:
     inverse image array, so the work is O(|G| * k) rank lookups.
     """
     k = len(classes)
-    class_of = np.empty(len(group), dtype=np.int64)
-    for i, c in enumerate(classes):
-        class_of[group._rank(np.array([m.images for m in c.members], dtype=np.int64))] = i
+    class_of = _element_classes(group, classes)
     rows = group._images
     inverses = np.empty_like(rows)
     np.put_along_axis(inverses, rows, np.arange(group.degree), axis=1)
@@ -372,18 +385,53 @@ def isotypic_projector(
     table: CharacterTable | None = None,
     max_dim: int = DEFAULT_MAX_PROJECTOR_DIM,
 ) -> np.ndarray:
-    """Projector onto the mu-isotypic component of the d**n-dimensional space."""
-    if table is None:
-        table = character_table(group)
-    size = d**group.degree
+    """Projector onto the mu-isotypic component of the d**n-dimensional space.
+
+    P = sum over p of c(p) A(p), with c(p) = dim * conj(chi_mu(p)) / |G| and
+    A(p) the permutation matrix of p on the strings.  P commutes with every
+    A(p) and is zero between different orbits, so its columns at the orbit
+    representatives r fix it:
+
+    * column r is one ``bincount`` of c(p) over the images p.r; the images of
+      all representatives under all elements are one ``kernels.move_indices``
+      call;
+    * for j = q.r, P[i, j] = P[q**-1 . i, r], written only for the i in j's
+      orbit: the sum over orbits O of |O|**2 entries, each moved by its digits.
+
+    Cost: O(|G| * R * n) for R orbits, plus O(sum |O|**2 * n) and the d**2n
+    zero fill; no d**n action table and no loop over elements.  The d**n
+    bound is checked first, before any labelling or allocation.
+    """
+    n = group.degree
+    size = d**n
     if size > max_dim:
         raise StateSpaceBoundError(f"d**n = {size} exceeds the projector bound {max_dim}")
+    if table is None:
+        table = character_table(group)
     irrep = table.irreps[mu]
+    reps, orbit_of = orbit_labels(group, d, max_states=size)
+    r = len(reps)
+    coeff = irrep.dim * np.conj(irrep.values)[table.class_index] / table.group_order
+    moved = kernels.move_indices(np.argsort(group._images, axis=1), reps, d)  # [p, k]: reps[k] moved by p
+    keys = (moved * r + np.arange(r)).ravel()
+    weights = np.repeat(coeff, r)
+    rep_columns = np.bincount(keys, weights.real, size * r) + 1j * np.bincount(keys, weights.imag, size * r)
+    rep_columns = rep_columns.reshape(size, r)  # [i, k]: P[i, reps[k]]
+    carrier = np.empty(size, dtype=np.int64)  # an element moving j's representative to j
+    carrier[moved] = np.arange(len(group))[:, None]
+    # every (i, j) in one orbit, orbit by orbit: members[start + a], members[start + b]
+    members = np.argsort(orbit_of, kind="stable")
+    sizes = np.bincount(orbit_of, minlength=r)
+    pair_orbit = np.repeat(np.arange(r), sizes**2)
+    within = np.arange(len(pair_orbit)) - np.repeat(np.cumsum(sizes**2) - sizes**2, sizes**2)
+    start, width = (np.cumsum(sizes) - sizes)[pair_orbit], sizes[pair_orbit]
+    rows, cols = members[start + within // width], members[start + within % width]
+    # q**-1 . i for q = carrier[j]: digit k of it is digit q(k) of i
+    q = carrier[cols]
+    powers = kernels.digit_powers(n, d)
+    source = np.zeros_like(rows)
+    for position, power in enumerate(powers.tolist()):
+        source += rows // powers[group._images[q, position]] % d * power
     projector = np.zeros((size, size), dtype=complex)
-    identity_cols = np.arange(size)
-    for p in group.elements:
-        coeff = irrep.dim * irrep.values[table.class_index_of(p)].conjugate() / table.group_order
-        t = kernels.action_table(p.inverse().images, d)
-        projector[t, identity_cols] += coeff
+    projector[rows, cols] = rep_columns[source, pair_orbit]
     return projector
-

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import channel as channel_mod
-from . import characters, counting, encoding
+from . import characters, counting, encoding, kernels
 from .errors import PermChannelError, ResourceBoundError
 from .perms import (
     ColoredString,
@@ -24,7 +24,6 @@ from .perms import (
     load_group_file,
     make_named_group,
     orbit_labels,
-    square_root_count,
     stabilizer,
 )
 
@@ -291,10 +290,8 @@ def _verify_checks(cfg: RunConfig, group: PermutationGroup, d: int):
                 formula == nq_sum,
                 f"{formula} == {nq_sum}",
             )
-            ok = all(
-                abs(sum(ir.values[table.class_index_of(p)] for ir in table.irreps) - square_root_count(group, p)) < 1e-9
-                for p in group.elements
-            )
+            sums = table.value_matrix().sum(axis=0)[table.class_index]
+            ok = bool((np.abs(sums - group._square_root_counts) < 1e-9).all())
             yield "character sums count square roots", ok, f"{len(group)} elements"
         else:
             formula = counting.count_quantum_totally_orthogonal(group, d, certify=False)
@@ -312,9 +309,10 @@ def _verify_checks(cfg: RunConfig, group: PermutationGroup, d: int):
 
     if group.kind == "cyclic" and d**group.degree <= cfg.enum_bound:
         reps, _orbit_of = orbit_labels(group, d, max_states=cfg.enum_bound)
-        fkm = encoding.fkm_representatives(group.degree, d, max_count=cfg.enum_bound)
-        ok = [r.index for r in fkm] == reps.tolist()
-        yield "necklace generator matches orbit representatives", ok, f"{len(fkm)} representatives"
+        necklaces = encoding.necklaces(group.degree, d, max_count=cfg.enum_bound)
+        symbols = np.array(list(necklaces), dtype=np.int64).reshape(-1, group.degree)
+        ok = np.array_equal(symbols @ kernels.digit_powers(group.degree, d), reps)
+        yield "necklace generator matches orbit representatives", ok, f"{len(symbols)} representatives"
         basis = encoding.message_basis_cyclic(group.degree, d, max_states=cfg.enum_bound)
         report = channel_mod.verify_zero_error(group, basis)
         yield (

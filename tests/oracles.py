@@ -131,6 +131,22 @@ def index_table(images: tuple[int, ...], n: int, d: int) -> np.ndarray:
     return np.array([rank[act_tuple(images, x)] for x in strings], dtype=np.int64)
 
 
+def brute_isotypic_projector(element_images, characters, dim: int, n: int, d: int) -> np.ndarray:
+    """dim/|G| times the sum over elements of conj(character) times the element's permutation matrix.
+
+    ``characters`` holds one character value per element, in the order of
+    ``element_images``; each matrix is dense d**n x d**n, column j holding a
+    one at row ``index_table(images)[j]``.
+    """
+    size = d**n
+    total = np.zeros((size, size), dtype=complex)
+    for images, value in zip(element_images, characters):
+        matrix = np.zeros((size, size))
+        matrix[index_table(images, n, d), np.arange(size)] = 1.0
+        total += np.conj(value) * matrix
+    return dim * total / len(element_images)
+
+
 def dense_zero_error(element_images, matrix: np.ndarray, n: int, d: int, tol: float = 1e-9):
     """(failures, max off-diagonal probability) of decoding every basis column.
 

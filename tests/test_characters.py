@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_square_roots
+from oracles import brute_isotypic_projector, brute_square_roots
 from permchannel import (
     Permutation,
     ambient_multiplicities,
@@ -12,6 +12,7 @@ from permchannel import (
     generate_group,
     is_totally_orthogonal,
     isotypic_projector,
+    kernels,
     make_named_group,
     na_oracle,
     nq_oracle,
@@ -31,6 +32,9 @@ QUATERNION = generate_group(
 )
 
 KLEIN = generate_group([Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))])
+
+# C7 x| C3 on 7 points: its two 3-dimensional irreps have non-real characters.
+F21 = generate_group([Permutation((1, 2, 3, 4, 5, 6, 0)), Permutation((0, 2, 4, 6, 1, 3, 5))])
 
 TABLE_ZOO = [
     make_named_group("cyclic", 2),
@@ -289,8 +293,42 @@ class TestIsotypicProjectors:
         assert np.abs(p - np.outer(singlet, singlet.conj())).max() < 1e-12
 
     def test_dimension_bound(self):
+        # checked before the orbits are labelled or anything is allocated
+        group = make_named_group("cyclic", 4)
         with pytest.raises(StateSpaceBoundError):
-            isotypic_projector(make_named_group("cyclic", 4), 2, 0, max_dim=8)
+            isotypic_projector(group, 2, 0, max_dim=8)
+        assert group._orbit_labels == {}
+
+    @pytest.mark.parametrize(
+        "group,d",
+        [
+            (make_named_group("cyclic", 5), 2),
+            (F21, 2),
+            (make_named_group("symmetric", 3), 1),
+            (make_named_group("cyclic", 4), 1),
+            (generate_group([], degree=3), 2),
+            (generate_group([Permutation((1, 0, 2, 3)), Permutation((1, 2, 0, 3))]), 2),
+            (KLEIN, 3),
+            (make_named_group("dihedral", 5), 2),
+        ],
+        ids=("C5", "F21", "S3-d1", "C4-d1", "trivial", "S3-on-3-of-4", "Klein-d3", "D5"),
+    )
+    def test_every_irrep_matches_dense_oracle(self, group, d):
+        table = character_table(group)
+        images = [p.images for p in group]
+        for mu, irrep in enumerate(table.irreps):
+            chars = [table.character(mu, p) for p in group]
+            expected = brute_isotypic_projector(images, chars, irrep.dim, group.degree, d)
+            assert np.abs(isotypic_projector(group, d, mu, table=table) - expected).max() < 1e-12
+
+    def test_no_action_table_per_call(self, monkeypatch):
+        # Only the orbit labelling, memoised on the group, builds action tables.
+        group = make_named_group("symmetric", 4)
+        table = character_table(group)
+        isotypic_projector(group, 2, 0, table=table)
+        monkeypatch.setattr(kernels, "action_table", None)
+        for mu in range(len(table.irreps)):
+            isotypic_projector(group, 2, mu, table=table)
 
     def test_cyclic_trivial_sector_rank(self):
         p = isotypic_projector(make_named_group("cyclic", 4), 2, 0)

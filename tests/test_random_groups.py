@@ -17,6 +17,7 @@ from oracles import (
     act_tuple,
     brute_class_structure,
     brute_conjugacy_classes,
+    brute_isotypic_projector,
     brute_is_group,
     brute_orbits,
     brute_square_roots,
@@ -39,6 +40,7 @@ from permchannel import (
     cycle_count,
     dense_coding_certify,
     generate_group,
+    isotypic_projector,
     make_named_group,
     message_basis_cyclic,
     na_oracle,
@@ -194,6 +196,17 @@ def test_per_orbit_multiplicities_match_fixed_point_projection(group, d):
             row.append(round((raw / len(group)).real))
         expected.append(tuple(row))
     assert ambient_multiplicities(group, d, table=table, per_orbit=True).by_orbit == tuple(expected)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group_strategy(), st.integers(1, 3))
+def test_isotypic_projectors_match_dense_oracle(group, d):
+    table = character_table(group)
+    images = [p.images for p in group]
+    for mu, irrep in enumerate(table.irreps):
+        chars = [table.character(mu, p) for p in group]
+        expected = brute_isotypic_projector(images, chars, irrep.dim, group.degree, d)
+        assert np.abs(isotypic_projector(group, d, mu, table=table) - expected).max() < 1e-12
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
