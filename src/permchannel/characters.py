@@ -80,7 +80,10 @@ class CharacterTable:
         return tuple(c.size for c in self.classes)
 
     def class_index_of(self, p) -> int:
-        return self._class_lookup[p]
+        rank = self.group._rank_of(p)
+        if rank < 0:
+            raise KeyError(p)
+        return int(self.class_index[rank])
 
     @cached_property
     def class_index(self) -> np.ndarray:
@@ -88,10 +91,6 @@ class CharacterTable:
         class_of = _element_classes(self.group, self.classes)
         class_of.flags.writeable = False
         return class_of
-
-    @cached_property
-    def _class_lookup(self) -> dict:
-        return {m: i for i, c in enumerate(self.classes) for m in c.members}
 
     def character(self, mu: int, p) -> complex:
         return self.irreps[mu].values[self.class_index_of(p)]
@@ -192,9 +191,9 @@ def _abelian_character_rows(group: PermutationGroup, classes) -> np.ndarray:
 
 def _element_classes(group: PermutationGroup, classes) -> np.ndarray:
     """(|G|,) int64: the index in ``classes`` of each element, in ``group.elements`` order."""
-    members = np.array([m.images for c in classes for m in c.members], dtype=np.int64).reshape(-1, group.degree)
     class_of = np.empty(len(group), dtype=np.int64)
-    class_of[group._rank(members)] = np.repeat(np.arange(len(classes)), [c.size for c in classes])
+    for i, c in enumerate(classes):
+        class_of[group._rank(np.array([m.images for m in c.members], dtype=np.int64))] = i
     return class_of
 
 
@@ -399,7 +398,9 @@ def isotypic_projector(
       orbit: the sum over orbits O of |O|**2 entries, each moved by its digits.
 
     Cost: O(|G| * R * n) for R orbits, plus O(sum |O|**2 * n) and the d**2n
-    zero fill; no d**n action table and no loop over elements.  The d**n
+    zero fill; no d**n action table and no loop over elements.  Besides P,
+    what is still held when P is allocated is the (d**n, R) columns and the
+    rows, columns and values of the sum |O|**2 in-orbit entries.  The d**n
     bound is checked first, before any labelling or allocation.
     """
     n = group.degree
@@ -410,28 +411,46 @@ def isotypic_projector(
         table = character_table(group)
     irrep = table.irreps[mu]
     reps, orbit_of = orbit_labels(group, d, max_states=size)
-    r = len(reps)
     coeff = irrep.dim * np.conj(irrep.values)[table.class_index] / table.group_order
+    rep_columns, carrier = _representative_columns(group, d, coeff, reps)
+    rows, cols, values = _in_orbit_entries(group, d, orbit_of, rep_columns, carrier)
+    projector = np.zeros((size, size), dtype=complex)
+    projector[rows, cols] = values
+    return projector
+
+
+def _representative_columns(group: PermutationGroup, d: int, coeff: np.ndarray, reps: np.ndarray):
+    """``P[:, reps]`` as a (d**n, R) array, and for each string an element moving its representative to it.
+
+    Column k is one ``bincount`` of ``coeff`` over the images of reps[k]
+    under all elements, which are one ``kernels.move_indices`` call.
+    """
+    size, r = d**group.degree, len(reps)
     moved = kernels.move_indices(np.argsort(group._images, axis=1), reps, d)  # [p, k]: reps[k] moved by p
     keys = (moved * r + np.arange(r)).ravel()
     weights = np.repeat(coeff, r)
-    rep_columns = np.bincount(keys, weights.real, size * r) + 1j * np.bincount(keys, weights.imag, size * r)
-    rep_columns = rep_columns.reshape(size, r)  # [i, k]: P[i, reps[k]]
-    carrier = np.empty(size, dtype=np.int64)  # an element moving j's representative to j
+    columns = np.bincount(keys, weights.real, size * r) + 1j * np.bincount(keys, weights.imag, size * r)
+    carrier = np.empty(size, dtype=np.int64)
     carrier[moved] = np.arange(len(group))[:, None]
+    return columns.reshape(size, r), carrier
+
+
+def _in_orbit_entries(group: PermutationGroup, d: int, orbit_of, rep_columns, carrier):
+    """Rows, columns and values of P at every (i, j) with i and j in one orbit.
+
+    For j = q.r, with q = ``carrier[j]`` and r its orbit's representative,
+    P[i, j] = P[q**-1 . i, r]; digit k of q**-1 . i is digit q(k) of i.
+    """
     # every (i, j) in one orbit, orbit by orbit: members[start + a], members[start + b]
     members = np.argsort(orbit_of, kind="stable")
-    sizes = np.bincount(orbit_of, minlength=r)
-    pair_orbit = np.repeat(np.arange(r), sizes**2)
+    sizes = np.bincount(orbit_of, minlength=rep_columns.shape[1])
+    pair_orbit = np.repeat(np.arange(len(sizes)), sizes**2)
     within = np.arange(len(pair_orbit)) - np.repeat(np.cumsum(sizes**2) - sizes**2, sizes**2)
     start, width = (np.cumsum(sizes) - sizes)[pair_orbit], sizes[pair_orbit]
     rows, cols = members[start + within // width], members[start + within % width]
-    # q**-1 . i for q = carrier[j]: digit k of it is digit q(k) of i
     q = carrier[cols]
-    powers = kernels.digit_powers(n, d)
+    powers = kernels.digit_powers(group.degree, d)
     source = np.zeros_like(rows)
     for position, power in enumerate(powers.tolist()):
         source += rows // powers[group._images[q, position]] % d * power
-    projector = np.zeros((size, size), dtype=complex)
-    projector[rows, cols] = rep_columns[source, pair_orbit]
-    return projector
+    return rows, cols, rep_columns[source, pair_orbit]

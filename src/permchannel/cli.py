@@ -24,6 +24,7 @@ from .perms import (
     load_group_file,
     make_named_group,
     orbit_labels,
+    square_root_count,
     stabilizer,
 )
 
@@ -290,8 +291,11 @@ def _verify_checks(cfg: RunConfig, group: PermutationGroup, d: int):
                 formula == nq_sum,
                 f"{formula} == {nq_sum}",
             )
-            sums = table.value_matrix().sum(axis=0)[table.class_index]
-            ok = bool((np.abs(sums - group._square_root_counts) < 1e-9).all())
+            class_sums = table.value_matrix().sum(axis=0)  # sum over the irreps, per class
+            ok = all(
+                abs(class_sums[c] - square_root_count(group, p)) < 1e-9
+                for p, c in zip(group.elements, table.class_index.tolist())
+            )
             yield "character sums count square roots", ok, f"{len(group)} elements"
         else:
             formula = counting.count_quantum_totally_orthogonal(group, d, certify=False)

@@ -112,6 +112,15 @@ class TestCharacterTable:
         assert sum(mults.values) == 20
         assert sum(m * m for m in mults.values) == 120
 
+    @pytest.mark.parametrize("group", [make_named_group("dihedral", 6), QUATERNION, F21], ids=lambda g: f"{g.kind}{len(g)}")
+    def test_class_index_matches_class_members(self, group):
+        table = character_table(group)
+        expected = {m: i for i, c in enumerate(table.classes) for m in c.members}
+        assert table.class_index.tolist() == [expected[p] for p in group.elements]
+        assert [table.class_index_of(p) for p in group.elements] == table.class_index.tolist()
+        with pytest.raises(KeyError):
+            table.class_index_of(Permutation((1, 0) + tuple(range(2, group.degree))))
+
     def test_deterministic_output(self):
         a = character_table(make_named_group("symmetric", 4))
         b = character_table(make_named_group("symmetric", 4))
