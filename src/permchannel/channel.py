@@ -10,16 +10,18 @@ sector by sector with clock-shift unitaries on the multiplicity index.
 Certification never forms d**n-sized dense operators.  The classical sweep
 moves the N_c orbit representatives under blocks of elements with
 ``kernels.move_indices`` and compares orbit labels: O(|G| * N_c * n).
-U(sigma) only moves string indices, so the quantum sweep reads, per element,
-each string's image orbit and walk place off the array-backed basis, and
-multiplies the DFT-table gathers of every (source orbit, image orbit) pair in
-batches: O(|G| * n * sum_j n_j**2), no Python loop per orbit.  The ancilla
-sweep reduces every round trip in a sector of multiplicity m to the m x m
-sector operator V = B^H U(sigma) B: each (a, b) is decoded as itself with
-probability |tr V|**2 / m**2 and one signal's m**2 outcomes sum to at most 1,
-so for tol < 1/2 an element passes all (a, b) of the sector or none.  One
-pass over the sector's support for the diagonal of V decides it:
-O(|G| * sum_j n_j**2) in all, O(d**n) memory per sector.
+U(sigma) only moves string indices, so the quantum sweep finds, per element,
+each walk slot's image slot by one transpose and one gather, keys every
+(source orbit, image orbit) block by its pattern (the two orbit sizes and the
+image place of each source place) and multiplies DFT tables once per
+distinct pattern: O(n * d**n) per element for the keys, a few small products
+under a rotation, no Python loop per orbit.  The ancilla sweep reduces every
+round trip in a sector of multiplicity m to the m x m sector operator
+V = B^H U(sigma) B: each (a, b) is decoded as itself with probability
+|tr V|**2 / m**2 and one signal's m**2 outcomes sum to at most 1, so for
+tol < 1/2 an element passes all (a, b) of the sector or none.  One pass over
+the sector's support for the diagonal of V decides it: O(|G| * sum_j n_j**2)
+in all, O(d**n) memory per sector.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import DegreeMismatchError
 from .perms import DEFAULT_MAX_STATES, ColoredString, Permutation, PermutationGroup, orbit_labels
 
 MAX_MOVED_INDICES = 1 << 18  # string indices ``verify_classical`` moves per block of elements (2 MiB)
-MAX_OVERLAP_BYTES = 1 << 22  # bytes of one batch of overlap blocks in ``verify_zero_error`` (4 MiB)
+MAX_OVERLAP_BYTES = 1 << 22  # bytes of one batch of distinct overlap patterns in ``verify_zero_error`` (4 MiB)
 
 
 def decode_classical(
@@ -78,53 +80,63 @@ def verify_zero_error(group: PermutationGroup, basis: MessageBasis, *, tol: floa
     The basis is complete and orthonormal, so for 0 <= tol < 1/2 message m
     decodes correctly (largest overlap, with probability at least 1 - tol)
     iff its own overlap |<u_m|U(sigma)|u_m>|**2 reaches 1 - tol.  U(sigma)
-    only moves strings: one gather gives each string's image orbit and walk
-    place, and the overlaps between a source orbit's messages and an image
-    orbit's are one block, the product of two DFT-table gathers over the
-    strings they share.  Blocks of equal (image size, source size, shared
-    strings) are multiplied in batches of at most ``MAX_OVERLAP_BYTES``:
-    O(|G| * n * sum_j n_j**2), with no Python work per orbit.
-    ``max_offdiag_overlap`` is the largest probability over all blocks,
-    own overlaps excluded.
+    only moves strings, so the overlaps between a source orbit's messages
+    and an image orbit's are one block, fixed by its pattern: the two orbit
+    sizes and the image place of each source place the block holds, in walk
+    order.  Per element, ``_block_keys`` writes each block's pattern as one
+    padded row, one ``np.unique`` finds the distinct rows, and each distinct
+    pattern is one DFT-table product, in batches of at most
+    ``MAX_OVERLAP_BYTES``.  Under a rotation every orbit of one size has the
+    same pattern, so that is a few products per element after O(n * d**n)
+    for the keys, with no Python work per orbit.  Own overlaps are the
+    diagonals of the self blocks' patterns.  ``max_offdiag_overlap`` is the
+    largest probability over all blocks, own overlaps excluded, so it holds
+    the diagonal of any pattern a cross block uses.
     """
     if not 0 <= tol < 0.5:
         raise ValueError(f"tol must lie in [0, 1/2), got {tol}")
     if group.degree != basis.n:
         raise DegreeMismatchError("group degree does not match the basis")
-    count, sizes = len(basis), basis.sizes
-    members = basis.members
-    source = np.repeat(np.arange(len(sizes)), sizes)
-    place = basis.position[members]
-    own_slot = basis.offsets[basis.orbit] + basis.fourier  # message (orbit j, k) at offsets[j] + k
-    # [l, k]: amplitude of k at walk place l; conjugated for the image side
-    tables = {s: (basis.dft(s).conj().T.copy(), basis.dft(s).T.copy()) for s in np.unique(sizes).tolist()}
+    count, sizes, orbits = len(basis), basis.sizes, len(basis.sizes)
+    width = int(sizes.max())  # places are below it; it pads a key
+    source = np.repeat(np.arange(orbits), sizes)  # orbit of each walk slot
+    place = (np.arange(count) - basis.offsets[source]).astype(np.min_scalar_type(width))
+    slot_of = np.empty(count, dtype=np.int64)
+    slot_of[basis.walk] = np.arange(count)
+    # [l, k]: amplitude of k at walk place l; conjugated, with zero rows at the padding, for the image side
+    left, right = {}, {}
+    for s in np.flatnonzero(np.bincount(sizes)).tolist():
+        left[s] = np.zeros((width + 1, s), dtype=complex)
+        left[s][:s] = basis.dft(s).conj().T
+        right[s] = basis.dft(s).T
+    has_message = np.arange(width) < sizes[:, None]  # [j, k]: orbit j carries message k
+    message_at = np.empty(count, dtype=np.int64)
+    message_at[basis.offsets[basis.orbit] + basis.fourier] = np.arange(count)
     failures = []
     max_offdiag = 0.0
     for sigma in group.elements:
-        image = kernels.action_table(sigma.inverse().images, basis.d)[members]
-        target = basis.orbit_of[image]
-        pair = source * len(sizes) + target
-        order = np.argsort(pair, kind="stable")
-        starts = np.flatnonzero(np.diff(pair[order], prepend=-1))
-        lengths = np.diff(starts, append=count)
-        seg_source, seg_target = source[order[starts]], target[order[starts]]
-        kinds = (sizes[seg_target] * (basis.n + 1) + sizes[seg_source]) * (basis.n + 1) + lengths
+        keys, seg_source, seg_target = _block_keys(basis, sigma, slot_of, source, place)
+        _, first, pattern = np.unique(keys.view(f"V{keys.strides[0]}").ravel(), return_index=True, return_inverse=True)
+        mine = seg_source == seg_target
+        crossed = np.bincount(pattern[~mine], minlength=len(first)) > 0  # a cross block's diagonal is off-diagonal
+        kinds = keys[first, 0].astype(np.int64) * (width + 1) + keys[first, 1]
         by_kind = np.argsort(kinds, kind="stable")
-        own = np.zeros(count)  # own overlap of message (orbit j, k), at offsets[j] + k
-        for segs in np.split(by_kind, np.flatnonzero(np.diff(kinds[by_kind])) + 1):
-            t, s, length = sizes[seg_target[segs[0]]], sizes[seg_source[segs[0]]], lengths[segs[0]]
-            batch = max(1, MAX_OVERLAP_BYTES // (16 * (t * length + length * s + t * s)))
-            for chunk in range(0, len(segs), batch):
-                seg = segs[chunk : chunk + batch]
-                slots = order[starts[seg][:, None] + np.arange(length)]
-                left = tables[t][0][basis.position[image[slots]]]  # [block, shared string, k']
-                probs = np.abs(left.transpose(0, 2, 1) @ tables[s][1][place[slots]]) ** 2
-                mine = np.flatnonzero(seg_source[seg] == seg_target[seg])[:, None]
-                k = np.arange(s)
-                own[basis.offsets[seg_source[seg[mine]]] + k] = probs[mine, k, k]
-                probs[mine, k, k] = 0.0
+        good = np.zeros((len(first), width), dtype=bool)  # own overlap k reaches 1 - tol
+        for rows in np.split(by_kind, np.flatnonzero(np.diff(kinds[by_kind])) + 1):
+            t, s = keys[first[rows[0]], :2].tolist()
+            batch = max(1, MAX_OVERLAP_BYTES // (48 * t * s))  # gathered table, product, probabilities
+            for chunk in range(0, len(rows), batch):
+                part = rows[chunk : chunk + batch]
+                probs = np.abs(left[t][keys[first[part], 2 : s + 2]].transpose(0, 2, 1) @ right[s]) ** 2
+                if t == s:
+                    k = np.arange(s)
+                    good[part, :s] = probs[:, k, k] >= 1.0 - tol
+                    probs[np.flatnonzero(~crossed[part])[:, None], k, k] = 0.0
                 max_offdiag = max(max_offdiag, float(probs.max()))
-        failed = np.flatnonzero(own[own_slot] < 1.0 - tol)
+        passed = np.zeros_like(has_message)
+        passed[seg_source[mine]] = good[pattern[mine]]
+        j, k = np.nonzero(has_message & ~passed)
+        failed = np.sort(message_at[basis.offsets[j] + k])
         failures.extend((int(message), sigma.images) for message in failed.tolist())
     return ZeroErrorReport(
         messages_tested=count,
@@ -132,6 +144,39 @@ def verify_zero_error(group: PermutationGroup, basis: MessageBasis, *, tol: floa
         failures=tuple(failures),
         max_offdiag_overlap=max_offdiag,
     )
+
+
+def _block_keys(basis: MessageBasis, sigma: Permutation, slot_of, source, place):
+    """(keys, source orbits, image orbits) of sigma's blocks, by ascending (source orbit, image orbit).
+
+    ``slot_of`` is each string's walk slot, ``source`` and ``place`` each walk
+    slot's orbit and place.  A block's key row is its image orbit's size, its
+    source orbit's size, then the image place at each source place, padded
+    with the longest walk's length.  One transpose and one gather give each
+    walk slot's image slot: O(d**n).
+    """
+    sizes = basis.sizes
+    orbits, width = len(sizes), int(sizes.max())
+    slot = kernels.moved_values(slot_of, sigma.inverse().images, basis.d)[basis.walk]
+    codes = place[slot]
+    pair = source[slot]
+    del slot
+    pair += source * orbits
+    order = np.argsort(pair, kind="stable")  # fast on a rotation's pairs, which are sorted already
+    pair = pair[order]
+    edge = np.empty(len(pair), dtype=bool)
+    edge[0] = True
+    np.not_equal(pair[1:], pair[:-1], out=edge[1:])
+    seg_source, seg_target = np.divmod(pair[edge], orbits)
+    del pair
+    keys = np.full((len(seg_source), width + 2), width, dtype=place.dtype)
+    keys[:, 0], keys[:, 1] = sizes[seg_target], sizes[seg_source]
+    flat = np.cumsum(edge) - 1
+    flat *= width + 2
+    flat += place[order]
+    flat += 2
+    keys.ravel()[flat] = codes[order]
+    return keys, seg_source, seg_target
 
 
 def verify_classical(group: PermutationGroup, d: int, *, max_states: int = DEFAULT_MAX_STATES) -> ZeroErrorReport:

@@ -80,7 +80,7 @@ class MessageBasis:
         """Every orbit size's DFT table, ravelled end to end, and each size's start in it."""
         start = np.zeros(self.n + 1, dtype=np.int64)
         values = []
-        for size in np.unique(self.sizes).tolist():
+        for size in np.flatnonzero(np.bincount(self.sizes)).tolist():
             start[size] = len(values)
             scale = 1.0 / math.sqrt(size)
             values += [unit_root(size, -k * l) * scale for k in range(size) for l in range(size)]
@@ -206,7 +206,7 @@ def basis_json_lines(basis: MessageBasis) -> Iterator[str]:
             [f'",\n     "re": {float(a.real)!r},\n     "im": {float(a.imag)!r}\n    }}' for a in row]
             for row in basis.dft(size).tolist()
         ]
-        for size in np.unique(basis.sizes).tolist()
+        for size in np.flatnonzero(np.bincount(basis.sizes)).tolist()
     }
     sizes = basis.sizes.tolist()
     offsets = basis.offsets.tolist()

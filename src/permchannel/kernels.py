@@ -4,7 +4,8 @@ Length-``n`` strings over ``{0..d-1}`` are identified with integers in
 ``[0, d**n)``, position 0 being the most significant base-``d`` digit.  Then
 ``arange(d**n).reshape((d,) * n)`` holds each string's index at the string
 itself, and moving positions is moving axes: :func:`action_table` is one
-axis transpose and copy, O(d**n).  :func:`move_indices` moves only a few
+axis transpose and copy, O(d**n), and :func:`moved_values` moves any
+per-string array the same way.  :func:`move_indices` moves only a few
 given strings, by their digits, without a d**n table.
 
 :func:`orbit_minima` labels every point with the least point of its orbit
@@ -31,12 +32,16 @@ def action_table(inv_images, d: int) -> np.ndarray:
     string ``ix`` permuted.  So axis ``inv_images[i]`` of the output is axis
     i of the index array: a transpose by the inverse, ``argsort(inv_images)``.
     """
+    return moved_values(np.arange(int(d) ** len(inv_images), dtype=np.int64), inv_images, d)
+
+
+def moved_values(values: np.ndarray, inv_images, d: int) -> np.ndarray:
+    """``values[action_table(inv_images, d)]``: the value at each string's image, by the same transpose."""
     inv = np.asarray(inv_images, dtype=np.int64)
-    n = inv.shape[0]
     d = int(d)
     if d == 1:  # the one string; n axes could exceed numpy's limit on array rank
-        return np.zeros(1, dtype=np.int64)
-    return np.arange(d**n, dtype=np.int64).reshape((d,) * n).transpose(np.argsort(inv)).ravel()
+        return values.copy()
+    return values.reshape((d,) * inv.shape[0]).transpose(np.argsort(inv)).ravel()
 
 
 def move_indices(inv_images, indices, d: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from permchannel import (
     Permutation,
     dense_coding_certify,
     dense_coding_roundtrip,
+    generate_group,
     make_named_group,
     message_basis_cyclic,
     verify_zero_error,
@@ -140,3 +141,25 @@ def test_elements_that_split_orbits_match_oracle(n, d):
     basis = message_basis_cyclic(n, d)
     _assert_zero_error_matches(group, basis)
     _assert_dense_coding_matches(dataclasses.replace(basis, group=group))
+
+
+def test_pattern_shared_by_a_self_block_and_a_cross_block_matches_oracle():
+    # A reflection of C6 at d=2 swaps the chiral orbits of 001011 and 001101 and
+    # maps a mirror-symmetric orbit of the same size onto itself with the same
+    # image places: one product serves both blocks, and its diagonal is an own
+    # overlap in the one and an off-diagonal overlap in the other.
+    n, d = 6, 2
+    reflection = Permutation((0, 5, 4, 3, 2, 1))
+    basis = message_basis_cyclic(n, d)
+    table = index_table(reflection.images, n, d)
+    blocks = {}  # pattern -> {is a self block}
+    for j, size in enumerate(basis.sizes.tolist()):
+        walk = basis.walk[basis.offsets[j] : basis.offsets[j + 1]]
+        targets, places = basis.orbit_of[table[walk]], basis.position[table[walk]]
+        for t in sorted(set(targets.tolist())):
+            held = targets == t
+            pattern = (int(basis.sizes[t]), size, tuple(np.flatnonzero(held).tolist()), tuple(places[held].tolist()))
+            blocks.setdefault(pattern, set()).add(t == j)
+    assert any(kinds == {True, False} for kinds in blocks.values())
+    report = _assert_zero_error_matches(generate_group([reflection], degree=n), basis)
+    assert report.failures

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import permchannel
 from permchannel import cli, fkm_representatives
 from permchannel.cli import main
 
@@ -169,6 +174,47 @@ class TestSimulate:
         assert code == 0
         quantum = json.loads(out)["quantum"]
         assert quantum["messages"] == 16384 and quantum["elements"] == 14 and quantum["failures"] == []
+
+
+class TestQuantumOutput:
+    """Every byte of the quantum certificate but the round-off digits of the largest off-diagonal overlap."""
+
+    def test_simulate_quantum_line(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--group", "cyclic", "--n", "8", "--d", "2", "--mode", "quantum")
+        assert code == 0
+        head = '[quantum] {"messages": 256, "elements": 8, "failures": [], "max_offdiag_overlap": '
+        assert out.startswith(head) and out.endswith("}\n") and out.count("\n") == 1
+        assert 0.0 <= float(out[len(head) : -2]) < 1e-30
+
+    def test_verify_quantum_row(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--group", "cyclic", "--n", "8", "--d", "2")
+        assert code == 0
+        rows = [line for line in out.splitlines() if "zero-error quantum decoding" in line]
+        assert len(rows) == 1
+        head, tail = rows[0].split("max off-diagonal overlap ")
+        assert head == "ok      zero-error quantum decoding" + " " * 33 + "256 messages x 8 elements, "
+        value = tail.rstrip()
+        assert tail == value + " " * 5 and value == f"{float(value):.2e}" and float(value) < 1e-30
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("simulate", "--group", "cyclic", "--n", "6", "--d", "2"), ("encode", "--group", "cyclic", "--n", "4", "--d", "2")],
+)
+def test_commands_leave_numpy_ma_unimported(argv):
+    # ``np.unique`` without return options imports numpy.ma (about 13 ms) to check for a mask.
+    script = (
+        "import contextlib, io, sys\n"
+        "from permchannel.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(permchannel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]
 
 
 def test_memory_error_exits_with_bound_code(capsys, monkeypatch):

@@ -36,6 +36,17 @@ def test_action_table_matches_oracle(n, d):
         assert np.array_equal(table, index_table(images, n, d))
 
 
+@pytest.mark.parametrize("n,d", [(0, 2), (1, 1), (70, 1), (1, 3), (4, 2), (3, 3), (5, 2)])
+def test_moved_values_gathers_through_the_action_table(n, d):
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        inv = inverse_images(Permutation(tuple(rng.permutation(n).tolist())))
+        values = rng.integers(0, 1000, d**n).astype(np.int32)
+        moved = kernels.moved_values(values, inv, d)
+        assert moved.dtype == np.int32
+        assert np.array_equal(moved, values[kernels.action_table(inv, d)])
+
+
 @pytest.mark.parametrize("n,d", [(1, 1), (4, 1), (1, 3), (3, 2), (5, 2), (4, 3), (3, 4)])
 def test_move_indices_matches_oracle(n, d):
     rng = np.random.default_rng(11)
