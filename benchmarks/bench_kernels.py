@@ -20,9 +20,10 @@ representative) is timed on fresh copies of S7 and C16 at d=2, so that each
 sample labels the orbits anew.  The quantum layer is timed at C16 d=2:
 ``message_basis_cyclic`` (orbit labels and rotation walks), the streamed
 ``write_basis_json`` export to a temporary file, ``verify_zero_error``, and
-``dense_coding_certify``, which decides each (sector, element) pair by one
-trace of the sector operator; ``verify_zero_error`` also at C20 d=2, where
-keying the 20 x 52,488 overlap blocks by pattern is the cost.
+``dense_coding_certify``, which reads the trace of each (sector, element)
+sector operator from the same overlap pass, so it costs about what
+``verify_zero_error`` does; both also at C20 d=2, where keying the
+20 x 52,488 overlap blocks by pattern is the cost.
 
 The group layer scales with |G| instead: group validation, the square-root
 tally, conjugacy classes and the character table, each timed on a fresh copy
@@ -148,6 +149,7 @@ def kernel_layer(repeats):
     row("dense_coding_certify", "C16 d=2", 16, lambda: dense_coding_certify(16, 2, basis=basis))
     c20_basis = message_basis_cyclic(20, 2)
     row("verify_zero_error", "C20 d=2", 20, lambda: verify_zero_error(c20_basis.group, c20_basis))
+    row("dense_coding_certify", "C20 d=2", 20, lambda: dense_coding_certify(20, 2, basis=c20_basis))
     c12 = make_named_group("cyclic", 12)
     table = character_table(c12)
     row("ambient_multiplicities", "C12 d=2, per_orbit", 12,

@@ -11,6 +11,7 @@ from .channel import (
     decode_classical,
     dense_coding_certify,
     dense_coding_roundtrip,
+    dense_coding_summary,
     verify_classical,
     verify_zero_error,
 )

@@ -15,18 +15,20 @@ each walk slot's image slot by one transpose and one gather, keys every
 (source orbit, image orbit) block by its pattern (the two orbit sizes and the
 image place of each source place) and multiplies DFT tables once per
 distinct pattern: O(n * d**n) per element for the keys, a few small products
-under a rotation, no Python loop per orbit.  The ancilla sweep reduces every
-round trip in a sector of multiplicity m to the m x m sector operator
-V = B^H U(sigma) B: each (a, b) is decoded as itself with probability
-|tr V|**2 / m**2 and one signal's m**2 outcomes sum to at most 1, so for
-tol < 1/2 an element passes all (a, b) of the sector or none.  One pass over
-the sector's support for the diagonal of V decides it: O(|G| * sum_j n_j**2)
-in all, O(d**n) memory per sector.
+under a rotation, no Python loop per orbit.  The same pass certifies the
+ancilla protocol.  Every round trip in a sector of multiplicity m reduces to
+the m x m sector operator V = B^H U(sigma) B: each (a, b) is decoded as
+itself with probability |tr V|**2 / m**2 and one signal's m**2 outcomes sum
+to at most 1, so for tol < 1/2 an element passes all (a, b) of the sector or
+none.  tr V sums the sector's own overlaps, which are the complex diagonals
+of the self blocks' products, so the pass adds each distinct self pattern's
+diagonal, weighted by its number of self blocks, into sector (n / n_j) * k:
+O(#patterns * max n_j) more per element, and no second sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -58,6 +60,8 @@ class ZeroErrorReport:
     group_elements_tested: int
     failures: tuple[tuple[int, tuple[int, ...]], ...]  # (message index, element images)
     max_offdiag_overlap: float
+    # [element, mu]: tr V, the sum of sector mu's own amplitudes <u|U(sigma)|u>; verify_zero_error only
+    sector_traces: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def zero_error(self) -> bool:
@@ -88,13 +92,13 @@ def verify_zero_error(group: PermutationGroup, basis: MessageBasis, *, tol: floa
     pattern is one DFT-table product, in batches of at most
     ``MAX_OVERLAP_BYTES``.  Under a rotation every orbit of one size has the
     same pattern, so that is a few products per element after O(n * d**n)
-    for the keys, with no Python work per orbit.  Own overlaps are the
-    diagonals of the self blocks' patterns.  ``max_offdiag_overlap`` is the
+    for the keys, with no Python work per orbit.  Own amplitudes are the
+    diagonals of the self blocks' patterns; ``sector_traces`` adds them up by
+    sector (see ``dense_coding_summary``).  ``max_offdiag_overlap`` is the
     largest probability over all blocks, own overlaps excluded, so it holds
     the diagonal of any pattern a cross block uses.
     """
-    if not 0 <= tol < 0.5:
-        raise ValueError(f"tol must lie in [0, 1/2), got {tol}")
+    _check_tol(tol)
     if group.degree != basis.n:
         raise DegreeMismatchError("group degree does not match the basis")
     count, sizes, orbits = len(basis), basis.sizes, len(basis.sizes)
@@ -114,10 +118,12 @@ def verify_zero_error(group: PermutationGroup, basis: MessageBasis, *, tol: floa
     message_at[basis.offsets[basis.orbit] + basis.fourier] = np.arange(count)
     failures = []
     max_offdiag = 0.0
-    for sigma in group.elements:
+    traces = np.zeros((len(group.elements), basis.n), dtype=complex)
+    for trace, sigma in zip(traces, group.elements):
         keys, seg_source, seg_target = _block_keys(basis, sigma, slot_of, source, place)
         _, first, pattern = np.unique(keys.view(f"V{keys.strides[0]}").ravel(), return_index=True, return_inverse=True)
         mine = seg_source == seg_target
+        uses = np.bincount(pattern[mine], minlength=len(first))  # self blocks per pattern
         crossed = np.bincount(pattern[~mine], minlength=len(first)) > 0  # a cross block's diagonal is off-diagonal
         kinds = keys[first, 0].astype(np.int64) * (width + 1) + keys[first, 1]
         by_kind = np.argsort(kinds, kind="stable")
@@ -127,10 +133,12 @@ def verify_zero_error(group: PermutationGroup, basis: MessageBasis, *, tol: floa
             batch = max(1, MAX_OVERLAP_BYTES // (48 * t * s))  # gathered table, product, probabilities
             for chunk in range(0, len(rows), batch):
                 part = rows[chunk : chunk + batch]
-                probs = np.abs(left[t][keys[first[part], 2 : s + 2]].transpose(0, 2, 1) @ right[s]) ** 2
+                overlaps = left[t][keys[first[part], 2 : s + 2]].transpose(0, 2, 1) @ right[s]
+                probs = np.abs(overlaps) ** 2
                 if t == s:
                     k = np.arange(s)
                     good[part, :s] = probs[:, k, k] >= 1.0 - tol
+                    trace[basis.n // s * k] += uses[part] @ overlaps[:, k, k]  # message (j, k) is in sector (n / s) * k
                     probs[np.flatnonzero(~crossed[part])[:, None], k, k] = 0.0
                 max_offdiag = max(max_offdiag, float(probs.max()))
         passed = np.zeros_like(has_message)
@@ -143,7 +151,13 @@ def verify_zero_error(group: PermutationGroup, basis: MessageBasis, *, tol: floa
         group_elements_tested=len(group.elements),
         failures=tuple(failures),
         max_offdiag_overlap=max_offdiag,
+        sector_traces=traces,
     )
+
+
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < 0.5:
+        raise ValueError(f"tol must lie in [0, 1/2), got {tol}")
 
 
 def _block_keys(basis: MessageBasis, sigma: Permutation, slot_of, source, place):
@@ -320,33 +334,39 @@ def dense_coding_certify(
     """Round-trip every (mu, a, b) under every channel element.
 
     Returns the number of triples that survive all elements; it equals the
-    ancilla-assisted message count when the construction is sound.  Every
-    (a, b) of a sector is decoded as itself with probability |tr V|**2 / m**2,
-    V = B^H U(sigma) B, and one signal's m**2 outcomes sum to at most 1, so
-    for 0 <= tol < 1/2 an element passes all m**2 pairs of the sector or
-    none.  The trace is one pass over the sector's support per element:
-    O(|G| * sum_j n_j**2) in all, O(d**n) memory per sector.  Failures are
-    listed by (a, b), then element.
+    ancilla-assisted message count when the construction is sound.  The
+    sector traces come from one ``verify_zero_error`` pass over the basis's
+    group, so this costs what that pass costs (see ``dense_coding_summary``).
     """
-    if not 0 <= tol < 0.5:
-        raise ValueError(f"tol must lie in [0, 1/2), got {tol}")
+    _check_tol(tol)
     if basis is None:
         basis = message_basis_cyclic(n, d)
     elif (n, d) != (basis.n, basis.d):
         raise ValueError(f"(n, d) = ({n}, {d}) does not match the basis ({basis.n}, {basis.d})")
+    return dense_coding_summary(basis, verify_zero_error(basis.group, basis, tol=tol), tol=tol)
+
+
+def dense_coding_summary(basis: MessageBasis, report: ZeroErrorReport, *, tol: float = 1e-9) -> dict:
+    """The ``dense_coding_certify`` result, read from ``verify_zero_error(basis.group, basis)``.
+
+    Every (a, b) of sector mu is decoded as itself with probability
+    |tr V|**2 / m**2, V = B^H U(sigma) B, and one signal's m**2 outcomes sum
+    to at most 1, so for 0 <= tol < 1/2 an element passes all m**2 pairs of
+    the sector or none.  The report's ``sector_traces`` hold tr V for every
+    (element, sector), so this is O(|G| * n) on top of the pass.  Failures
+    are listed by sector, then (a, b), then element.
+    """
+    _check_tol(tol)
     elements = basis.group.elements
-    tables = [kernels.action_table(sigma.inverse().images, basis.d) for sigma in elements]
+    traces = report.sector_traces
+    if traces is None or traces.shape != (len(elements), basis.n):
+        raise ValueError("the report holds no sector traces for this basis's group")
     failures = []
     triples = 0
     for mu, m in enumerate(basis.multiplicities):
         if m == 0:
             continue
-        sector = _sector(basis, mu)
-        failed = []
-        for sigma, table in zip(elements, tables):
-            rows, cols, values = _sector_entries(sector, table)
-            if abs(values[rows == cols].sum()) ** 2 / m**2 < 1.0 - tol:
-                failed.append(sigma.images)
+        failed = [elements[e].images for e in np.flatnonzero(np.abs(traces[:, mu]) ** 2 / m**2 < 1.0 - tol).tolist()]
         if not failed:
             triples += m * m
             continue

@@ -228,15 +228,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "failures": len(report.failures),
         }
         failed |= not report.zero_error
-    basis = None
-    if "quantum" in modes or "ancilla" in modes:
+    if "quantum" in modes or "ancilla" in modes:  # one overlap pass certifies both
         basis = encoding.message_basis_cyclic(group.degree, cfg.d, max_states=cfg.enum_bound)
+        report = channel_mod.verify_zero_error(basis.group, basis)
     if "quantum" in modes:
-        report = channel_mod.verify_zero_error(group, basis)
         reports["quantum"] = report.to_json()
         failed |= not report.zero_error
     if "ancilla" in modes:
-        summary = channel_mod.dense_coding_certify(group.degree, cfg.d, basis=basis)
+        summary = channel_mod.dense_coding_summary(basis, report)
         expected = counting.count_ancilla_polya(group, cfg.d)
         summary["expected_triples"] = expected
         reports["ancilla"] = summary

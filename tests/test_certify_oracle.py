@@ -163,3 +163,15 @@ def test_pattern_shared_by_a_self_block_and_a_cross_block_matches_oracle():
     assert any(kinds == {True, False} for kinds in blocks.values())
     report = _assert_zero_error_matches(generate_group([reflection], degree=n), basis)
     assert report.failures
+
+
+def test_cross_block_diagonal_sets_the_largest_offdiagonal_overlap():
+    # This order-4 group on C6 at d=3 has an element whose cross block shares a
+    # self block's pattern; that diagonal, an own overlap of 1 for the self
+    # block, is the largest off-diagonal overlap.  Without the cross-block
+    # diagonal the maximum would read 0.75.
+    n, d = 6, 3
+    group = generate_group([Permutation((3, 0, 1, 2, 5, 4))], degree=n)
+    assert len(group) == 4
+    report = _assert_zero_error_matches(group, message_basis_cyclic(n, d))
+    assert abs(report.max_offdiag_overlap - 1.0) < 1e-12

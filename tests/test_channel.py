@@ -13,6 +13,7 @@ from permchannel import (
     decode_classical,
     dense_coding_certify,
     dense_coding_roundtrip,
+    dense_coding_summary,
     generate_group,
     kernels,
     make_named_group,
@@ -288,6 +289,14 @@ class TestDenseCoding:
             tracemalloc.stop()
         assert summary == {"triples": 19175140, "failures": []}
         assert peak < 8_000_000  # 5.0 MB measured with numpy 2.4 on x86-64
+
+    def test_summary_rejects_a_report_without_sector_traces(self):
+        basis = message_basis_cyclic(3, 2)
+        with pytest.raises(ValueError, match="sector traces"):
+            dense_coding_summary(basis, verify_classical(basis.group, 2))
+        other = verify_zero_error(make_named_group("dihedral", 3), basis)  # six elements, not three
+        with pytest.raises(ValueError, match="sector traces"):
+            dense_coding_summary(basis, other)
 
     def test_rejects_non_cyclic_basis(self):
         import dataclasses

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import permchannel
-from permchannel import cli, fkm_representatives
+from permchannel import cli, fkm_representatives, kernels
 from permchannel.cli import main
 
 
@@ -185,6 +185,21 @@ class TestQuantumOutput:
         head = '[quantum] {"messages": 256, "elements": 8, "failures": [], "max_offdiag_overlap": '
         assert out.startswith(head) and out.endswith("}\n") and out.count("\n") == 1
         assert 0.0 <= float(out[len(head) : -2]) < 1e-30
+
+    def test_simulate_all_modes_make_one_overlap_pass(self, capsys, monkeypatch):
+        # One d**n transpose per element for the pattern pass, two for the orbit labels; none for the ancilla.
+        calls = []
+        moved_values = kernels.moved_values
+        monkeypatch.setattr(kernels, "moved_values", lambda *args: calls.append(args) or moved_values(*args))
+        code, out, _ = run_cli(capsys, "simulate", "--group", "cyclic", "--n", "8", "--d", "2")
+        assert code == 0
+        assert len(calls) == 8 + 2
+        classical, quantum, ancilla = out.splitlines(keepends=True)
+        assert classical == '[classical] {"messages": 36, "elements": 8, "failures": 0}\n'
+        head = '[quantum] {"messages": 256, "elements": 8, "failures": [], "max_offdiag_overlap": '
+        assert quantum.startswith(head) and quantum.endswith("}\n")
+        assert 0.0 <= float(quantum[len(head) : -2]) < 1e-30
+        assert ancilla == '[ancilla] {"triples": 8230, "failures": [], "expected_triples": 8230}\n'
 
     def test_verify_quantum_row(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--group", "cyclic", "--n", "8", "--d", "2")

@@ -51,6 +51,7 @@ from permchannel import (
     verify_classical,
     verify_zero_error,
 )
+from permchannel.channel import sector_unitary
 from permchannel.characters import _class_structure_matrices
 from permchannel.perms import orbit_labels
 from test_certify_oracle import oracle_sectors
@@ -163,6 +164,21 @@ def test_cyclic_basis_certification_matches_dense_oracle(group, d):
     if d**n <= 32:  # the dense-coding oracle costs m**5 * d**n per element and sector
         relabeled = dataclasses.replace(message_basis_cyclic(n, d), group=group)
         assert dense_coding_certify(n, d, basis=relabeled) == oracle_dense_coding(images, oracle_sectors(n, d), n, d)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group_strategy(), st.integers(2, 3))
+def test_sector_traces_match_the_sector_unitaries(group, d):
+    # The overlap pass adds up each sector's own amplitudes; sector_unitary builds V = B^H U(sigma) B directly.
+    n = group.degree
+    assert d**n <= 243
+    basis = dataclasses.replace(message_basis_cyclic(n, d), group=group)
+    traces = verify_zero_error(group, basis).sector_traces
+    assert traces.shape == (len(group), n)
+    for e, sigma in enumerate(group.elements):
+        for mu, m in enumerate(basis.multiplicities):
+            expected = np.trace(sector_unitary(basis, mu, sigma)) if m else 0.0
+            assert abs(traces[e, mu] - expected) < 1e-9
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
