@@ -28,7 +28,14 @@ sector operator from the same overlap pass, so it costs about what
 The group layer scales with |G| instead: group validation, the square-root
 tally, conjugacy classes and the character table, each timed on a fresh copy
 of S6, S7 and S4 x S4 so that every sample also builds the group's image
-array and rank index.  Run from the repo root:
+array and rank index.
+
+Group construction is timed last: ``generate_group`` (closure by gathers of
+image rows) on S8 and S9 from a transposition and an n-cycle and on the
+generators of the four ``perfbench/groups`` files, ``make_named_group`` for
+S8 and S9, and the ``stabilizer`` calls of ``verify`` on S9 at d=2 (one per
+orbit representative, at most 200; S9 has 10 orbits on binary strings).
+Run from the repo root:
 
     python benchmarks/bench_kernels.py
     python benchmarks/bench_kernels.py --repeats 5
@@ -46,12 +53,14 @@ from pathlib import Path
 import numpy as np
 
 from permchannel import (
+    ColoredString,
     Permutation,
     ambient_multiplicities,
     character_table,
     cli,
     conjugacy_classes,
     dense_coding_certify,
+    generate_group,
     isotypic_projector,
     kernels,
     load_group_file,
@@ -59,14 +68,17 @@ from permchannel import (
     message_basis_cyclic,
     orbit_labels,
     orbits,
+    parse_group_file,
     square_root_count,
+    stabilizer,
     verify_classical,
     verify_zero_error,
 )
 from permchannel.encoding import write_basis_json
 
 ORDER_420_CYCLES = [(0, 1, 2), (3, 4, 5, 6), (7, 8, 9, 10, 11), (12, 13, 14, 15, 16, 17, 18)]
-GROUP_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "groups" / "s4xs4.txt"
+GROUP_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
+GROUP_FILE = GROUP_DIR / "s4xs4.txt"
 GROUP_OPS = {
     "validate": lambda g: g.validate(),
     "square_roots": lambda g: square_root_count(g, g.identity),
@@ -160,12 +172,33 @@ def kernel_layer(repeats):
         lambda: [isotypic_projector(s6, 3, mu, table=s6_table) for mu in range(len(s6_table.irreps))], d=3)
 
 
+def construction_layer(repeats):
+    print()
+    print(f"{'construction':<26}{'case':<22}{'items':>10}{'time (s)':>10}")
+
+    def row(name, case, fn):  # items: the group order, or the number of stabilizers
+        print(f"{name:<26}{case:<22}{len(fn()):>10}{timeit(fn, repeats):>10.4f}")
+
+    for n in (8, 9):
+        gens = [Permutation.from_cycles([(0, 1)], n), Permutation.from_cycles([tuple(range(n))], n)]
+        row("generate_group", f"S{n}, (0 1) and n-cycle", lambda: generate_group(gens))
+    for path in sorted(GROUP_DIR.glob("*.txt")):
+        gens = parse_group_file(path.read_text()).generators
+        row("generate_group", f"{path.name} generators", lambda: generate_group(gens))
+    for n in (8, 9):
+        row("make_named_group", f"symmetric n={n}", lambda: make_named_group("symmetric", n))
+    s9 = make_named_group("symmetric", 9)
+    reps = orbit_labels(s9, 2)[0][:200].tolist()
+    row("stabilizer", f"S9 d=2, {len(reps)} reps", lambda: [stabilizer(s9, ColoredString.from_index(x, 9, 2)) for x in reps])
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
     kernel_layer(args.repeats)
     group_layer(args.repeats)
+    construction_layer(args.repeats)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -85,12 +84,13 @@ class CharacterTable:
             raise KeyError(p)
         return int(self.class_index[rank])
 
-    @cached_property
+    @property
     def class_index(self) -> np.ndarray:
-        """(|G|,) int64, read-only: the class index of each element, in ``group.elements`` order."""
-        class_of = _element_classes(self.group, self.classes)
-        class_of.flags.writeable = False
-        return class_of
+        """(|G|,) int64, read-only: the class index of each element, in ``group.elements`` order.
+
+        This is the group's cached class index, which also orders ``classes``.
+        """
+        return self.group._class_index
 
     def character(self, mu: int, p) -> complex:
         return self.irreps[mu].values[self.class_index_of(p)]
@@ -133,20 +133,24 @@ def _validation_residual(table: CharacterTable) -> float:
 
 def _abelian_character_rows(group: PermutationGroup, classes) -> np.ndarray:
     order = len(group)
-    elems = group.elements
-    pos = {p: i for i, p in enumerate(elems)}
-    class_reps = [c.representative for c in classes]
+    reps = group._rank(np.array([c.representative.images for c in classes], dtype=np.int64))
+    e_idx = group._rank_of(group.identity)
+
+    def translation(g) -> np.ndarray:
+        """Entry r: the rank of g * elements[r], by one gather of the image array."""
+        return group._rank(np.array(g.images, dtype=np.int64)[group._images])
 
     # Cyclic fast path: exact powers of a primitive root of unity.
     for g in group.generators:
         if g.order() == order:
-            dlog = {}
-            cur = group.identity
+            step = translation(g)
+            dlog = [0] * order
+            cur = e_idx
             for k in range(order):
                 dlog[cur] = k
-                cur = g * cur
+                cur = int(step[cur])
             return np.array(
-                [[unit_root(order, j * dlog[rep]) for rep in class_reps] for j in range(order)]
+                [[unit_root(order, j * dlog[rep]) for rep in reps.tolist()] for j in range(order)]
             )
 
     if order == 1:
@@ -162,8 +166,7 @@ def _abelian_character_rows(group: PermutationGroup, classes) -> np.ndarray:
     for a in gens:
         m = a.order()
         translate = np.zeros((order, order), dtype=complex)
-        for j, x in enumerate(elems):
-            translate[pos[a * x], j] = 1.0
+        translate[translation(a), np.arange(order)] = 1.0
         refined = []
         for basis, tag in spaces:
             restricted = basis.conj().T @ (translate @ basis)
@@ -181,30 +184,22 @@ def _abelian_character_rows(group: PermutationGroup, classes) -> np.ndarray:
     spaces.sort(key=lambda item: item[1])
     if len(spaces) != order or any(b.shape[1] != 1 for b, _ in spaces):
         raise CharacterTableError("generator cascade failed to isolate the characters")
-    e_idx = pos[group.identity]
     rows = []
     for basis, _tag in spaces:
         w = basis[:, 0]
-        rows.append([complex(np.conj(w[pos[rep]] / w[e_idx])) for rep in class_reps])
+        rows.append([complex(np.conj(w[rep] / w[e_idx])) for rep in reps.tolist()])
     return np.array(rows)
-
-
-def _element_classes(group: PermutationGroup, classes) -> np.ndarray:
-    """(|G|,) int64: the index in ``classes`` of each element, in ``group.elements`` order."""
-    class_of = np.empty(len(group), dtype=np.int64)
-    for i, c in enumerate(classes):
-        class_of[group._rank(np.array([m.images for m in c.members], dtype=np.int64))] = i
-    return class_of
 
 
 def _class_structure_matrices(group: PermutationGroup, classes) -> np.ndarray:
     """a[i, j, t]: ways to write (fixed z in class t) as x*y with x in i, y in j.
 
     For each representative z, y = x**-1 * z runs over one gather of the
-    inverse image array, so the work is O(|G| * k) rank lookups.
+    inverse image array, so the work is O(|G| * k) rank lookups.  ``classes``
+    are numbered as the group's class index.
     """
     k = len(classes)
-    class_of = _element_classes(group, classes)
+    class_of = group._class_index
     rows = group._images
     inverses = np.empty_like(rows)
     np.put_along_axis(inverses, rows, np.arange(group.degree), axis=1)
@@ -351,16 +346,33 @@ def ambient_multiplicities(
 
 
 def _project_class_function(table, class_values, tol, *, what) -> tuple[int, ...]:
+    """<f, chi> = sum of size * f * conj(chi) over the k classes, / |G|, rounded to an integer per irrep.
+
+    Summing k float64 products carries a rounding error of at most
+    gamma_(k+2) times the sum of the terms' magnitudes, gamma_m = m*u/(1 - m*u)
+    with u = eps/2 (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    section 3.1).  For f = d**c that magnitude reaches d**n / |G| and outgrows
+    any fixed tolerance, so the accepted residual is ``tol`` plus that error
+    bound over |G|.  A bound of 1/4 or more cannot tell neighbouring integers
+    apart, and is refused.
+    """
     sizes = table.class_sizes
+    m_u = np.finfo(float).eps / 2 * (len(sizes) + 2)  # m * u for m = k + 2
+    gamma = m_u / (1 - m_u)
     out = []
     for ir in table.irreps:
-        raw = sum(s * f * v.conjugate() for s, f, v in zip(sizes, class_values, ir.values))
-        raw /= table.group_order
+        terms = [s * f * v.conjugate() for s, f, v in zip(sizes, class_values, ir.values)]
+        raw = sum(terms) / table.group_order
+        bound = tol + gamma * sum(map(abs, terms)) / table.group_order
+        if bound >= 0.25:
+            raise MultiplicityRoundingError(
+                f"{what} for {ir.label} is {raw}, beyond float64 resolution (error bound {bound:.3g})"
+            )
         nearest = round(raw.real)
         residual = abs(raw - nearest)
-        if residual > tol or nearest < 0:
+        if residual > bound or nearest < 0:
             raise MultiplicityRoundingError(
-                f"{what} for {ir.label} is {raw}, residual {residual:.3e} > {tol}"
+                f"{what} for {ir.label} is {raw}, residual {residual:.3e} > {bound:.3g}"
             )
         out.append(nearest)
     return tuple(out)

@@ -103,6 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _config(ns: argparse.Namespace) -> RunConfig:
     if ns.group and ns.group_file:
         raise UsageError("--group and --group-file are mutually exclusive")
+    if ns.d is not None and ns.d < 1:
+        raise UsageError("--d must be >= 1")
     unsafe = ns.unsafe_bounds
     fmt = ns.format or ("csv" if ns.command == "scaling" else "table")
     return RunConfig(

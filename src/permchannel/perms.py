@@ -13,17 +13,35 @@ Conventions, fixed package-wide:
   value, position 0 most significant.  Index order is therefore lexicographic
   order, and membership lookups are O(1).
 
-A ``PermutationGroup`` keeps its ``Permutation`` tuple for callers, but does
-its group work on one cached ``(|G|, n)`` int64 image array with a rank index
-(the rows' keys sorted once; a row's rank is a binary search).  Products,
-inverses, squares and conjugates of all elements are array gathers, so for r
-generators:
+A ``PermutationGroup`` keeps its ``Permutation`` tuple for callers, but every
+group algorithm reads or builds only its ``(|G|, n)`` int64 image array, row r
+holding ``elements[r].images``.  Groups are built from image rows: the
+``Permutation`` items are made once from the sorted, distinct rows, and no
+group algorithm multiplies or sorts them.
 
-* ``validate``: e in S, S * g within S for each generator g, and the span
-  reaching |S| elements; O(|G| * r) rank lookups, not |G|**2 products.
+* Closure (``generate_group``) is a breadth-first search by gathers: row
+  ``p[g]`` is ``p * g``, so one gather takes the whole frontier through every
+  generator, and the products are deduplicated by row.
+* Sorting is one ``np.unique`` over fixed-width row keys that order as the
+  image tuples; the named groups' rows come from modular arithmetic or
+  ``itertools.permutations``, which already yields tuple order.
+* Membership is one rank index: the row keys sorted once, a row's rank a
+  binary search; -1 marks a row that is no element.  ``in``, ``validate``
+  and every table of ranks read it.
+* Conjugacy is one cached class index per group, each element's class,
+  numbered by least member; ``conjugacy_classes`` and
+  ``characters.CharacterTable`` both read it.
+
+Products, inverses, squares and conjugates of all elements are array
+gathers, so for r generators:
+
+* ``validate``: e in S, no repeated row, S * g within S for each generator
+  g, and the span reaching |S| elements; O(|G| * r) rank lookups, not |G|**2
+  products.
 * ``square_root_count``: one O(|G| * n) tally of all squares per group, then
   a lookup per call.
-* ``conjugacy_classes``: r conjugation tables, O(|G| * r) per sweep.
+* ``conjugacy_classes``: r conjugation tables, O(|G| * r) per sweep, once per
+  group.
 * ``stabilizer``: one O(|G| * n) gather per string.
 * ``cycle_count_tally`` (the group averages): O(|G| * n log n).
 
@@ -221,6 +239,11 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(f"V{4 * rows.shape[-1]}").reshape(rows.shape[:-1])
 
 
+def _image_rows(perms: Sequence[Permutation], degree: int) -> np.ndarray:
+    """(len(perms), degree) int64 array of the permutations' images."""
+    return np.array([p.images for p in perms], dtype=np.int64).reshape(len(perms), degree)
+
+
 @dataclass(frozen=True)
 class PermutationGroup:
     """A finite permutation group given by its full, closed element list.
@@ -231,9 +254,10 @@ class PermutationGroup:
 
     Group work runs on one cached ``(|G|, n)`` int64 image array whose row r
     is ``elements[r]``; ``_rank`` maps image rows back to row numbers by a
-    binary search over sorted row keys.  Products, inverses, squares and
-    conjugates of all elements are then array gathers, never pairwise
-    ``Permutation`` products.
+    binary search over sorted row keys, and ``_class_index`` holds each
+    row's conjugacy class.  Products, inverses, squares and conjugates of
+    all elements are then array gathers, never pairwise ``Permutation``
+    products.
     """
 
     degree: int
@@ -242,19 +266,14 @@ class PermutationGroup:
     kind: str = "custom"
 
     def __post_init__(self):
-        for p in itertools.chain(self.elements, self.generators):
-            if p.degree != self.degree:
-                raise DegreeMismatchError(f"element degree {p.degree} != group degree {self.degree}")
-
-    @cached_property
-    def _element_set(self) -> frozenset[Permutation]:
-        return frozenset(self.elements)
+        images = map(operator.attrgetter("images"), itertools.chain(self.elements, self.generators))
+        for degree in set(map(len, images)) - {self.degree}:
+            raise DegreeMismatchError(f"element degree {degree} != group degree {self.degree}")
 
     @cached_property
     def _images(self) -> np.ndarray:
         """(|G|, n) int64 array, row r holding ``elements[r].images``."""
-        rows = [p.images for p in self.elements]
-        return np.array(rows, dtype=np.int64).reshape(len(rows), self.degree)
+        return _image_rows(self.elements, self.degree)
 
     @cached_property
     def _index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -267,6 +286,8 @@ class PermutationGroup:
         """Row number in ``elements`` of each image row; -1 for a row that is no element."""
         keys, order = self._index
         probe = _row_keys(rows)
+        if not len(keys):
+            return np.full(probe.shape, -1)
         pos = np.searchsorted(keys, probe).clip(max=len(keys) - 1)
         return np.where(keys[pos] == probe, order[pos], -1)
 
@@ -278,6 +299,26 @@ class PermutationGroup:
         """Entry r: how many t in the set have t * t == elements[r], from one tally of all squares."""
         squares = self._rank(np.take_along_axis(self._images, self._images, axis=1))
         return np.bincount(squares[squares >= 0], minlength=len(self.elements))
+
+    @cached_property
+    def _class_index(self) -> np.ndarray:
+        """(|G|,) int64, read-only: each row's conjugacy class, the classes numbered by least member.
+
+        A class is an orbit of q -> g q g**-1 over the generators g.  Each
+        generator gives one table of ranks, one gather over the image array;
+        ``kernels.orbit_minima`` labels each row with its class's least row,
+        and a running count of the rows that are their own label numbers the
+        classes in order: O(|G| * r) per sweep, no sort.
+        """
+        rows = self._images
+        tables = [self._rank(np.array(g.images)[rows[:, g.inverse().images]]) for g in self.generators]
+        tables = np.array(tables, dtype=np.int64).reshape(len(tables), len(self))
+        if (tables < 0).any():
+            raise ValueError("a conjugate escapes the element set; the group is not closed")
+        minima = kernels.orbit_minima(tables)
+        class_of = (np.cumsum(minima == np.arange(len(self))) - 1)[minima]
+        class_of.flags.writeable = False
+        return class_of
 
     @cached_property
     def _orbit_labels(self) -> dict:
@@ -295,11 +336,12 @@ class PermutationGroup:
         return iter(self.elements)
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self._element_set
+        return isinstance(p, Permutation) and p.degree == self.degree and self._rank_of(p) >= 0
 
     def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(a * b == b * a for a in gens for b in gens)
+        gens = _image_rows(self.generators, self.degree)
+        products = gens[:, gens]  # [a, b]: the images of generators[a] * generators[b]
+        return np.array_equal(products, products.transpose(1, 0, 2))
 
     def validate(self) -> None:
         """Full group-axiom check by generator closure: O(|G| * r) for r generators.
@@ -309,9 +351,10 @@ class PermutationGroup:
         also reach all |S| elements, S is the group they span, hence closed
         under products and inverses.
         """
-        if self.identity not in self._element_set:
+        if self.identity not in self:
             raise ValueError("identity missing")
-        if len(self._element_set) != len(self.elements):
+        keys, _order = self._index
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("element list repeats a permutation")
         # right[k, j]: rank of elements[j] * generators[k], -1 where it escapes
         right = [self._rank(self._images[:, g.images]) for g in self.generators]
@@ -325,8 +368,25 @@ class PermutationGroup:
             raise ValueError("generators do not span the element set")
 
 
-def _sorted_group(degree, elements, generators, kind) -> PermutationGroup:
-    return PermutationGroup(degree, tuple(sorted(set(elements))), tuple(generators), kind)
+def _row_group(degree: int, rows: np.ndarray, generators, kind: str, elements=None) -> PermutationGroup:
+    """The group whose image array is ``rows``: sorted, distinct image rows.
+
+    The ``Permutation`` items are made from the rows unless ``elements``
+    already holds them, in row order; the rows become the group's cached
+    image array.
+    """
+    if elements is None:
+        elements = tuple(map(Permutation, map(tuple, rows.tolist())))
+    group = PermutationGroup(degree, elements, tuple(generators), kind)
+    group.__dict__["_images"] = rows  # the cached_property's slot
+    return group
+
+
+def _sorted_group(degree: int, rows: np.ndarray, generators, kind: str) -> PermutationGroup:
+    """The group on the distinct rows of ``rows``, sorted by one ``np.unique`` of their keys."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, degree)
+    _keys, first = np.unique(_row_keys(rows), return_index=True)
+    return _row_group(degree, rows[first], generators, kind)
 
 
 def generate_group(
@@ -336,7 +396,14 @@ def generate_group(
     max_order: int = DEFAULT_MAX_GROUP_ORDER,
     kind: str = "custom",
 ) -> PermutationGroup:
-    """Smallest group containing the generators, by breadth-first saturation."""
+    """Smallest group containing the generators, by breadth-first search on image rows.
+
+    Row ``p[g]`` is ``p * g``, so each round gathers the whole frontier
+    through every generator row at once.  The products are deduplicated by
+    row key and checked against the sorted keys of the elements found so
+    far; the new ones form the next frontier.  An order above ``max_order``
+    raises ``GroupSizeLimitError`` before the new elements are stored.
+    """
     gens = list(generators)
     if degree is None:
         if not gens:
@@ -345,23 +412,30 @@ def generate_group(
     for g in gens:
         if g.degree != degree:
             raise DegreeMismatchError(f"generator degree {g.degree} != {degree}")
-    identity = Permutation.identity(degree)
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            q = p * g
-            if q not in elements:
-                if len(elements) >= max_order:
-                    raise GroupSizeLimitError(f"group closure exceeded {max_order} elements")
-                elements.add(q)
-                frontier.append(q)
-    return _sorted_group(degree, elements, gens, kind)
+    gen_rows = _image_rows(gens, degree)
+    frontier = np.arange(degree, dtype=np.int64)[None]
+    known = _row_keys(frontier)  # sorted keys of every element found so far
+    layers = [frontier]
+    while len(frontier):
+        products = frontier[:, gen_rows].reshape(len(frontier) * len(gens), degree)
+        keys, first = np.unique(_row_keys(products), return_index=True)
+        pos = np.searchsorted(known, keys)
+        new = known[pos.clip(max=len(known) - 1)] != keys
+        added = np.count_nonzero(new)
+        if added and len(known) + added > max_order:
+            raise GroupSizeLimitError(f"group closure exceeded {max_order} elements")
+        known = np.insert(known, pos[new], keys[new])
+        frontier = products[first[new]]
+        layers.append(frontier)
+    return _sorted_group(degree, np.concatenate(layers), gens, kind)
 
 
 def make_named_group(kind: str, n: int, *, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> PermutationGroup:
     """Cyclic (order n), dihedral (order 2n, n >= 3) or symmetric (order n!) group.
+
+    Rotation row k is i -> (i + k) mod n and reflection row k, the reflection
+    times rotation k, is i -> (-i - k) mod n.  The symmetric group's rows come
+    from ``itertools.permutations``, already in image-tuple order.
 
     The dihedral group acts faithfully on positions only for n >= 3; for
     n in {1, 2} the image of the rotation/reflection generators inside S_n is
@@ -370,27 +444,26 @@ def make_named_group(kind: str, n: int, *, max_order: int = DEFAULT_MAX_GROUP_OR
     if n < 1:
         raise ValueError("n must be >= 1")
     rotation = Permutation(tuple((i + 1) % n for i in range(n)))
-    rotations = [Permutation.identity(n)]
-    for _ in range(n - 1):
-        rotations.append(rotation * rotations[-1])
+    steps = np.arange(n, dtype=np.int64)
     if kind == "cyclic":
         if n > max_order:
             raise GroupSizeLimitError(f"cyclic order {n} exceeds {max_order}")
-        return _sorted_group(n, rotations, (rotation,), "cyclic")
+        return _row_group(n, (steps + steps[:, None]) % n, (rotation,), "cyclic")  # row k starts at k: sorted
     if kind == "dihedral":
         reflection = Permutation(tuple((n - i) % n for i in range(n)))
         if n < 3:
             return generate_group([rotation, reflection], degree=n, max_order=max_order)
         if 2 * n > max_order:
             raise GroupSizeLimitError(f"dihedral order {2 * n} exceeds {max_order}")
-        elements = rotations + [reflection * r for r in rotations]
-        return _sorted_group(n, elements, (rotation, reflection), "dihedral")
+        rows = np.concatenate([steps + steps[:, None], -steps - steps[:, None]]) % n
+        return _sorted_group(n, rows, (rotation, reflection), "dihedral")
     if kind == "symmetric":
         if math.factorial(n) > max_order:
             raise GroupSizeLimitError(f"symmetric order {n}! exceeds {max_order}")
-        elements = [Permutation(images) for images in itertools.permutations(range(n))]
+        images = list(itertools.permutations(range(n)))
         gens = (Permutation.from_cycles([(0, 1)], n), rotation) if n >= 2 else ()
-        return _sorted_group(n, elements, gens, "symmetric")
+        elements = tuple(map(Permutation, images))
+        return _row_group(n, np.array(images, dtype=np.int64), gens, "symmetric", elements)
     raise ValueError(f"unknown group kind {kind!r}")
 
 
@@ -507,13 +580,17 @@ def orbits(group: PermutationGroup, d: int, *, max_states: int = DEFAULT_MAX_STA
 
 
 def stabilizer(group: PermutationGroup, x: ColoredString) -> PermutationGroup:
-    """Subgroup of elements fixing the string x: those with x[p(j)] == x[j] for every j."""
+    """Subgroup of elements fixing the string x: those with x[p(j)] == x[j] for every j.
+
+    The fixed rows are a subsequence of the group's sorted rows, hence
+    sorted; they and their elements pass straight into the subgroup.
+    """
     if group.degree != x.n:
         raise DegreeMismatchError(f"group degree {group.degree} != string length {x.n}")
     symbols = np.array(x.symbols, dtype=np.int64)
-    fixes = (symbols[group._images] == symbols).all(axis=1)
-    fixed = [group.elements[r] for r in np.flatnonzero(fixes).tolist()]
-    return _sorted_group(group.degree, fixed, fixed, "custom")
+    fixes = np.flatnonzero((symbols[group._images] == symbols).all(axis=1))
+    fixed = tuple(map(group.elements.__getitem__, fixes.tolist()))
+    return _row_group(group.degree, group._images[fixes], fixed, "custom", fixed)
 
 
 @dataclass(frozen=True)
@@ -527,21 +604,12 @@ class ConjugacyClass:
 def conjugacy_classes(group: PermutationGroup) -> list[ConjugacyClass]:
     """Conjugacy classes, ordered by minimal member (identity class first).
 
-    A class is an orbit of q -> g q g**-1 over the generators g.  Each
-    generator gives one table of ranks, one gather over the image array, and
-    the classes are the orbits of those tables: O(|G| * r) per sweep.
+    The members are grouped by the group's cached class index (one stable
+    argsort), so class i holds the elements whose index is i.
     """
-    rows = group._images
-    tables = []
-    for g in group.generators:
-        conjugates = np.array(g.images, dtype=np.int64)[rows[:, g.inverse().images]]
-        tables.append(group._rank(conjugates))
-    tables = np.array(tables, dtype=np.int64).reshape(len(tables), len(group))
-    if (tables < 0).any():
-        raise ValueError("a conjugate escapes the element set; the group is not closed")
-    minima = kernels.orbit_minima(tables)
-    by_class = np.argsort(minima, kind="stable")
-    starts = np.flatnonzero(np.diff(minima[by_class])) + 1
+    class_of = group._class_index
+    by_class = np.argsort(class_of, kind="stable")
+    starts = np.flatnonzero(np.diff(class_of[by_class])) + 1
     classes = []
     for ranks in np.split(by_class, starts):
         members = tuple(group.elements[r] for r in ranks.tolist())

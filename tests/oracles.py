@@ -54,6 +54,25 @@ def inverse_images(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def brute_closure(generator_images, degree: int | None = None) -> set[tuple[int, ...]]:
+    """The group the generators span: products p * g added until none is new.
+
+    ``degree`` defaults to the first generator's length; it is needed only
+    for an empty generator list, which spans the identity alone.
+    """
+    gens = [tuple(g) for g in generator_images]
+    identity = tuple(range(len(gens[0]) if degree is None else degree))
+    elements, frontier = {identity}, [identity]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = compose_images(p, g)
+            if q not in elements:
+                elements.add(q)
+                frontier.append(q)
+    return elements
+
+
 def brute_square_roots(element_images, target: tuple[int, ...]) -> int:
     return sum(1 for t in element_images if compose_images(t, t) == target)
 

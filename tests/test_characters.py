@@ -7,6 +7,7 @@ from permchannel import (
     ambient_multiplicities,
     character_table,
     count_ancilla_polya,
+    count_classical_burnside,
     count_quantum_totally_orthogonal,
     frobenius_schur_indicators,
     generate_group,
@@ -199,6 +200,19 @@ class TestMultiplicities:
     def test_tight_tolerance_raises(self):
         with pytest.raises(MultiplicityRoundingError):
             ambient_multiplicities(make_named_group("dihedral", 5), 2, tol=1e-18)
+
+    @pytest.mark.parametrize("n", [40, 48])
+    def test_long_cycle_sums_round_within_float64_error(self, n):
+        # The trivial irrep's sum is about 2**n / n; its rounding error is far above 1e-6.
+        group = generate_group([Permutation(tuple((i + 1) % n for i in range(n)))])
+        mults = ambient_multiplicities(group, 2, table=character_table(group))
+        assert sum(mults.values) == 2**n
+        assert mults.values[0] == count_classical_burnside(group, 2)  # the trivial irrep counts the orbits
+
+    def test_sum_beyond_float64_resolution_is_refused(self):
+        group = generate_group([Permutation(tuple((i + 1) % 56 for i in range(56)))])
+        with pytest.raises(MultiplicityRoundingError, match="beyond float64 resolution"):
+            ambient_multiplicities(group, 2, table=character_table(group))
 
 
 class TestOracles:

@@ -323,6 +323,52 @@ class TestScaling:
         assert "exact" in err
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--group", "cyclic", "--n", "4"),
+        ("count", "--group-file", "GROUP_FILE"),
+        ("representatives", "--group", "cyclic", "--n", "4"),
+        ("encode", "--group", "cyclic", "--n", "4"),
+        ("simulate", "--group", "cyclic", "--n", "4"),
+        ("simulate", "--group", "cyclic", "--n", "4", "--mode", "quantum"),
+        ("verify", "--group", "cyclic", "--n", "4"),
+        ("chartable", "--group", "cyclic", "--n", "4"),
+        ("scaling", "--group", "cyclic", "--n", "4", "--mode", "classical"),
+    ],
+    ids=" ".join,
+)
+def test_alphabet_below_one_is_a_usage_error(capsys, tmp_path, argv, d):
+    path = tmp_path / "c4.txt"
+    path.write_text("1 2 3 0\n")
+    argv = [str(path) if arg == "GROUP_FILE" else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv, "--d", d)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --d must be >= 1\n"
+
+
+class TestLargeCyclicGroupFile:
+    """A 40-cycle file: the multiplicity sums reach 2**40 / 40, far past a fixed rounding tolerance."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "c40.txt"
+        path.write_text(" ".join(str((i + 1) % 40) for i in range(40)) + "\n")
+        return str(path)
+
+    def test_count_prints_the_full_quantum_count(self, capsys, path):
+        code, out, err = run_cli(capsys, "count", "--group-file", path, "--d", "2", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["N_q"] == {"value": str(2**40), "method": "oracle"}
+
+    def test_verify_passes(self, capsys, path):
+        code, out, err = run_cli(capsys, "verify", "--group-file", path, "--d", "2")
+        assert (code, err) == (0, "")
+        assert "FAIL" not in out and "40 irreps" in out
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "args",

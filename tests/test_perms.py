@@ -1,15 +1,17 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import act_tuple, brute_fixed_count, brute_orbits, brute_square_roots, index_table
+from oracles import act_tuple, brute_closure, brute_fixed_count, brute_orbits, brute_square_roots, index_table
 from permchannel import (
     ColoredString,
     Permutation,
     PermutationGroup,
+    character_table,
     conjugacy_classes,
     cycle_count,
     cycle_decomposition,
@@ -26,6 +28,10 @@ from permchannel import (
 from permchannel.errors import DegreeMismatchError, GroupSizeLimitError, StateSpaceBoundError
 
 R4 = Permutation.from_cycles([(0, 1, 2, 3)], 4)
+GROUP_FILES = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "groups").glob("*.txt"))
+NAMED = [("cyclic", n) for n in range(1, 9)] + [("dihedral", n) for n in range(1, 9)] + [
+    ("symmetric", n) for n in range(1, 7)
+]
 
 
 def act(p: Permutation, x: ColoredString) -> ColoredString:
@@ -172,6 +178,72 @@ class TestGroupGeneration:
             generate_group([R4, Permutation.identity(3)])
 
 
+def _file_generators(path):
+    """Generator images of a group file, read without the library."""
+    lines = (line.strip() for line in path.read_text().splitlines())
+    return [tuple(int(tok) for tok in line.split()) for line in lines if line and not line.startswith("#")]
+
+
+class TestClosureOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(st.permutations(list(range(n))), min_size=1, max_size=3)))
+    def test_random_generators(self, gens):
+        group = generate_group([Permutation(tuple(g)) for g in gens])
+        assert [p.images for p in group.elements] == sorted(brute_closure(gens))
+        assert group._images.tolist() == [list(p.images) for p in group.elements]
+
+    @pytest.mark.parametrize("path", GROUP_FILES, ids=lambda p: p.name)
+    def test_group_files(self, path):
+        group = parse_group_file(path.read_text())
+        assert [p.images for p in group.elements] == sorted(brute_closure(_file_generators(path)))
+
+    @pytest.mark.parametrize("kind,n", NAMED)
+    def test_named_groups_are_the_sorted_closure_of_their_generators(self, kind, n):
+        group = make_named_group(kind, n)
+        want = sorted(brute_closure([g.images for g in group.generators], n))
+        assert [p.images for p in group.elements] == want
+        assert group._images.tolist() == [list(p) for p in want]
+
+    @pytest.mark.parametrize(
+        "gens,order",
+        [
+            ([(1, 0, 2, 3), (1, 2, 3, 0)], 24),
+            ([(1, 2, 3, 4, 0)], 5),
+            ([(1, 0, 3, 2), (2, 3, 0, 1)], 4),
+        ],
+    )
+    def test_max_order_boundary(self, gens, order):
+        gens = [Permutation(g) for g in gens]
+        assert len(generate_group(gens, max_order=order)) == order
+        with pytest.raises(GroupSizeLimitError):
+            generate_group(gens, max_order=order - 1)
+
+
+def test_group_algorithms_make_no_permutation_products(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError(f"Permutation product {self} * {other}")
+
+    monkeypatch.setattr(Permutation, "__mul__", refuse)
+    groups = [make_named_group(kind, n) for kind, n in NAMED]
+    groups += [parse_group_file(path.read_text()) for path in GROUP_FILES]
+    klein = parse_group_file("1 0 3 2\n2 3 0 1\n")
+    for group in groups + [klein]:
+        group.validate()
+        conjugacy_classes(group)
+        stabilizer(group, ColoredString((0, 1) * (group.degree // 2) + (0,) * (group.degree % 2), 2))
+        assert group.identity in group
+    assert len(character_table(klein).irreps) == 4
+    assert len(character_table(make_named_group("cyclic", 6)).irreps) == 6
+
+
+def test_membership_of_another_degree_is_false():
+    group = make_named_group("cyclic", 4)
+    assert Permutation((1, 0)) not in group
+    assert Permutation.identity(5) not in group
+    assert (0, 1, 2, 3) not in group
+    assert R4 in group
+
+
 class TestNamedGroups:
     def test_cyclic_order_and_elements(self):
         g = make_named_group("cyclic", 4)
@@ -240,6 +312,10 @@ class TestValidateRejects:
     def test_identity_missing(self):
         with pytest.raises(ValueError, match="identity"):
             _raw_group([(1, 0, 2)], [(1, 0, 2)]).validate()
+
+    def test_empty_element_list(self):
+        with pytest.raises(ValueError, match="identity"):
+            PermutationGroup(3, (), ()).validate()
 
     def test_repeated_element(self):
         with pytest.raises(ValueError, match="repeats"):
@@ -381,6 +457,16 @@ def test_orbit_labels_equal_a_sort_of_the_orbit_minima(case):
 
 
 class TestStabilizer:
+    @pytest.mark.parametrize("kind,n", [("dihedral", 6), ("symmetric", 4)])
+    def test_subgroup_is_the_sorted_fixing_elements(self, kind, n):
+        group = make_named_group(kind, n)
+        for ix in range(2**n):
+            x = ColoredString.from_index(ix, n, 2)
+            stab = stabilizer(group, x)
+            assert list(stab.elements) == sorted(p for p in group if act_tuple(p.images, x.symbols) == x.symbols)
+            assert stab._images.tolist() == [list(p.images) for p in stab.elements]
+            stab.validate()
+
     def test_alternating_string_stabilizer(self):
         g = make_named_group("cyclic", 4)
         stab = stabilizer(g, ColoredString.parse("0101", 2))
