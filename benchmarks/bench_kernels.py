@@ -32,7 +32,9 @@ array and rank index.
 
 Group construction is timed last: ``generate_group`` (closure by gathers of
 image rows) on S8 and S9 from a transposition and an n-cycle and on the
-generators of the four ``perfbench/groups`` files, ``make_named_group`` for
+generators of the four ``perfbench/groups`` files, on two groups whose
+Cayley graphs have long diameters (one generator of cycle type 5.7.9.16, order
+5040, and D500 from two reflections), ``make_named_group`` for
 S8 and S9, and the ``stabilizer`` calls of ``verify`` on S9 at d=2 (one per
 orbit representative, at most 200; S9 has 10 orbits on binary strings).
 Run from the repo root:
@@ -185,6 +187,11 @@ def construction_layer(repeats):
     for path in sorted(GROUP_DIR.glob("*.txt")):
         gens = parse_group_file(path.read_text()).generators
         row("generate_group", f"{path.name} generators", lambda: generate_group(gens))
+    # Long Cayley-graph diameters: one generator of order 5040, and D500 from two reflections.
+    cycles = Permutation.from_cycles([range(a, b) for a, b in ((0, 5), (5, 12), (12, 21), (21, 37))], 37)
+    row("generate_group", "cycles 5.7.9.16", lambda: generate_group([cycles]))
+    reflections = [Permutation(tuple((k - i) % 500 for i in range(500))) for k in (0, 1)]
+    row("generate_group", "D500, 2 reflections", lambda: generate_group(reflections))
     for n in (8, 9):
         row("make_named_group", f"symmetric n={n}", lambda: make_named_group("symmetric", n))
     s9 = make_named_group("symmetric", 9)

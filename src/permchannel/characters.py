@@ -353,8 +353,8 @@ def _project_class_function(table, class_values, tol, *, what) -> tuple[int, ...
     with u = eps/2 (Higham, *Accuracy and Stability of Numerical Algorithms*,
     section 3.1).  For f = d**c that magnitude reaches d**n / |G| and outgrows
     any fixed tolerance, so the accepted residual is ``tol`` plus that error
-    bound over |G|.  A bound of 1/4 or more cannot tell neighbouring integers
-    apart, and is refused.
+    bound over |G|.  An error bound of 1/4 or more cannot tell neighbouring
+    integers apart, and is refused whatever ``tol`` is.
     """
     sizes = table.class_sizes
     m_u = np.finfo(float).eps / 2 * (len(sizes) + 2)  # m * u for m = k + 2
@@ -363,11 +363,12 @@ def _project_class_function(table, class_values, tol, *, what) -> tuple[int, ...
     for ir in table.irreps:
         terms = [s * f * v.conjugate() for s, f, v in zip(sizes, class_values, ir.values)]
         raw = sum(terms) / table.group_order
-        bound = tol + gamma * sum(map(abs, terms)) / table.group_order
-        if bound >= 0.25:
+        error = gamma * sum(map(abs, terms)) / table.group_order
+        if error >= 0.25:
             raise MultiplicityRoundingError(
-                f"{what} for {ir.label} is {raw}, beyond float64 resolution (error bound {bound:.3g})"
+                f"{what} for {ir.label} is {raw}, beyond float64 resolution (error bound {error:.3g})"
             )
+        bound = tol + error
         nearest = round(raw.real)
         residual = abs(raw - nearest)
         if residual > bound or nearest < 0:

@@ -21,7 +21,9 @@ group algorithm multiplies or sorts them.
 
 * Closure (``generate_group``) is a breadth-first search by gathers: row
   ``p[g]`` is ``p * g``, so one gather takes the whole frontier through every
-  generator, and the products are deduplicated by row.
+  generator, and a set of row keys dedupes the products, O(frontier * r) per
+  round.  The search starts from each generator's powers, built by doubling,
+  so a generator of large order needs no round per power.
 * Sorting is one ``np.unique`` over fixed-width row keys that order as the
   image tuples; the named groups' rows come from modular arithmetic or
   ``itertools.permutations``, which already yields tuple order.
@@ -35,6 +37,7 @@ group algorithm multiplies or sorts them.
 Products, inverses, squares and conjugates of all elements are array
 gathers, so for r generators:
 
+* ``generate_group``: O(|G| * r) keyed products, one sort.
 * ``validate``: e in S, no repeated row, S * g within S for each generator
   g, and the span reaching |S| elements; O(|G| * r) rank lookups, not |G|**2
   products.
@@ -384,9 +387,27 @@ def _row_group(degree: int, rows: np.ndarray, generators, kind: str, elements=No
 
 def _sorted_group(degree: int, rows: np.ndarray, generators, kind: str) -> PermutationGroup:
     """The group on the distinct rows of ``rows``, sorted by one ``np.unique`` of their keys."""
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1, degree)
     _keys, first = np.unique(_row_keys(rows), return_index=True)
     return _row_group(degree, rows[first], generators, kind)
+
+
+def _power_rows(g: Permutation, max_order: int) -> np.ndarray:
+    """Image rows of g**0, ..., g**(k-1), k the order of g, by doubling.
+
+    With the rows of g**j for j < m in hand and ``step`` the row of g**m,
+    ``step[powers]`` holds g**(m+j): about log2(k) gathers in all.  An order
+    above ``max_order`` raises ``GroupSizeLimitError``, since <g> lies in
+    every group that contains g.
+    """
+    order = g.order()
+    if order > max_order:
+        raise GroupSizeLimitError(f"group closure exceeded {max_order} elements")
+    powers = np.arange(g.degree, dtype=np.int64)[None]
+    step = np.array(g.images, dtype=np.int64)
+    while len(powers) < order:
+        powers = np.concatenate([powers, step[powers[: order - len(powers)]]])
+        step = step[step]
+    return powers
 
 
 def generate_group(
@@ -398,11 +419,15 @@ def generate_group(
 ) -> PermutationGroup:
     """Smallest group containing the generators, by breadth-first search on image rows.
 
+    The search starts from every generator's powers (:func:`_power_rows`),
+    so a generator of large order, whose Cayley graph has a long diameter,
+    costs log2 of its order in gathers rather than one round per power.
     Row ``p[g]`` is ``p * g``, so each round gathers the whole frontier
-    through every generator row at once.  The products are deduplicated by
-    row key and checked against the sorted keys of the elements found so
-    far; the new ones form the next frontier.  An order above ``max_order``
-    raises ``GroupSizeLimitError`` before the new elements are stored.
+    through every generator row at once.  A set of row keys dedupes the
+    products, so a round costs O(frontier * r) for r generators whatever
+    the number of elements found so far, and each element is kept once.
+    One ``np.unique`` sorts the result.  An order above ``max_order`` raises
+    ``GroupSizeLimitError``.
     """
     gens = list(generators)
     if degree is None:
@@ -413,20 +438,23 @@ def generate_group(
         if g.degree != degree:
             raise DegreeMismatchError(f"generator degree {g.degree} != {degree}")
     gen_rows = _image_rows(gens, degree)
-    frontier = np.arange(degree, dtype=np.int64)[None]
-    known = _row_keys(frontier)  # sorted keys of every element found so far
-    layers = [frontier]
-    while len(frontier):
-        products = frontier[:, gen_rows].reshape(len(frontier) * len(gens), degree)
-        keys, first = np.unique(_row_keys(products), return_index=True)
-        pos = np.searchsorted(known, keys)
-        new = known[pos.clip(max=len(known) - 1)] != keys
-        added = np.count_nonzero(new)
-        if added and len(known) + added > max_order:
+    seen = set()
+
+    def unseen(rows: np.ndarray) -> np.ndarray:
+        """The rows whose keys are not in ``seen`` yet, each once; records them."""
+        keep = []
+        for i, key in enumerate(_row_keys(rows).tolist()):
+            if key not in seen:
+                seen.add(key)
+                keep.append(i)
+        if len(seen) > max_order:
             raise GroupSizeLimitError(f"group closure exceeded {max_order} elements")
-        known = np.insert(known, pos[new], keys[new])
-        frontier = products[first[new]]
-        layers.append(frontier)
+        return rows[keep]
+
+    seeds = [np.arange(degree, dtype=np.int64)[None]] + [_power_rows(g, max_order) for g in gens]
+    layers = [unseen(np.concatenate(seeds))]
+    while len(layers[-1]):
+        layers.append(unseen(layers[-1][:, gen_rows].reshape(len(layers[-1]) * len(gens), degree)))
     return _sorted_group(degree, np.concatenate(layers), gens, kind)
 
 

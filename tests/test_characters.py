@@ -20,6 +20,7 @@ from permchannel import (
     square_root_count,
     unit_root,
 )
+from permchannel.characters import _project_class_function
 from permchannel.errors import (
     GroupSizeLimitError,
     MultiplicityRoundingError,
@@ -200,6 +201,16 @@ class TestMultiplicities:
     def test_tight_tolerance_raises(self):
         with pytest.raises(MultiplicityRoundingError):
             ambient_multiplicities(make_named_group("dihedral", 5), 2, tol=1e-18)
+
+    def test_loose_tolerance_is_honoured(self):
+        # C3 at d=2: class values (8, 2, 2) give multiplicities (4, 2, 2); adding 0.6 to the
+        # identity class moves each by 0.2, within tol=0.3 but not the default tolerance.
+        group = make_named_group("cyclic", 3)
+        table = character_table(group)
+        assert _project_class_function(table, [8.6, 2.0, 2.0], 0.3, what="m") == (4, 2, 2)
+        with pytest.raises(MultiplicityRoundingError, match="residual"):
+            _project_class_function(table, [8.6, 2.0, 2.0], 1e-6, what="m")
+        assert ambient_multiplicities(group, 2, tol=0.3).values == (4, 2, 2)
 
     @pytest.mark.parametrize("n", [40, 48])
     def test_long_cycle_sums_round_within_float64_error(self, n):

@@ -25,6 +25,7 @@ from permchannel import (
     square_root_count,
     stabilizer,
 )
+from permchannel import perms as perms_module
 from permchannel.errors import DegreeMismatchError, GroupSizeLimitError, StateSpaceBoundError
 
 R4 = Permutation.from_cycles([(0, 1, 2, 3)], 4)
@@ -184,6 +185,15 @@ def _file_generators(path):
     return [tuple(int(tok) for tok in line.split()) for line in lines if line and not line.startswith("#")]
 
 
+def _cycles_image(lengths):
+    """Image tuple of consecutive disjoint cycles of the given lengths."""
+    images, start = [], 0
+    for k in lengths:
+        images += [start + (i + 1) % k for i in range(k)]
+        start += k
+    return tuple(images)
+
+
 class TestClosureOracle:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda n: st.lists(st.permutations(list(range(n))), min_size=1, max_size=3)))
@@ -205,8 +215,30 @@ class TestClosureOracle:
         assert group._images.tolist() == [list(p) for p in want]
 
     @pytest.mark.parametrize(
+        "gens",
+        [
+            [_cycles_image((5, 7, 9, 16))],  # cyclic of order 5040, diameter 5039
+            [tuple((-i) % 60 for i in range(60)), tuple((1 - i) % 60 for i in range(60))],  # D60 from reflections
+        ],
+        ids=["one generator, order 5040", "two reflections"],
+    )
+    def test_long_diameter_generators(self, gens, monkeypatch):
+        row_keys = perms_module._row_keys
+        calls = []
+        monkeypatch.setattr(perms_module, "_row_keys", lambda rows: calls.append(len(rows)) or row_keys(rows))
+        group = generate_group([Permutation(g) for g in gens])
+        assert [p.images for p in group.elements] == sorted(brute_closure(gens))
+        # Each element is keyed once as a seed or product, r times as a factor and once
+        # in the sort; a generator's powers come by doubling, not one search round each.
+        orders = sum(Permutation(g).order() for g in gens)
+        assert sum(calls) <= 1 + orders + (len(gens) + 1) * len(group)
+        if len(gens) == 1:
+            assert len(calls) == 3
+
+    @pytest.mark.parametrize(
         "gens,order",
         [
+            ([_cycles_image((7, 8))], 56),
             ([(1, 0, 2, 3), (1, 2, 3, 0)], 24),
             ([(1, 2, 3, 4, 0)], 5),
             ([(1, 0, 3, 2), (2, 3, 0, 1)], 4),
