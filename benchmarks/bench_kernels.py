@@ -27,8 +27,8 @@ sector operator from the same overlap pass, so it costs about what
 
 The group layer scales with |G| instead: group validation, the square-root
 tally, conjugacy classes and the character table, each timed on a fresh copy
-of S6, S7 and S4 x S4 so that every sample also builds the group's image
-array and rank index.
+of S6, S7 and S4 x S4 so that every sample also builds the group's rank
+index; the copies share the read-only image array.
 
 Group construction is timed last: ``generate_group`` (closure by gathers of
 image rows) on S8 and S9 from a transposition and an n-cycle and on the
@@ -37,6 +37,8 @@ Cayley graphs have long diameters (one generator of cycle type 5.7.9.16, order
 5040, and D500 from two reflections), ``make_named_group`` for
 S8 and S9, and the ``stabilizer`` calls of ``verify`` on S9 at d=2 (one per
 orbit representative, at most 200; S9 has 10 orbits on binary strings).
+Construction builds image arrays only: no ``Permutation`` item is made until
+a caller reads ``elements``.
 Run from the repo root:
 
     python benchmarks/bench_kernels.py

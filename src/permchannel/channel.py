@@ -118,9 +118,9 @@ def verify_zero_error(group: PermutationGroup, basis: MessageBasis, *, tol: floa
     message_at[basis.offsets[basis.orbit] + basis.fourier] = np.arange(count)
     failures = []
     max_offdiag = 0.0
-    traces = np.zeros((len(group.elements), basis.n), dtype=complex)
-    for trace, sigma in zip(traces, group.elements):
-        keys, seg_source, seg_target = _block_keys(basis, sigma, slot_of, source, place)
+    traces = np.zeros((len(group), basis.n), dtype=complex)
+    for trace, images, inverse in zip(traces, group.images, np.argsort(group.images, axis=1)):
+        keys, seg_source, seg_target = _block_keys(basis, inverse, slot_of, source, place)
         _, first, pattern = np.unique(keys.view(f"V{keys.strides[0]}").ravel(), return_index=True, return_inverse=True)
         mine = seg_source == seg_target
         uses = np.bincount(pattern[mine], minlength=len(first))  # self blocks per pattern
@@ -145,10 +145,10 @@ def verify_zero_error(group: PermutationGroup, basis: MessageBasis, *, tol: floa
         passed[seg_source[mine]] = good[pattern[mine]]
         j, k = np.nonzero(has_message & ~passed)
         failed = np.sort(message_at[basis.offsets[j] + k])
-        failures.extend((int(message), sigma.images) for message in failed.tolist())
+        failures.extend((int(message), tuple(images.tolist())) for message in failed.tolist())
     return ZeroErrorReport(
         messages_tested=count,
-        group_elements_tested=len(group.elements),
+        group_elements_tested=len(group),
         failures=tuple(failures),
         max_offdiag_overlap=max_offdiag,
         sector_traces=traces,
@@ -160,18 +160,19 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in [0, 1/2), got {tol}")
 
 
-def _block_keys(basis: MessageBasis, sigma: Permutation, slot_of, source, place):
+def _block_keys(basis: MessageBasis, inverse: np.ndarray, slot_of, source, place):
     """(keys, source orbits, image orbits) of sigma's blocks, by ascending (source orbit, image orbit).
 
-    ``slot_of`` is each string's walk slot, ``source`` and ``place`` each walk
-    slot's orbit and place.  A block's key row is its image orbit's size, its
-    source orbit's size, then the image place at each source place, padded
-    with the longest walk's length.  One transpose and one gather give each
-    walk slot's image slot: O(d**n).
+    ``inverse`` is the image row of sigma**-1, ``slot_of`` each string's walk
+    slot, ``source`` and ``place`` each walk slot's orbit and place.  A
+    block's key row is its image orbit's size, its source orbit's size, then
+    the image place at each source place, padded with the longest walk's
+    length.  One transpose and one gather give each walk slot's image slot:
+    O(d**n).
     """
     sizes = basis.sizes
     orbits, width = len(sizes), int(sizes.max())
-    slot = kernels.moved_values(slot_of, sigma.inverse().images, basis.d)[basis.walk]
+    slot = kernels.moved_values(slot_of, inverse, basis.d)[basis.walk]
     codes = place[slot]
     pair = source[slot]
     del slot
@@ -202,13 +203,13 @@ def verify_classical(group: PermutationGroup, d: int, *, max_states: int = DEFAU
     O(|G| * N_c * n), no Python work per (orbit, element) pair.
     """
     reps, orbit_of = orbit_labels(group, d, max_states=max_states)
-    inverses = np.argsort(group._images, axis=1)
+    inverses = np.argsort(group.images, axis=1)
     step = max(1, MAX_MOVED_INDICES // len(reps))
     failures = []
     for start in range(0, len(group), step):
         moved = orbit_of[kernels.move_indices(inverses[start : start + step], reps, d)]
         for row, message in np.argwhere(moved != np.arange(len(reps))).tolist():
-            failures.append((message, group.elements[start + row].images))
+            failures.append((message, tuple(group.images[start + row].tolist())))
     return ZeroErrorReport(len(reps), len(group), tuple(failures), max_offdiag_overlap=0.0)
 
 
@@ -357,16 +358,16 @@ def dense_coding_summary(basis: MessageBasis, report: ZeroErrorReport, *, tol: f
     are listed by sector, then (a, b), then element.
     """
     _check_tol(tol)
-    elements = basis.group.elements
+    images = basis.group.images
     traces = report.sector_traces
-    if traces is None or traces.shape != (len(elements), basis.n):
+    if traces is None or traces.shape != (len(images), basis.n):
         raise ValueError("the report holds no sector traces for this basis's group")
     failures = []
     triples = 0
     for mu, m in enumerate(basis.multiplicities):
         if m == 0:
             continue
-        failed = [elements[e].images for e in np.flatnonzero(np.abs(traces[:, mu]) ** 2 / m**2 < 1.0 - tol).tolist()]
+        failed = [tuple(images[e].tolist()) for e in np.flatnonzero(np.abs(traces[:, mu]) ** 2 / m**2 < 1.0 - tol)]
         if not failed:
             triples += m * m
             continue

@@ -86,7 +86,7 @@ class CharacterTable:
 
     @property
     def class_index(self) -> np.ndarray:
-        """(|G|,) int64, read-only: the class index of each element, in ``group.elements`` order.
+        """(|G|,) int64, read-only: the class index of each element, in ``group.images`` row order.
 
         This is the group's cached class index, which also orders ``classes``.
         """
@@ -137,8 +137,8 @@ def _abelian_character_rows(group: PermutationGroup, classes) -> np.ndarray:
     e_idx = group._rank_of(group.identity)
 
     def translation(g) -> np.ndarray:
-        """Entry r: the rank of g * elements[r], by one gather of the image array."""
-        return group._rank(np.array(g.images, dtype=np.int64)[group._images])
+        """Entry r: the rank of g * images[r], by one gather of the image array."""
+        return group._rank(np.array(g.images, dtype=np.int64)[group.images])
 
     # Cyclic fast path: exact powers of a primitive root of unity.
     for g in group.generators:
@@ -200,9 +200,7 @@ def _class_structure_matrices(group: PermutationGroup, classes) -> np.ndarray:
     """
     k = len(classes)
     class_of = group._class_index
-    rows = group._images
-    inverses = np.empty_like(rows)
-    np.put_along_axis(inverses, rows, np.arange(group.degree), axis=1)
+    inverses = np.argsort(group.images, axis=1)
     a = np.zeros((k, k, k))
     for t, c in enumerate(classes):
         y = group._rank(inverses[:, c.representative.images])
@@ -319,6 +317,8 @@ def ambient_multiplicities(
     gives its fixed strings, and one ``bincount`` over the orbit labels splits
     them by orbit: one table per class, not per (orbit, class).
     """
+    if d < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {d}")
     if table is None:
         table = character_table(group)
     sizes = table.class_sizes
@@ -439,7 +439,7 @@ def _representative_columns(group: PermutationGroup, d: int, coeff: np.ndarray, 
     under all elements, which are one ``kernels.move_indices`` call.
     """
     size, r = d**group.degree, len(reps)
-    moved = kernels.move_indices(np.argsort(group._images, axis=1), reps, d)  # [p, k]: reps[k] moved by p
+    moved = kernels.move_indices(np.argsort(group.images, axis=1), reps, d)  # [p, k]: reps[k] moved by p
     keys = (moved * r + np.arange(r)).ravel()
     weights = np.repeat(coeff, r)
     columns = np.bincount(keys, weights.real, size * r) + 1j * np.bincount(keys, weights.imag, size * r)
@@ -465,5 +465,5 @@ def _in_orbit_entries(group: PermutationGroup, d: int, orbit_of, rep_columns, ca
     powers = kernels.digit_powers(group.degree, d)
     source = np.zeros_like(rows)
     for position, power in enumerate(powers.tolist()):
-        source += rows // powers[group._images[q, position]] % d * power
+        source += rows // powers[group.images[q, position]] % d * power
     return rows, cols, rep_columns[source, pair_orbit]

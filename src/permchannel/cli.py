@@ -19,6 +19,7 @@ from . import channel as channel_mod
 from . import characters, counting, encoding, kernels
 from .errors import PermChannelError, ResourceBoundError
 from .perms import (
+    DEFAULT_MAX_STATES,
     ColoredString,
     PermutationGroup,
     load_group_file,
@@ -32,9 +33,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
-
-DEFAULT_ENUM_BOUND = 1 << 20
-DEFAULT_ORACLE_BOUND = 5040
 
 # The named families and their closed-form counts.
 CLOSED_FORMS = {
@@ -117,8 +115,8 @@ def _config(ns: argparse.Namespace) -> RunConfig:
         fmt=fmt,
         out=ns.out,
         n_max=getattr(ns, "n_max", None),
-        enum_bound=sys.maxsize if unsafe else DEFAULT_ENUM_BOUND,
-        oracle_bound=sys.maxsize if unsafe else DEFAULT_ORACLE_BOUND,
+        enum_bound=sys.maxsize if unsafe else DEFAULT_MAX_STATES,
+        oracle_bound=sys.maxsize if unsafe else characters.DEFAULT_MAX_GROUP_ORDER,
     )
 
 

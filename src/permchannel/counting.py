@@ -66,10 +66,12 @@ class CountReport:
             raise ValueError("count hierarchy N_c <= N_q <= min(d**n, N_a) violated")
 
 
-def _group_average(group: PermutationGroup, base: int, *, squares: bool = False) -> int:
-    """Average of base**c(sigma), or of base**c(sigma**2), over the group, from its cycle-count tally."""
+def _group_average(group: PermutationGroup, d: int, *, power: int = 1, squares: bool = False) -> int:
+    """Average of d**(power * c(sigma)), or with c(sigma**2), over the group, from its cycle-count tally."""
+    if d < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {d}")
     tally = cycle_count_tally(group, squares=squares)
-    total = sum(count * base**c for c, count in enumerate(tally))
+    total = sum(count * d ** (power * c) for c, count in enumerate(tally))
     value, remainder = divmod(total, len(group))
     if remainder:
         raise InexactDivisionError(
@@ -85,7 +87,7 @@ def count_classical_burnside(group: PermutationGroup, d: int) -> int:
 
 def count_ancilla_polya(group: PermutationGroup, d: int) -> int:
     """Sum of squared multiplicities: average of d**(2 c(sigma))."""
-    return _group_average(group, d * d)
+    return _group_average(group, d, power=2)
 
 
 def count_quantum_totally_orthogonal(group: PermutationGroup, d: int, *, certify: bool = True) -> int:

@@ -145,7 +145,7 @@ def message_basis_cyclic(n: int, d: int, *, max_states: int = DEFAULT_MAX_STATES
     """All d**n encoding states for the cyclic channel, grouped by sector."""
     group = make_named_group("cyclic", n)
     reps, orbit_of = orbit_labels(group, d, max_states=max_states)
-    step = np.array(group.generators[0].inverse().images, dtype=np.int64)
+    step = np.argsort(group.generator_images[0])
     powers = [np.arange(n)]  # inverse images of rotation**0 .. rotation**(n-1)
     for _ in range(n - 1):
         powers.append(step[powers[-1]])

@@ -13,11 +13,11 @@ Conventions, fixed package-wide:
   value, position 0 most significant.  Index order is therefore lexicographic
   order, and membership lookups are O(1).
 
-A ``PermutationGroup`` keeps its ``Permutation`` tuple for callers, but every
-group algorithm reads or builds only its ``(|G|, n)`` int64 image array, row r
-holding ``elements[r].images``.  Groups are built from image rows: the
-``Permutation`` items are made once from the sorted, distinct rows, and no
-group algorithm multiplies or sorts them.
+A ``PermutationGroup`` is its image arrays: the ``(|G|, n)`` int64 array of
+its sorted, distinct element rows and the ``(r, n)`` rows of its generators.
+Every group algorithm reads or builds only such rows; the ``Permutation``
+tuples ``elements`` and ``generators`` are views for callers, built from the
+rows the first time they are read, and no group algorithm builds one.
 
 * Closure (``generate_group``) is a breadth-first search by gathers: row
   ``p[g]`` is ``p * g``, so one gather takes the whole frontier through every
@@ -247,46 +247,55 @@ def _image_rows(perms: Sequence[Permutation], degree: int) -> np.ndarray:
     return np.array([p.images for p in perms], dtype=np.int64).reshape(len(perms), degree)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermutationGroup:
-    """A finite permutation group given by its full, closed element list.
+    """A finite permutation group, stored as the image rows of its full, closed element list.
 
-    ``elements`` is sorted by image tuple (so the identity comes first) and
-    ``generators`` must span the group: orbit enumeration and conjugacy-class
-    sweeps only apply generators.
+    ``images`` is the (|G|, n) int64 array of the elements' images, sorted by
+    image tuple (so the identity is row 0), and ``generator_images`` the
+    (r, n) rows of generators that must span the group: orbit enumeration
+    and conjugacy-class sweeps only apply generators.  Both are read-only.
+    ``elements`` and ``generators`` are ``Permutation`` tuples of the same
+    rows, built on first read; only ``conjugacy_classes`` reads ``elements``.
 
-    Group work runs on one cached ``(|G|, n)`` int64 image array whose row r
-    is ``elements[r]``; ``_rank`` maps image rows back to row numbers by a
-    binary search over sorted row keys, and ``_class_index`` holds each
-    row's conjugacy class.  Products, inverses, squares and conjugates of
-    all elements are then array gathers, never pairwise ``Permutation``
-    products.
+    ``_rank`` maps image rows back to row numbers by a binary search over
+    sorted row keys, and ``_class_index`` holds each row's conjugacy class,
+    so products, inverses, squares and conjugates of all elements are array
+    gathers.  Groups compare by identity.
     """
 
     degree: int
-    elements: tuple[Permutation, ...]
-    generators: tuple[Permutation, ...]
+    images: np.ndarray
+    generator_images: np.ndarray
     kind: str = "custom"
 
     def __post_init__(self):
-        images = map(operator.attrgetter("images"), itertools.chain(self.elements, self.generators))
-        for degree in set(map(len, images)) - {self.degree}:
-            raise DegreeMismatchError(f"element degree {degree} != group degree {self.degree}")
+        for name in ("images", "generator_images"):
+            rows = np.asarray(getattr(self, name), dtype=np.int64).view()
+            if rows.ndim != 2 or rows.shape[1] != self.degree:
+                raise DegreeMismatchError(f"{name} of shape {rows.shape} do not have {self.degree} columns")
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
 
     @cached_property
-    def _images(self) -> np.ndarray:
-        """(|G|, n) int64 array, row r holding ``elements[r].images``."""
-        return _image_rows(self.elements, self.degree)
+    def elements(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation(tuple(row.tolist())) for row in self.images)  # a list of all rows would raise peak RSS
+
+    @cached_property
+    def generators(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation(tuple(row.tolist())) for row in self.generator_images)
 
     @cached_property
     def _index(self) -> tuple[np.ndarray, np.ndarray]:
         """Row keys in ascending order, and the row number of each."""
-        keys = _row_keys(self._images)
+        keys = _row_keys(self.images)
         order = np.argsort(keys, kind="stable")
         return keys[order], order
 
     def _rank(self, rows: np.ndarray) -> np.ndarray:
-        """Row number in ``elements`` of each image row; -1 for a row that is no element."""
+        """Row number in ``images`` of each image row; -1 for a row that is no element."""
+        if rows.shape[-1:] != (self.degree,):
+            raise DegreeMismatchError(f"rows of shape {rows.shape} do not have {self.degree} columns")
         keys, order = self._index
         probe = _row_keys(rows)
         if not len(keys):
@@ -299,9 +308,9 @@ class PermutationGroup:
 
     @cached_property
     def _square_root_counts(self) -> np.ndarray:
-        """Entry r: how many t in the set have t * t == elements[r], from one tally of all squares."""
-        squares = self._rank(np.take_along_axis(self._images, self._images, axis=1))
-        return np.bincount(squares[squares >= 0], minlength=len(self.elements))
+        """Entry r: how many t in the set have t * t == images[r], from one tally of all squares."""
+        squares = self._rank(np.take_along_axis(self.images, self.images, axis=1))
+        return np.bincount(squares[squares >= 0], minlength=len(self))
 
     @cached_property
     def _class_index(self) -> np.ndarray:
@@ -313,8 +322,8 @@ class PermutationGroup:
         and a running count of the rows that are their own label numbers the
         classes in order: O(|G| * r) per sweep, no sort.
         """
-        rows = self._images
-        tables = [self._rank(np.array(g.images)[rows[:, g.inverse().images]]) for g in self.generators]
+        rows, gens = self.images, self.generator_images
+        tables = [self._rank(g[rows[:, inv]]) for g, inv in zip(gens, np.argsort(gens, axis=1))]
         tables = np.array(tables, dtype=np.int64).reshape(len(tables), len(self))
         if (tables < 0).any():
             raise ValueError("a conjugate escapes the element set; the group is not closed")
@@ -333,7 +342,7 @@ class PermutationGroup:
         return Permutation.identity(self.degree)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.images)
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements)
@@ -342,7 +351,7 @@ class PermutationGroup:
         return isinstance(p, Permutation) and p.degree == self.degree and self._rank_of(p) >= 0
 
     def is_abelian(self) -> bool:
-        gens = _image_rows(self.generators, self.degree)
+        gens = self.generator_images
         products = gens[:, gens]  # [a, b]: the images of generators[a] * generators[b]
         return np.array_equal(products, products.transpose(1, 0, 2))
 
@@ -354,41 +363,28 @@ class PermutationGroup:
         also reach all |S| elements, S is the group they span, hence closed
         under products and inverses.
         """
-        if self.identity not in self:
+        identity = int(self._rank(np.arange(self.degree)))
+        if identity < 0:
             raise ValueError("identity missing")
         keys, _order = self._index
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("element list repeats a permutation")
-        # right[k, j]: rank of elements[j] * generators[k], -1 where it escapes
-        right = [self._rank(self._images[:, g.images]) for g in self.generators]
+        # right[k, j]: rank of images[j] * generator_images[k], -1 where it escapes
+        right = [self._rank(self.images[:, g]) for g in self.generator_images]
         right = np.array(right, dtype=np.int64).reshape(len(right), len(self))
-        for g, moved in zip(self.generators, right):
+        for g, moved in zip(self.generator_images, right):
             if (moved < 0).any():
-                p = self.elements[int(np.argmax(moved < 0))]
-                raise ValueError(f"product {p} * {g} escapes the element set")
+                p = self.images[int(np.argmax(moved < 0))]
+                raise ValueError(f"product {p.tolist()} * {g.tolist()} escapes the element set")
         minima = kernels.orbit_minima(right)
-        if np.count_nonzero(minima == minima[self._rank_of(self.identity)]) != len(self.elements):
+        if np.count_nonzero(minima == minima[identity]) != len(self):
             raise ValueError("generators do not span the element set")
 
 
-def _row_group(degree: int, rows: np.ndarray, generators, kind: str, elements=None) -> PermutationGroup:
-    """The group whose image array is ``rows``: sorted, distinct image rows.
-
-    The ``Permutation`` items are made from the rows unless ``elements``
-    already holds them, in row order; the rows become the group's cached
-    image array.
-    """
-    if elements is None:
-        elements = tuple(map(Permutation, map(tuple, rows.tolist())))
-    group = PermutationGroup(degree, elements, tuple(generators), kind)
-    group.__dict__["_images"] = rows  # the cached_property's slot
-    return group
-
-
-def _sorted_group(degree: int, rows: np.ndarray, generators, kind: str) -> PermutationGroup:
+def _sorted_group(degree: int, rows: np.ndarray, generator_rows: np.ndarray, kind: str) -> PermutationGroup:
     """The group on the distinct rows of ``rows``, sorted by one ``np.unique`` of their keys."""
     _keys, first = np.unique(_row_keys(rows), return_index=True)
-    return _row_group(degree, rows[first], generators, kind)
+    return PermutationGroup(degree, rows[first], generator_rows, kind)
 
 
 def _power_rows(g: Permutation, max_order: int) -> np.ndarray:
@@ -455,7 +451,7 @@ def generate_group(
     layers = [unseen(np.concatenate(seeds))]
     while len(layers[-1]):
         layers.append(unseen(layers[-1][:, gen_rows].reshape(len(layers[-1]) * len(gens), degree)))
-    return _sorted_group(degree, np.concatenate(layers), gens, kind)
+    return _sorted_group(degree, np.concatenate(layers), gen_rows, kind)
 
 
 def make_named_group(kind: str, n: int, *, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> PermutationGroup:
@@ -476,7 +472,8 @@ def make_named_group(kind: str, n: int, *, max_order: int = DEFAULT_MAX_GROUP_OR
     if kind == "cyclic":
         if n > max_order:
             raise GroupSizeLimitError(f"cyclic order {n} exceeds {max_order}")
-        return _row_group(n, (steps + steps[:, None]) % n, (rotation,), "cyclic")  # row k starts at k: sorted
+        rows = (steps + steps[:, None]) % n  # row k starts at k: sorted
+        return PermutationGroup(n, rows, _image_rows([rotation], n), "cyclic")
     if kind == "dihedral":
         reflection = Permutation(tuple((n - i) % n for i in range(n)))
         if n < 3:
@@ -484,14 +481,13 @@ def make_named_group(kind: str, n: int, *, max_order: int = DEFAULT_MAX_GROUP_OR
         if 2 * n > max_order:
             raise GroupSizeLimitError(f"dihedral order {2 * n} exceeds {max_order}")
         rows = np.concatenate([steps + steps[:, None], -steps - steps[:, None]]) % n
-        return _sorted_group(n, rows, (rotation, reflection), "dihedral")
+        return _sorted_group(n, rows, _image_rows([rotation, reflection], n), "dihedral")
     if kind == "symmetric":
         if math.factorial(n) > max_order:
             raise GroupSizeLimitError(f"symmetric order {n}! exceeds {max_order}")
-        images = list(itertools.permutations(range(n)))
-        gens = (Permutation.from_cycles([(0, 1)], n), rotation) if n >= 2 else ()
-        elements = tuple(map(Permutation, images))
-        return _row_group(n, np.array(images, dtype=np.int64), gens, "symmetric", elements)
+        images = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))), np.int64).reshape(-1, n)
+        gens = [Permutation.from_cycles([(0, 1)], n), rotation] if n >= 2 else []
+        return PermutationGroup(n, images, _image_rows(gens, n), "symmetric")
     raise ValueError(f"unknown group kind {kind!r}")
 
 
@@ -537,12 +533,13 @@ def orbit_labels(
     (read-only arrays); the d**n bound is checked on every call.
     """
     n = group.degree
+    if d < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {d}")
     if d**n > max_states:
         raise StateSpaceBoundError(f"d**n = {d**n} exceeds the bound {max_states}")
     labels = group._orbit_labels
     if d not in labels:
-        invs = np.array([g.inverse().images for g in group.generators], dtype=np.int64).reshape(-1, n)
-        minima = kernels.orbit_reps(invs, n, d)
+        minima = kernels.orbit_reps(np.argsort(group.generator_images, axis=1), n, d)
         is_rep = minima == np.arange(len(minima))
         reps = np.flatnonzero(is_rep)
         orbit_of = (np.cumsum(is_rep) - 1)[minima]
@@ -611,14 +608,13 @@ def stabilizer(group: PermutationGroup, x: ColoredString) -> PermutationGroup:
     """Subgroup of elements fixing the string x: those with x[p(j)] == x[j] for every j.
 
     The fixed rows are a subsequence of the group's sorted rows, hence
-    sorted; they and their elements pass straight into the subgroup.
+    sorted; they are the subgroup's image array and its generators.
     """
     if group.degree != x.n:
         raise DegreeMismatchError(f"group degree {group.degree} != string length {x.n}")
     symbols = np.array(x.symbols, dtype=np.int64)
-    fixes = np.flatnonzero((symbols[group._images] == symbols).all(axis=1))
-    fixed = tuple(map(group.elements.__getitem__, fixes.tolist()))
-    return _row_group(group.degree, group._images[fixes], fixed, "custom", fixed)
+    fixed = group.images[(symbols[group.images] == symbols).all(axis=1)]
+    return PermutationGroup(group.degree, fixed, fixed, "custom")
 
 
 @dataclass(frozen=True)
@@ -683,7 +679,7 @@ def cycle_count_tally(group: PermutationGroup, *, squares: bool = False) -> list
     One pass over the image array, O(|G| * n log n); a group average of
     f(c(sigma)) is then a sum of at most n + 1 exact integer terms.
     """
-    rows = group._images
+    rows = group.images
     if squares:
         rows = np.take_along_axis(rows, rows, axis=1)
     return np.bincount(_cycle_counts(rows), minlength=group.degree + 1).tolist()

@@ -94,7 +94,7 @@ class TestClassicalCertification:
         # S3 under its 3-cycle alone: the messages are the 11 C3 orbits at d=3,
         # and each transposition swaps the orbits of 012 and 021.
         s3 = make_named_group("symmetric", 3)
-        lopsided = PermutationGroup(3, s3.elements, (Permutation((1, 2, 0)),))
+        lopsided = PermutationGroup(3, s3.images, [(1, 2, 0)])
         report = verify_classical(lopsided, 3)
         transpositions = [(0, 2, 1), (1, 0, 2), (2, 1, 0)]
         assert report.messages_tested == 11
@@ -102,7 +102,7 @@ class TestClassicalCertification:
 
     def test_element_blocks_do_not_change_the_report(self, monkeypatch):
         s4 = make_named_group("symmetric", 4)
-        lopsided = PermutationGroup(4, s4.elements, s4.generators[1:])
+        lopsided = PermutationGroup(4, s4.images, s4.generator_images[1:])
         whole = verify_classical(lopsided, 2)
         monkeypatch.setattr(channel_module, "MAX_MOVED_INDICES", 13)
         assert verify_classical(dataclasses.replace(lopsided), 2) == whole

@@ -56,11 +56,7 @@ class TestBurnside:
         assert count_classical_burnside(group, d) == expected
 
     def test_inexact_division_flags_non_group(self):
-        fake = PermutationGroup(
-            3,
-            (Permutation.identity(3), Permutation((1, 0, 2)), Permutation((1, 2, 0))),
-            (Permutation((1, 2, 0)),),
-        )
+        fake = PermutationGroup(3, [(0, 1, 2), (1, 0, 2), (1, 2, 0)], [(1, 2, 0)])
         with pytest.raises(InexactDivisionError):
             count_classical_burnside(fake, 2)
 

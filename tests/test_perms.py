@@ -11,19 +11,27 @@ from permchannel import (
     ColoredString,
     Permutation,
     PermutationGroup,
+    ambient_multiplicities,
     character_table,
     conjugacy_classes,
+    count_ancilla_polya,
+    count_classical_burnside,
+    count_quantum_totally_orthogonal,
+    count_report,
     cycle_count,
     cycle_decomposition,
     cycle_type,
     generate_group,
     kernels,
     make_named_group,
+    message_basis_cyclic,
     orbit_labels,
     orbits,
     parse_group_file,
     square_root_count,
     stabilizer,
+    verify_classical,
+    verify_zero_error,
 )
 from permchannel import perms as perms_module
 from permchannel.errors import DegreeMismatchError, GroupSizeLimitError, StateSpaceBoundError
@@ -200,7 +208,7 @@ class TestClosureOracle:
     def test_random_generators(self, gens):
         group = generate_group([Permutation(tuple(g)) for g in gens])
         assert [p.images for p in group.elements] == sorted(brute_closure(gens))
-        assert group._images.tolist() == [list(p.images) for p in group.elements]
+        assert group.images.tolist() == [list(p.images) for p in group.elements]
 
     @pytest.mark.parametrize("path", GROUP_FILES, ids=lambda p: p.name)
     def test_group_files(self, path):
@@ -212,7 +220,7 @@ class TestClosureOracle:
         group = make_named_group(kind, n)
         want = sorted(brute_closure([g.images for g in group.generators], n))
         assert [p.images for p in group.elements] == want
-        assert group._images.tolist() == [list(p) for p in want]
+        assert group.images.tolist() == [list(p) for p in want]
 
     @pytest.mark.parametrize(
         "gens",
@@ -276,6 +284,99 @@ def test_membership_of_another_degree_is_false():
     assert R4 in group
 
 
+def test_lookups_of_another_degree_raise():
+    table = character_table(make_named_group("symmetric", 3))
+    with pytest.raises(DegreeMismatchError):
+        table.class_index_of(Permutation((1, 0)))
+    with pytest.raises(DegreeMismatchError):
+        table.character(0, Permutation((1, 0)))
+
+
+def _permutations_built(monkeypatch, fn) -> int:
+    """How many ``Permutation`` objects fn() builds."""
+    built = []
+    init = Permutation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Permutation, "__init__", counting_init)
+        fn()
+    return len(built)
+
+
+class TestLazyElements:
+    @pytest.mark.parametrize("kind", ["cyclic", "dihedral", "symmetric"])
+    def test_named_groups_build_no_permutation_per_element(self, monkeypatch, kind):
+        counts = [_permutations_built(monkeypatch, lambda: make_named_group(kind, n)) for n in (5, 6)]
+        assert counts[0] == counts[1] < 5
+
+    def test_group_file_builds_one_permutation_per_generator_line(self, monkeypatch):
+        text = (GROUP_FILES[0].parent / "s4xs4.txt").read_text()
+        lines = [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
+        assert _permutations_built(monkeypatch, lambda: parse_group_file(text)) == len(lines)
+
+    def test_group_algorithms_build_no_permutation(self, monkeypatch):
+        s6 = make_named_group("symmetric", 6)
+        x = ColoredString((0, 1, 1, 0, 0, 1), 2)
+        basis = message_basis_cyclic(8, 2)
+        for fn in (
+            lambda: stabilizer(s6, x),
+            lambda: orbit_labels(s6, 2),
+            lambda: count_classical_burnside(s6, 2),
+            lambda: verify_classical(s6, 2),
+            lambda: verify_zero_error(basis.group, basis),
+        ):
+            assert _permutations_built(monkeypatch, fn) == 0
+
+    @pytest.mark.parametrize("kind,n", [("cyclic", 6), ("dihedral", 5), ("symmetric", 4)])
+    def test_elements_and_generators_are_the_read_only_rows(self, kind, n):
+        group = make_named_group(kind, n)
+        assert not group.images.flags.writeable and not group.generator_images.flags.writeable
+        with pytest.raises(ValueError):
+            group.images[0, 0] = 1
+        assert [list(p.images) for p in group.elements] == group.images.tolist()
+        assert [list(g.images) for g in group.generators] == group.generator_images.tolist()
+        assert group.elements is group.elements
+
+    def test_rows_of_another_width_are_refused(self):
+        with pytest.raises(DegreeMismatchError):
+            PermutationGroup(3, [(0, 1)], [(0, 1)])
+        with pytest.raises(DegreeMismatchError):
+            PermutationGroup(2, [(0, 1)], [0, 1])
+
+    def test_caller_rows_stay_writeable(self):
+        rows = np.array([[0, 1], [1, 0]])
+        group = PermutationGroup(2, rows, rows[1:])
+        assert rows.flags.writeable and not group.images.flags.writeable
+
+
+@pytest.mark.parametrize("d", [0, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, d: orbit_labels(g, d),
+        lambda g, d: orbits(g, d),
+        lambda g, d: verify_classical(g, d),
+        lambda g, d: message_basis_cyclic(g.degree, d),
+        lambda g, d: count_classical_burnside(g, d),
+        lambda g, d: count_ancilla_polya(g, d),
+        lambda g, d: count_quantum_totally_orthogonal(g, d, certify=False),
+        lambda g, d: count_report(g, d),
+        lambda g, d: ambient_multiplicities(g, d),
+    ],
+    ids=[
+        "orbit_labels", "orbits", "verify_classical", "message_basis_cyclic", "count_classical_burnside",
+        "count_ancilla_polya", "count_quantum_totally_orthogonal", "count_report", "ambient_multiplicities",
+    ],
+)
+def test_alphabet_below_one_is_refused(call, d):
+    with pytest.raises(ValueError, match="alphabet size must be >= 1"):
+        call(make_named_group("cyclic", 4), d)
+
+
 class TestNamedGroups:
     def test_cyclic_order_and_elements(self):
         g = make_named_group("cyclic", 4)
@@ -314,9 +415,8 @@ class TestNamedGroups:
 
 
 def _raw_group(element_images, generator_images):
-    """A PermutationGroup built directly, so nothing closes or dedups the set."""
-    elements = tuple(sorted(Permutation(tuple(p)) for p in element_images))
-    return PermutationGroup(elements[0].degree, elements, tuple(Permutation(tuple(g)) for g in generator_images))
+    """A PermutationGroup built directly from sorted rows, so nothing closes or dedups the set."""
+    return PermutationGroup(len(element_images[0]), sorted(element_images), generator_images)
 
 
 class TestValidateRejects:
@@ -347,7 +447,7 @@ class TestValidateRejects:
 
     def test_empty_element_list(self):
         with pytest.raises(ValueError, match="identity"):
-            PermutationGroup(3, (), ()).validate()
+            PermutationGroup(3, np.empty((0, 3)), np.empty((0, 3))).validate()
 
     def test_repeated_element(self):
         with pytest.raises(ValueError, match="repeats"):
@@ -496,7 +596,7 @@ class TestStabilizer:
             x = ColoredString.from_index(ix, n, 2)
             stab = stabilizer(group, x)
             assert list(stab.elements) == sorted(p for p in group if act_tuple(p.images, x.symbols) == x.symbols)
-            assert stab._images.tolist() == [list(p.images) for p in stab.elements]
+            assert stab.images.tolist() == [list(p.images) for p in stab.elements]
             stab.validate()
 
     def test_alternating_string_stabilizer(self):

@@ -137,7 +137,8 @@ def test_classical_failures_match_brute_force_when_generators_span_a_subgroup(gr
     # are H's orbits, and every (orbit, element) pair leaving the orbit fails.
     n = group.degree
     generators = data.draw(st.lists(st.sampled_from(group.elements), max_size=2))
-    report = verify_classical(PermutationGroup(n, group.elements, tuple(generators)), d)
+    generator_rows = np.array([g.images for g in generators], dtype=np.int64).reshape(len(generators), n)
+    report = verify_classical(PermutationGroup(n, group.images, generator_rows), d)
     subgroup_orbits = sorted(brute_orbits(_span([g.images for g in generators], n), n, d), key=min)
     expected = tuple(
         (message, p.images)
@@ -257,8 +258,9 @@ def test_square_root_counts_sum_to_group_order(group):
 
 
 def _validates(degree, element_images, generator_images) -> bool:
-    elements = tuple(sorted(Permutation(p) for p in element_images))
-    group = PermutationGroup(degree, elements, tuple(Permutation(g) for g in generator_images))
+    rows = np.array(sorted(element_images), dtype=np.int64).reshape(len(element_images), degree)
+    gens = np.array(generator_images, dtype=np.int64).reshape(len(generator_images), degree)
+    group = PermutationGroup(degree, rows, gens)
     try:
         group.validate()
     except ValueError:
