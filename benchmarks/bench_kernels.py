@@ -2,10 +2,14 @@
 """Benchmark the index kernels and the group layer.
 
 The two index kernels are the per-permutation action table (an axis
-transpose) and the orbit labelling fixpoint; both scale with d**n.  They are
-timed on the cyclic generator at 2**16 and 2**20 strings, the labelling also
-on one generator of order 420 (cycle type 3.4.5.7 at n=20), whose long cycles
-the fixpoint must cross in few sweeps.  ``orbit_labels`` (sort-free labels
+transpose) and the orbit labelling fixpoint, which pulls int32 labels along
+each generator's powers by the same axis transposes (no action table); both
+scale with d**n.  They are timed on the cyclic generator at 2**16 and 2**20
+strings.  ``orbit_reps`` is also timed on one generator of order 420 (cycle
+type 3.4.5.7 at n=20), whose long cycles the fixpoint must cross in few
+sweeps, on the generators of D20 at d=2 and of C12 and D12 at d=3 (the
+``orbits`` jobs of the ``library-kernels`` workload), and on S20's
+transposition and 20-cycle at d=2, whose transpositions move one axis.  ``orbit_labels`` (sort-free labels
 from the orbit minima) at C20 and D20, ``len(orbits(...))`` at C20 (labels
 and sizes, no Orbit objects) and the ``representatives`` command at C20
 (iterative FKM, stdout to a null sink) run on a fresh group per sample.
@@ -148,6 +152,12 @@ def kernel_layer(repeats):
     long_order = Permutation.from_cycles(ORDER_420_CYCLES, 20)
     invs = np.array([long_order.inverse().images], dtype=np.int64)
     row("orbit_reps", "order 420, n=20 d=2", 20, lambda: kernels.orbit_reps(invs, 20, 2))
+    for kind, n, d in (("dihedral", 20, 2), ("cyclic", 12, 3), ("dihedral", 12, 3)):
+        invs = np.argsort(make_named_group(kind, n).generator_images, axis=1)
+        row("orbit_reps", f"{kind[0].upper()}{n} d={d}, generators", n, lambda: kernels.orbit_reps(invs, n, d), d=d)
+    s20 = [Permutation.from_cycles([(0, 1)], 20), Permutation.from_cycles([tuple(range(20))], 20)]
+    invs = np.array([p.inverse().images for p in s20], dtype=np.int64)
+    row("orbit_reps", "S20 generators d=2", 20, lambda: kernels.orbit_reps(invs, 20, 2))
     c16 = make_named_group("cyclic", 16)
     inv = np.array(c16.generators[0].inverse().images, dtype=np.int64)
     inverses = np.array([p.inverse().images for p in c16], dtype=np.int64)

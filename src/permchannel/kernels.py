@@ -9,9 +9,14 @@ per-string array the same way.  :func:`move_indices` moves only a few
 given strings, by their digits, without a d**n table.
 
 :func:`orbit_minima` labels every point with the least point of its orbit
-under a few bijections of ``range(size)``.  :func:`orbit_reps` applies it to
-the generators' action tables; ``perms`` applies it to rank tables of group
-elements.
+under a few bijections of ``range(size)``, doubling each bijection's jump
+until the labels settle; it is given how a label array is pulled along a
+jump.  :func:`orbit_reps` runs it on the generators' n-point inverse-image
+rows: ``label[action_table(inv, d)]`` is ``moved_values(label, inv, d)``, one
+axis transpose, and the table of the square is ``action_table(inv[inv], d)``,
+so labelling all d**n strings builds no action table and no array larger
+than d**n.  ``perms`` runs it on rank tables of group elements, pulled by
+a gather.  The working labels are int32 below 2**31 points.
 """
 
 from __future__ import annotations
@@ -61,25 +66,36 @@ def move_indices(inv_images, indices, d: int) -> np.ndarray:
     return out
 
 
-def orbit_minima(tables: np.ndarray) -> np.ndarray:
-    """Least point of each point's orbit under the bijections ``tables`` (one per row).
+def _gather(label: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``label[table]``: each point's label pulled from its image under an index table."""
+    return label[table]
 
-    For one table t, round k pulls the label of the point 2**k steps ahead
-    (``label[t**(2**k)]``), so after k rounds each label is the least over a
-    window of 2**k steps.  A round that changes nothing means every window
-    already holds its cycle's minimum, so a long cycle settles in about
-    log2(length) rounds.  The tables are taken in turn until all of them in a
-    row leave the labels unchanged; then the labels are constant on every
-    orbit, and equal its least point.  The jump ``label[label]`` after a
-    change carries a lower label found elsewhere to every point that points
-    at it.
+
+def orbit_minima(jumps: np.ndarray, size: int | None = None, pull=_gather) -> np.ndarray:
+    """Least point of each of ``size`` points' orbit under the bijections ``jumps`` (one per row).
+
+    ``pull(label, jump)`` is the label at each point's image under ``jump``,
+    and ``jump[jump]`` must be the jump of the square: true of index tables
+    pulled by ``label[table]`` (the default, ``size`` then the row length) and
+    of inverse-image rows pulled by :func:`moved_values`.  For one jump j,
+    round k pulls the label of the point 2**k steps ahead (j**(2**k)), so
+    after k rounds each label is the least over a window of 2**k steps.  A
+    round that changes nothing means every window already holds its cycle's
+    minimum, so a long cycle settles in about log2(length) rounds.  The jumps
+    are taken in turn until all of them in a row leave the labels unchanged;
+    then the labels are constant on every orbit, and equal its least point.
+    The jump ``label[label]`` after a change carries a lower label found
+    elsewhere to every point that points at it.  Labels are held as int32
+    below 2**31 points, halving the memory each round streams; the result is
+    int64.
     """
-    label = np.arange(tables.shape[1])
+    size = jumps.shape[1] if size is None else size
+    label = np.arange(size, dtype=np.int32 if size < 2**31 else np.int64)
     settled = k = 0
-    while settled < len(tables):
-        jump, changed = tables[k % len(tables)], False
+    while settled < len(jumps):
+        jump, changed = jumps[k % len(jumps)], False
         while True:
-            pulled = np.minimum(label, label[jump])
+            pulled = np.minimum(label, pull(label, jump))
             if np.array_equal(pulled, label):
                 break
             label, jump, changed = pulled, jump[jump], True
@@ -88,16 +104,16 @@ def orbit_minima(tables: np.ndarray) -> np.ndarray:
         else:
             settled += 1
         k += 1
-    return label
+    return label.astype(np.int64)
 
 
 def orbit_reps(inv_images, n: int, d: int) -> np.ndarray:
     """Per-index minimal orbit member under the group the generators span.
 
-    ``inv_images`` holds one row of inverse images per generator.
+    ``inv_images`` holds one row of inverse images per generator.  The
+    fixpoint of :func:`orbit_minima` runs on these n-point rows: a label is
+    pulled by one axis transpose (:func:`moved_values`), and the row of a
+    generator's square is ``inv[inv]``, so no d**n table is built.
     """
-    invs = np.asarray(inv_images, dtype=np.int64).reshape(-1, n)
-    tables = np.empty((len(invs), int(d) ** n), dtype=np.int64)
-    for row, inv in zip(tables, invs):
-        row[:] = action_table(inv, d)
-    return orbit_minima(tables)
+    invs = np.asarray(inv_images, dtype=np.int64).reshape(len(inv_images), n)  # n == 0 too
+    return orbit_minima(invs, int(d) ** n, lambda label, inv: moved_values(label, inv, d))

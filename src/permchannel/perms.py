@@ -46,18 +46,23 @@ gathers, so for r generators:
 * ``conjugacy_classes``: r conjugation tables, O(|G| * r) per sweep, once per
   group.
 * ``stabilizer``: one O(|G| * n) gather per string.
-* ``cycle_count_tally`` (the group averages): O(|G| * n log n).
+* ``cycle_count_tally`` (the group averages): O(|G| * n log n), once per
+  group for the elements and once for their squares.
 
 No group operation builds an array with |G|**2 entries.
 
 :func:`orbit_labels` (ascending representatives, each string's orbit) is the
-one orbit labelling, memoised on the group per d.  It numbers the orbits from
-``kernels.orbit_minima`` by a running count of the strings that are their own
-minimum: O(d**n), no sort.  :func:`orbits`, the per-orbit multiplicities and
-the classical decoder and certifier all read it.  :func:`orbits` returns an
-array-backed sequence: the check that every orbit size divides |G| runs
-eagerly, ``len`` builds nothing, and the members are grouped by one sort the
-first time an orbit is read.
+one orbit labelling, memoised on the group per d.  ``kernels.orbit_reps``
+gives each string its orbit's least member: the ``kernels.orbit_minima``
+fixpoint run on the generators' n-point inverse-image rows, each label pull
+one axis transpose of the int32 working labels and each squared jump an
+n-point gather, so no d**n action table is built.  The orbits are numbered by
+a running count of the strings that are their own minimum: O(d**n), no sort.
+:func:`orbits`, the per-orbit multiplicities and the classical decoder and
+certifier all read it.  :func:`orbits` returns an array-backed sequence: the
+check that every orbit size divides |G| runs eagerly, ``len`` builds
+nothing, and the members are grouped by one sort the first time an orbit is
+read.
 """
 
 from __future__ import annotations
@@ -313,6 +318,16 @@ class PermutationGroup:
         return np.bincount(squares[squares >= 0], minlength=len(self))
 
     @cached_property
+    def _cycle_count_tally(self) -> np.ndarray:
+        """Read-only: entry c counts the elements with c cycles; one pass over the image array."""
+        return _tally(_cycle_counts(self.images), self.degree)
+
+    @cached_property
+    def _square_cycle_count_tally(self) -> np.ndarray:
+        """Read-only: entry c counts the elements whose square has c cycles."""
+        return _tally(_cycle_counts(np.take_along_axis(self.images, self.images, axis=1)), self.degree)
+
+    @cached_property
     def _class_index(self) -> np.ndarray:
         """(|G|,) int64, read-only: each row's conjugacy class, the classes numbered by least member.
 
@@ -526,11 +541,12 @@ def orbit_labels(
     """(reps, orbit_of): the orbits' least indices, ascending, and each string's orbit.
 
     Orbit j is the j-th in representative order, as in :func:`orbits`, so
-    ``orbit_of[reps[j]] == j``.  ``kernels.orbit_minima`` labels each string
-    with its orbit's least member; a representative is a string that is its
-    own label, and a running count of those numbers the orbits in order, so
-    the labelling costs O(d**n) with no sort.  Memoised on the group by d
-    (read-only arrays); the d**n bound is checked on every call.
+    ``orbit_of[reps[j]] == j``.  ``kernels.orbit_reps`` labels each string
+    with its orbit's least member, by axis transposes along the generators;
+    a representative is a string that is its own label, and a running count
+    of those numbers the orbits in order, so the labelling costs O(d**n)
+    with no sort.  Memoised on the group by d (read-only arrays); the d**n
+    bound is checked on every call.
     """
     n = group.degree
     if d < 1:
@@ -673,16 +689,20 @@ def _cycle_counts(rows: np.ndarray) -> np.ndarray:
     return np.count_nonzero(least == points, axis=1)
 
 
+def _tally(cycle_counts: np.ndarray, degree: int) -> np.ndarray:
+    tally = np.bincount(cycle_counts, minlength=degree + 1)
+    tally.flags.writeable = False
+    return tally
+
+
 def cycle_count_tally(group: PermutationGroup, *, squares: bool = False) -> list[int]:
     """tally[c]: how many sigma in G have c(sigma) == c, or c(sigma * sigma) == c with ``squares``.
 
-    One pass over the image array, O(|G| * n log n); a group average of
-    f(c(sigma)) is then a sum of at most n + 1 exact integer terms.
+    One pass over the image array, O(|G| * n log n), cached on the group; a
+    group average of f(c(sigma)) is then a sum of at most n + 1 exact integer
+    terms.
     """
-    rows = group.images
-    if squares:
-        rows = np.take_along_axis(rows, rows, axis=1)
-    return np.bincount(_cycle_counts(rows), minlength=group.degree + 1).tolist()
+    return (group._square_cycle_count_tally if squares else group._cycle_count_tally).tolist()
 
 
 def parse_group_file(text: str, *, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> PermutationGroup:

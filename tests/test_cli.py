@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import permchannel
-from permchannel import cli, fkm_representatives, kernels
+from permchannel import cli, fkm_representatives, kernels, perms
 from permchannel.cli import main
 
 
@@ -187,13 +187,16 @@ class TestQuantumOutput:
         assert 0.0 <= float(out[len(head) : -2]) < 1e-30
 
     def test_simulate_all_modes_make_one_overlap_pass(self, capsys, monkeypatch):
-        # One d**n transpose per element for the pattern pass, two for the orbit labels; none for the ancilla.
+        # One d**n transpose per element for the pattern pass (8), none for the ancilla, and the orbit-label
+        # pulls: the classical check and the cyclic basis each label C8 at d=2 once (on their own groups),
+        # pulling along r, r**2 and r**4 (windows of 2, 4 and 8 steps, each lowering some label) and along
+        # r**8 == e, which changes nothing and ends the fixpoint: 2 * 4 transposes.
         calls = []
         moved_values = kernels.moved_values
         monkeypatch.setattr(kernels, "moved_values", lambda *args: calls.append(args) or moved_values(*args))
         code, out, _ = run_cli(capsys, "simulate", "--group", "cyclic", "--n", "8", "--d", "2")
         assert code == 0
-        assert len(calls) == 8 + 2
+        assert len(calls) == 8 + 2 * 4
         classical, quantum, ancilla = out.splitlines(keepends=True)
         assert classical == '[classical] {"messages": 36, "elements": 8, "failures": 0}\n'
         head = '[quantum] {"messages": 256, "elements": 8, "failures": [], "max_offdiag_overlap": '
@@ -261,6 +264,15 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--group", "cyclic", "--n", "1", "--d", "2")
         assert code == 0
         assert "FAIL" not in out
+
+    def test_cycle_counts_tallied_once_per_group(self, capsys, monkeypatch):
+        # The group averages at d, at d**2 and for N_a share the element tally; N_q reads the squares tally.
+        calls = []
+        cycle_counts = perms._cycle_counts
+        monkeypatch.setattr(perms, "_cycle_counts", lambda rows: calls.append(rows.shape) or cycle_counts(rows))
+        code, out, _ = run_cli(capsys, "verify", "--group", "symmetric", "--n", "6", "--d", "2")
+        assert code == 0 and "FAIL" not in out
+        assert len(calls) <= 2
 
     def test_custom_group_file(self, capsys, tmp_path):
         path = tmp_path / "klein.txt"

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import act_tuple, brute_orbits, index_table
-from permchannel import Permutation, make_named_group
+from permchannel import Permutation, count_classical_burnside, make_named_group, orbit_labels
 from permchannel import kernels
 
 
@@ -128,6 +130,41 @@ def test_orbit_reps_of_a_long_order_generator():
     for _ in range(59):
         powers.append(p * powers[-1])
     assert_rep_matches_brute(rep, brute_orbits([q.images for q in powers], 12, 2), 2)
+
+
+@st.composite
+def generator_sets(draw):
+    """(n, d, generator images): n <= 6, d**n <= 729, at most three generators."""
+    n = draw(st.integers(0, 6))
+    d = draw(st.integers(1, 9).filter(lambda d: d**n <= 729))
+    return n, d, draw(st.lists(st.permutations(range(n)), max_size=3))
+
+
+@given(generator_sets())
+@example((3, 2, []))  # no generators
+@example((0, 2, [()]))  # degree 0: one empty string
+@example((4, 3, [(0, 1, 2, 3)]))  # the identity
+@example((5, 2, [(1, 0, 2, 4, 3)]))  # one involution
+@example((6, 1, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]))  # d = 1: the one string
+@example((6, 3, [(1, 0, 3, 4, 2, 5)]))  # order 6 at d = 3
+@settings(max_examples=60, deadline=None)
+def test_orbit_reps_transpose_pull_matches_table_gathers_and_search(case):
+    n, d, gens = case
+    invs = np.array([Permutation(tuple(g)).inverse().images for g in gens], dtype=np.int64).reshape(len(gens), n)
+    rep = kernels.orbit_reps(invs, n, d)
+    assert rep.dtype == np.int64
+    tables = np.array([kernels.action_table(inv, d) for inv in invs], dtype=np.int64).reshape(len(gens), d**n)
+    assert np.array_equal(rep, kernels.orbit_minima(tables))
+    assert rep.tolist() == brute_orbit_minima([index_table(tuple(g), n, d).tolist() for g in gens], d**n)
+
+
+def test_orbit_labels_build_no_action_table(monkeypatch):
+    monkeypatch.setattr(kernels, "action_table", None)
+    group = make_named_group("dihedral", 8)
+    reps, orbit_of = orbit_labels(group, 3)
+    assert reps.dtype == orbit_of.dtype == np.int64
+    assert len(reps) == count_classical_burnside(group, 3)
+    assert np.array_equal(orbit_of[reps], np.arange(len(reps)))
 
 
 def test_orbit_reps_with_no_generators_is_identity():
