@@ -42,6 +42,8 @@ from .perms import (
 DEFAULT_MAX_GROUP_ORDER = 5040
 DEFAULT_MAX_PROJECTOR_DIM = 4096
 ORTHOGONALITY_TOL = 1e-9
+EIGEN_SEED = 0  # the eigensolver's first random class-sum combination
+MAX_RETRIES = 12  # fresh combinations tried before a degeneracy is reported
 
 _QUARTER_TURNS = {(0, 1): 1.0 + 0.0j, (1, 2): -1.0 + 0.0j, (1, 4): 1.0j, (3, 4): -1.0j}
 
@@ -131,10 +133,9 @@ def _validation_residual(table: CharacterTable) -> float:
     return residual
 
 
-def _abelian_character_rows(group: PermutationGroup, classes) -> np.ndarray:
+def _abelian_character_rows(group: PermutationGroup) -> np.ndarray:
+    """One row of values per character; every class is one element, so class r is row r, the identity row 0."""
     order = len(group)
-    reps = group._rank(np.array([c.representative.images for c in classes], dtype=np.int64))
-    e_idx = group._rank_of(group.identity)
 
     def translation(g) -> np.ndarray:
         """Entry r: the rank of g * images[r], by one gather of the image array."""
@@ -145,23 +146,18 @@ def _abelian_character_rows(group: PermutationGroup, classes) -> np.ndarray:
         if g.order() == order:
             step = translation(g)
             dlog = [0] * order
-            cur = e_idx
+            cur = 0
             for k in range(order):
                 dlog[cur] = k
                 cur = int(step[cur])
-            return np.array(
-                [[unit_root(order, j * dlog[rep]) for rep in reps.tolist()] for j in range(order)]
-            )
+            return np.array([[unit_root(order, j * k) for k in dlog] for j in range(order)])
 
     if order == 1:
         return np.ones((1, 1), dtype=complex)
 
     # Sequential splitting into joint eigenspaces of the left-translation
     # operators of the generators; each 1-dim survivor is one character.
-    gens = []
-    for g in group.generators:
-        if not g.is_identity() and g not in gens:
-            gens.append(g)
+    gens = [g for g in dict.fromkeys(group.generators) if not g.is_identity()]
     spaces: list[tuple[np.ndarray, tuple[int, ...]]] = [(np.eye(order, dtype=complex), ())]
     for a in gens:
         m = a.order()
@@ -184,11 +180,7 @@ def _abelian_character_rows(group: PermutationGroup, classes) -> np.ndarray:
     spaces.sort(key=lambda item: item[1])
     if len(spaces) != order or any(b.shape[1] != 1 for b, _ in spaces):
         raise CharacterTableError("generator cascade failed to isolate the characters")
-    rows = []
-    for basis, _tag in spaces:
-        w = basis[:, 0]
-        rows.append([complex(np.conj(w[rep] / w[e_idx])) for rep in reps.tolist()])
-    return np.array(rows)
+    return np.array([np.conj(basis[:, 0] / basis[0, 0]) for basis, _tag in spaces])
 
 
 def _class_structure_matrices(group: PermutationGroup, classes) -> np.ndarray:
@@ -208,13 +200,13 @@ def _class_structure_matrices(group: PermutationGroup, classes) -> np.ndarray:
     return a
 
 
-def _nonabelian_character_rows(group, classes, seed: int, max_retries: int):
+def _nonabelian_character_rows(group, classes):
     order = len(group)
     k = len(classes)
     sizes = np.array([c.size for c in classes], dtype=float)
     structure = _class_structure_matrices(group, classes)
-    for attempt in range(max_retries):
-        rng = np.random.default_rng(seed + attempt)
+    for attempt in range(MAX_RETRIES):
+        rng = np.random.default_rng(EIGEN_SEED + attempt)
         combo = np.einsum("i,ijt->jt", rng.standard_normal(k), structure)
         evals, evecs = np.linalg.eig(combo)
         scale = max(1.0, float(np.abs(evals).max()))
@@ -240,16 +232,10 @@ def _nonabelian_character_rows(group, classes, seed: int, max_retries: int):
             continue
         rows.sort(key=lambda r: (r[0], tuple((-round(v.real, 6), -round(v.imag, 6)) for v in r[1])))
         return rows
-    raise CharacterTableError(f"eigenvalue degeneracy not resolved after {max_retries} retries")
+    raise CharacterTableError(f"eigenvalue degeneracy not resolved after {MAX_RETRIES} retries")
 
 
-def character_table(
-    group: PermutationGroup,
-    *,
-    max_order: int = DEFAULT_MAX_GROUP_ORDER,
-    seed: int = 0,
-    max_retries: int = 12,
-) -> CharacterTable:
+def character_table(group: PermutationGroup, *, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> CharacterTable:
     """Full complex character table of the group.
 
     Raises CharacterTableError if the numerical construction cannot meet the
@@ -260,10 +246,10 @@ def character_table(
         raise GroupSizeLimitError(f"group order {order} exceeds the bound {max_order}")
     classes = tuple(conjugacy_classes(group))
     if group.is_abelian():
-        value_rows = _abelian_character_rows(group, classes)
+        value_rows = _abelian_character_rows(group)
         rows = [(1, tuple(map(complex, row))) for row in value_rows]
     else:
-        rows = _nonabelian_character_rows(group, classes, seed, max_retries)
+        rows = _nonabelian_character_rows(group, classes)
     irreps = tuple(Irrep(f"mu{i}", dim, values) for i, (dim, values) in enumerate(rows))
     table = CharacterTable(group=group, classes=classes, irreps=irreps, group_order=order)
     residual = _validation_residual(table)
@@ -322,7 +308,7 @@ def ambient_multiplicities(
     if table is None:
         table = character_table(group)
     sizes = table.class_sizes
-    ambient = [float(d ** cycle_count(c.representative)) for c in table.classes]
+    ambient = [d ** cycle_count(c.representative) for c in table.classes]
     values = _project_class_function(table, ambient, tol, what="multiplicity")
     expected = d**group.degree
     total = sum(m * ir.dim for m, ir in zip(values, table.irreps))
@@ -332,7 +318,7 @@ def ambient_multiplicities(
     if per_orbit:
         reps, orbit_of = orbit_labels(group, d, max_states=max_states)
         points = np.arange(orbit_of.shape[0])
-        fixed = np.empty((len(table.classes), len(reps)))
+        fixed = np.empty((len(table.classes), len(reps)), dtype=np.int64)
         for row, c in zip(fixed, table.classes):
             moved = kernels.action_table(c.representative.inverse().images, d)
             row[:] = np.bincount(orbit_of[moved == points], minlength=len(reps))
@@ -348,32 +334,38 @@ def ambient_multiplicities(
 def _project_class_function(table, class_values, tol, *, what) -> tuple[int, ...]:
     """<f, chi> = sum of size * f * conj(chi) over the k classes, / |G|, rounded to an integer per irrep.
 
-    Summing k float64 products carries a rounding error of at most
-    gamma_(k+2) times the sum of the terms' magnitudes, gamma_m = m*u/(1 - m*u)
-    with u = eps/2 (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    section 3.1).  For f = d**c that magnitude reaches d**n / |G| and outgrows
-    any fixed tolerance, so the accepted residual is ``tol`` plus that error
-    bound over |G|.  An error bound of 1/4 or more cannot tell neighbouring
-    integers apart, and is refused whatever ``tol`` is.
+    The identity's term, f(e) * dim (class 0, of size 1), is exact: with
+    integer class values it is split by ``divmod`` into whole multiples of |G|
+    and a remainder below |G|.  The other k - 1 terms are summed in float64
+    with the remainder, which carries a rounding error of at most
+    gamma_(k+2) times the sum of those terms' magnitudes,
+    gamma_m = m*u/(1 - m*u) with u = eps/2 (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, section 3.1).  For f = d**c that magnitude
+    outgrows any fixed tolerance, so the accepted residual is ``tol`` plus
+    that error bound over |G|.  An error bound of 1/4 or more cannot tell
+    neighbouring integers apart, and is refused whatever ``tol`` is.
     """
     sizes = table.class_sizes
     m_u = np.finfo(float).eps / 2 * (len(sizes) + 2)  # m * u for m = k + 2
     gamma = m_u / (1 - m_u)
+    weights = [float(s * f) for s, f in zip(sizes[1:], class_values[1:])]
     out = []
     for ir in table.irreps:
-        terms = [s * f * v.conjugate() for s, f, v in zip(sizes, class_values, ir.values)]
-        raw = sum(terms) / table.group_order
+        whole, part = divmod(class_values[0] * ir.dim, table.group_order)
+        terms = [part] + [w * v.conjugate() for w, v in zip(weights, ir.values[1:])]
+        frac = sum(terms) / table.group_order  # <f, chi> - whole
         error = gamma * sum(map(abs, terms)) / table.group_order
         if error >= 0.25:
             raise MultiplicityRoundingError(
-                f"{what} for {ir.label} is {raw}, beyond float64 resolution (error bound {error:.3g})"
+                f"{what} for {ir.label} is {whole + frac}, beyond float64 resolution (error bound {error:.3g})"
             )
         bound = tol + error
-        nearest = round(raw.real)
-        residual = abs(raw - nearest)
+        rounded = round(frac.real)
+        residual = abs(frac - rounded)
+        nearest = int(whole) + rounded
         if residual > bound or nearest < 0:
             raise MultiplicityRoundingError(
-                f"{what} for {ir.label} is {raw}, residual {residual:.3e} > {bound:.3g}"
+                f"{what} for {ir.label} is {whole + frac}, residual {residual:.3e} > {bound:.3g}"
             )
         out.append(nearest)
     return tuple(out)

@@ -32,7 +32,8 @@ rows the first time they are read, and no group algorithm builds one.
   and every table of ranks read it.
 * Conjugacy is one cached class index per group, each element's class,
   numbered by least member; ``conjugacy_classes`` and
-  ``characters.CharacterTable`` both read it.
+  ``characters.CharacterTable`` both read it.  A class's members are built
+  only when read.
 
 Products, inverses, squares and conjugates of all elements are array
 gathers, so for r generators:
@@ -44,7 +45,7 @@ gathers, so for r generators:
 * ``square_root_count``: one O(|G| * n) tally of all squares per group, then
   a lookup per call.
 * ``conjugacy_classes``: r conjugation tables, O(|G| * r) per sweep, once per
-  group.
+  group; then one ``Permutation`` per class.
 * ``stabilizer``: one O(|G| * n) gather per string.
 * ``cycle_count_tally`` (the group averages): O(|G| * n log n), once per
   group for the elements and once for their squares.
@@ -71,7 +72,7 @@ import itertools
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -261,7 +262,7 @@ class PermutationGroup:
     (r, n) rows of generators that must span the group: orbit enumeration
     and conjugacy-class sweeps only apply generators.  Both are read-only.
     ``elements`` and ``generators`` are ``Permutation`` tuples of the same
-    rows, built on first read; only ``conjugacy_classes`` reads ``elements``.
+    rows, built on first read.
 
     ``_rank`` maps image rows back to row numbers by a binary search over
     sorted row keys, and ``_class_index`` holds each row's conjugacy class,
@@ -635,32 +636,34 @@ def stabilizer(group: PermutationGroup, x: ColoredString) -> PermutationGroup:
 
 @dataclass(frozen=True)
 class ConjugacyClass:
+    """A conjugacy class by its least member; ``members``, ascending, are built from its rows on first read."""
+
     representative: Permutation
-    members: tuple[Permutation, ...]
     partition: tuple[tuple[int, int], ...]
     size: int
+    _group: PermutationGroup = field(repr=False, compare=False)
+    _ranks: np.ndarray = field(repr=False, compare=False)  # the members' rows in ``_group.images``, ascending
+
+    @cached_property
+    def members(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation(tuple(row)) for row in self._group.images[self._ranks].tolist())
 
 
 def conjugacy_classes(group: PermutationGroup) -> list[ConjugacyClass]:
     """Conjugacy classes, ordered by minimal member (identity class first).
 
-    The members are grouped by the group's cached class index (one stable
-    argsort), so class i holds the elements whose index is i.
+    One stable argsort of the group's cached class index groups the rows by
+    class, ascending within each, so class i's first row is its least
+    member.  Only the representatives are built as ``Permutation`` items.
     """
-    class_of = group._class_index
-    by_class = np.argsort(class_of, kind="stable")
-    starts = np.flatnonzero(np.diff(class_of[by_class])) + 1
-    classes = []
-    for ranks in np.split(by_class, starts):
-        members = tuple(group.elements[r] for r in ranks.tolist())
-        classes.append(
-            ConjugacyClass(
-                representative=members[0],
-                members=members,
-                partition=cycle_type(members[0]),
-                size=len(members),
-            )
-        )
+    by_class = np.argsort(group._class_index, kind="stable")
+    sizes = np.bincount(group._class_index).tolist()
+    classes, start = [], 0
+    for size in sizes:
+        ranks = by_class[start : start + size]
+        representative = Permutation(tuple(group.images[ranks[0]].tolist()))
+        classes.append(ConjugacyClass(representative, cycle_type(representative), size, group, ranks))
+        start += size
     return classes
 
 
@@ -669,9 +672,10 @@ def square_root_count(group: PermutationGroup, p: Permutation) -> int:
 
     All squares are tallied once per group, so each call is one lookup.
     """
-    if p not in group:
+    rank = group._rank_of(p) if isinstance(p, Permutation) and p.degree == group.degree else -1
+    if rank < 0:
         raise ValueError(f"{p} is not an element of the group")
-    return int(group._square_root_counts[group._rank_of(p)])
+    return int(group._square_root_counts[rank])
 
 
 def _cycle_counts(rows: np.ndarray) -> np.ndarray:

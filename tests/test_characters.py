@@ -212,16 +212,19 @@ class TestMultiplicities:
             _project_class_function(table, [8.6, 2.0, 2.0], 1e-6, what="m")
         assert ambient_multiplicities(group, 2, tol=0.3).values == (4, 2, 2)
 
-    @pytest.mark.parametrize("n", [40, 48])
+    @pytest.mark.parametrize("n", [40, 48, 52, 56])
     def test_long_cycle_sums_round_within_float64_error(self, n):
-        # The trivial irrep's sum is about 2**n / n; its rounding error is far above 1e-6.
+        # The trivial irrep's sum is about 2**n / n; its rounding error is far above 1e-6, and from
+        # n = 52 past float64 resolution but for the identity's d**n term, which is added exactly.
         group = generate_group([Permutation(tuple((i + 1) % n for i in range(n)))])
         mults = ambient_multiplicities(group, 2, table=character_table(group))
         assert sum(mults.values) == 2**n
         assert mults.values[0] == count_classical_burnside(group, 2)  # the trivial irrep counts the orbits
+        assert sum(m * m for m in mults.values) == count_ancilla_polya(group, 2)
 
     def test_sum_beyond_float64_resolution_is_refused(self):
-        group = generate_group([Permutation(tuple((i + 1) % 56 for i in range(56)))])
+        # <(0 1)> on 56 points: the transposition fixes 2**55 strings, a term beyond float64 resolution
+        group = generate_group([Permutation.from_cycles([(0, 1)], 56)])
         with pytest.raises(MultiplicityRoundingError, match="beyond float64 resolution"):
             ambient_multiplicities(group, 2, table=character_table(group))
 

@@ -381,6 +381,29 @@ class TestLargeCyclicGroupFile:
         assert "FAIL" not in out and "40 irreps" in out
 
 
+class TestCycleFileBeyondFloat64:
+    """52- and 56-cycle files: the trivial irrep's sum passes float64 resolution, so its identity term is exact."""
+
+    @pytest.fixture(params=[52, 56])
+    def cycle(self, request, tmp_path):
+        n = request.param
+        path = tmp_path / f"c{n}.txt"
+        path.write_text(" ".join(str((i + 1) % n) for i in range(n)) + "\n")
+        return n, str(path)
+
+    def test_count_prints_the_full_quantum_count(self, capsys, cycle):
+        n, path = cycle
+        code, out, err = run_cli(capsys, "count", "--group-file", path, "--d", "2")
+        assert (code, err) == (0, "")
+        assert f"N_q {2**n} oracle" in " ".join(out.split())  # table columns, whitespace collapsed
+
+    def test_verify_passes(self, capsys, cycle):
+        n, path = cycle
+        code, out, err = run_cli(capsys, "verify", "--group-file", path, "--d", "2")
+        assert (code, err) == (0, "")
+        assert "FAIL" not in out and f"{n} irreps" in out
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "args",

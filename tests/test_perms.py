@@ -353,6 +353,25 @@ class TestLazyElements:
         assert rows.flags.writeable and not group.images.flags.writeable
 
 
+class TestLazyClassMembers:
+    @pytest.mark.parametrize("n,k", [(6, 11), (7, 15)])
+    def test_classes_build_one_permutation_per_class(self, monkeypatch, n, k):
+        # k partitions of n, one class each; the members are built only when read
+        for fn in (conjugacy_classes, character_table):
+            group = make_named_group("symmetric", n)
+            assert _permutations_built(monkeypatch, lambda: fn(group)) <= k
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_members_read_later_are_the_ascending_classes(self, n):
+        group = make_named_group("symmetric", n)
+        classes = character_table(group).classes
+        by_type = {}
+        for p in group.elements:  # ascending, so each class's members come out ascending
+            by_type.setdefault(cycle_type(p), []).append(p)
+        assert [c.members for c in classes] == sorted(tuple(members) for members in by_type.values())
+        assert all(c.members is c.members and c.members[0] == c.representative for c in classes)
+
+
 @pytest.mark.parametrize("d", [0, -1])
 @pytest.mark.parametrize(
     "call",
@@ -677,6 +696,11 @@ class TestSquareRoots:
     def test_not_an_element(self):
         with pytest.raises(ValueError):
             square_root_count(make_named_group("cyclic", 4), Permutation((0, 2, 1, 3)))
+
+    @pytest.mark.parametrize("p", [Permutation.identity(5), Permutation((1, 0)), (0, 1, 2, 3)])
+    def test_other_degree_or_type_is_not_an_element(self, p):
+        with pytest.raises(ValueError, match="is not an element"):
+            square_root_count(make_named_group("cyclic", 4), p)
 
     @pytest.mark.parametrize("kind,n", [("symmetric", 4), ("dihedral", 6), ("symmetric", 5)])
     def test_class_function_property(self, kind, n):
