@@ -12,7 +12,9 @@ sweeps, on the generators of D20 at d=2 and of C12 and D12 at d=3 (the
 transposition and 20-cycle at d=2, whose transpositions move one axis.  ``orbit_labels`` (sort-free labels
 from the orbit minima) at C20 and D20, ``len(orbits(...))`` at C20 (labels
 and sizes, no Orbit objects) and the ``representatives`` command at C20
-(iterative FKM, stdout to a null sink) run on a fresh group per sample.
+(stdout to a null sink) run on a fresh group per sample.  ``necklaces``
+generates the FKM codebook level by level, as ascending numpy blocks of
+prenecklace rows; it is timed alone at C24 d=2 (699,252 necklaces).
 ``ambient_multiplicities`` with its
 per-orbit split is the kernels' heaviest caller in ``characters``;
 ``isotypic_projector`` builds all 11 dense projectors of S6 at d=3 from
@@ -82,7 +84,7 @@ from permchannel import (
     verify_classical,
     verify_zero_error,
 )
-from permchannel.encoding import write_basis_json
+from permchannel.encoding import necklaces, write_basis_json
 
 ORDER_420_CYCLES = [(0, 1, 2), (3, 4, 5, 6), (7, 8, 9, 10, 11), (12, 13, 14, 15, 16, 17, 18)]
 GROUP_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
@@ -149,6 +151,7 @@ def kernel_layer(repeats):
     c20 = make_named_group("cyclic", 20)
     row("len(orbits)", "C20 d=2, fresh group", 20, lambda: len(orbits(dataclasses.replace(c20), 2)))
     row("representatives", "C20 d=2, cli to null", 20, representatives_c20)
+    row("necklaces", "C24 d=2, all blocks", 24, lambda: list(necklaces(24, 2)))
     long_order = Permutation.from_cycles(ORDER_420_CYCLES, 20)
     invs = np.array([long_order.inverse().images], dtype=np.int64)
     row("orbit_reps", "order 420, n=20 d=2", 20, lambda: kernels.orbit_reps(invs, 20, 2))

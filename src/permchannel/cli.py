@@ -42,7 +42,6 @@ CLOSED_FORMS = {
 }
 NAMED_KINDS = tuple(CLOSED_FORMS)
 QUANTITY_BY_MODE = {"classical": "N_c", "quantum": "N_q", "ancilla": "N_a"}
-DIGIT_BYTES = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 class UsageError(Exception):
@@ -182,15 +181,26 @@ def cmd_count(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _digit_lines(block: np.ndarray) -> str:
+    """Each row of symbols below 10 as a line of ASCII digits, built as one byte array."""
+    text = np.full((len(block), block.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    np.add(block, ord("0"), out=text[:, :-1])
+    return text.tobytes().decode("ascii")
+
+
 def cmd_representatives(cfg: RunConfig) -> int:
     _require(cfg, "n", "d")
     if cfg.group_kind != "cyclic":
         raise UsageError("representatives are generated for --group cyclic only")
-    reps = encoding.necklaces(cfg.n, cfg.d, max_count=cfg.enum_bound)
-    if cfg.d <= 10:  # as str(ColoredString): one digit per symbol, else comma-joined
-        strings = [bytes(symbols).translate(DIGIT_BYTES).decode("ascii") for symbols in reps]
+    blocks = encoding.necklaces(cfg.n, cfg.d, max_count=cfg.enum_bound)
+    # Each line is str(ColoredString): one digit per symbol for d <= 10, else comma-joined.
+    if cfg.d <= 10 and cfg.fmt != "json":
+        sys.stdout.writelines(map(_digit_lines, blocks))
+        return EXIT_OK
+    if cfg.d <= 10:
+        strings = "".join(map(_digit_lines, blocks)).splitlines()
     else:
-        strings = [",".join(map(str, symbols)) for symbols in reps]
+        strings = [",".join(map(str, symbols)) for block in blocks for symbols in block.tolist()]
     if cfg.fmt == "json":
         print(json.dumps(strings))
     else:
@@ -312,8 +322,7 @@ def _verify_checks(cfg: RunConfig, group: PermutationGroup, d: int):
 
     if group.kind == "cyclic" and d**group.degree <= cfg.enum_bound:
         reps, _orbit_of = orbit_labels(group, d, max_states=cfg.enum_bound)
-        necklaces = encoding.necklaces(group.degree, d, max_count=cfg.enum_bound)
-        symbols = np.array(list(necklaces), dtype=np.int64).reshape(-1, group.degree)
+        symbols = np.concatenate(list(encoding.necklaces(group.degree, d, max_count=cfg.enum_bound)))
         ok = np.array_equal(symbols @ kernels.digit_powers(group.degree, d), reps)
         yield "necklace generator matches orbit representatives", ok, f"{len(symbols)} representatives"
         basis = encoding.message_basis_cyclic(group.degree, d, max_states=cfg.enum_bound)

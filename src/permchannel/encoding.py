@@ -22,6 +22,10 @@ stay implicit: u_(j, k) has amplitude ``dft(n_j)[k, l]`` at
 one ``perms.orbit_labels`` call and one ``kernels.move_indices`` call over
 all representatives, O(n * d**n); :func:`basis_json_lines` streams its JSON
 text from the same arrays.
+
+The classical codebook, one necklace per rotation orbit, comes from
+:func:`necklaces`: the FKM extension rule applied to whole levels of
+prenecklaces at once, yielded as ascending numpy blocks of symbol rows.
 """
 
 from __future__ import annotations
@@ -103,42 +107,63 @@ class MessageBasis:
         return strings, amplitudes, sizes
 
 
-def necklaces(n: int, d: int, *, max_count: int = DEFAULT_MAX_STATES) -> Iterator[tuple[int, ...]]:
-    """Symbol tuples of the lexicographically minimal rotation-orbit representatives, in order.
+NECKLACE_CHUNK = 4096  # prenecklace rows extended at once; a longer level is split and taken depth first
 
-    Iterative FKM: from a prenecklace, raise the last symbol below d - 1, keep
-    the prefix up to it (length p) and repeat that prefix periodically to
-    length n; the result is the next prenecklace, and it is a necklace iff p
-    divides n.  The count bound is checked before the first tuple.
+
+def necklaces(n: int, d: int, *, max_count: int = DEFAULT_MAX_STATES) -> Iterator[np.ndarray]:
+    """The lexicographically minimal rotation-orbit representatives, as ascending (m, n) blocks of symbol rows.
+
+    FKM by levels: a prenecklace a of length k whose longest Lyndon prefix has
+    length p has the children a.b for b = a[k - p] .. d - 1; a child keeps p
+    when b == a[k - p], else its p is k + 1, and a row of length n is a
+    necklace iff p divides n.  Parents ascend and each parent's children
+    ascend, so every level is in lexicographic order with no sort.  A level of
+    more than ``NECKLACE_CHUNK`` rows is split into chunks, each taken depth
+    first to length n, so a block has at most ``NECKLACE_CHUNK * d`` rows.
+    Symbols are in the smallest unsigned dtype that holds d - 1.  The count
+    bound is checked before the first block.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     expected = count_cyclic(n, d).n_c
     if expected > max_count:
         raise StateSpaceBoundError(f"{expected} representatives exceed the bound {max_count}")
-    return _fkm(n, d)
+    if d == 1:  # one necklace; n levels of one row would copy O(n**2) symbols
+        return iter([np.zeros((1, n), dtype=np.uint8)])
+    rows = np.zeros((d, n), dtype=np.min_scalar_type(d - 1))
+    rows[:, 0] = np.arange(d)
+    return _necklace_blocks(rows, np.ones(d, dtype=np.int64), 1, d)
 
 
-def _fkm(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    a = [0] * n
-    yield tuple(a)
-    top = d - 1
-    while True:
-        i = n - 1
-        while i >= 0 and a[i] == top:
-            i -= 1
-        if i < 0:
+def _necklace_blocks(rows: np.ndarray, p: np.ndarray, k: int, d: int) -> Iterator[np.ndarray]:
+    """The necklaces that extend the length-k prenecklaces ``rows`` (Lyndon prefix lengths p), in blocks."""
+    n = rows.shape[1]
+    while k < n:
+        if len(rows) > NECKLACE_CHUNK:
+            for s in range(0, len(rows), NECKLACE_CHUNK):
+                yield from _necklace_blocks(rows[s : s + NECKLACE_CHUNK], p[s : s + NECKLACE_CHUNK], k, d)
             return
-        a[i] += 1
-        p = i + 1
-        a[p:] = (a[:p] * (n // p))[: n - p]
-        if n % p == 0:
-            yield tuple(a)
+        base = rows[np.arange(len(rows)), k - p].astype(np.int64)
+        counts = d - base
+        ends = np.cumsum(counts)
+        parent = np.repeat(np.arange(len(rows)), counts)
+        symbol = np.arange(ends[-1]) - np.repeat(ends - counts - base, counts)
+        rows = rows[parent]
+        rows[:, k] = symbol
+        p = np.where(symbol == base[parent], p[parent], k + 1)
+        k += 1
+    necklace = n % p == 0
+    if necklace.any():
+        yield rows[necklace]
 
 
 def fkm_representatives(n: int, d: int, *, max_count: int = DEFAULT_MAX_STATES) -> list[ColoredString]:
     """One lexicographically minimal representative per rotation orbit, in order: :func:`necklaces` as strings."""
-    return [ColoredString(symbols, d) for symbols in necklaces(n, d, max_count=max_count)]
+    return [
+        ColoredString(tuple(symbols), d)
+        for block in necklaces(n, d, max_count=max_count)
+        for symbols in block.tolist()
+    ]
 
 
 def message_basis_cyclic(n: int, d: int, *, max_states: int = DEFAULT_MAX_STATES) -> MessageBasis:

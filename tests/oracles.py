@@ -270,3 +270,26 @@ def cyclic_fourier_basis(n: int, d: int) -> tuple[np.ndarray, list[tuple[int, in
         labels.append((mu, seen.get(mu, 0)))
         seen[mu] = seen.get(mu, 0) + 1
     return np.stack([c[2] for c in columns], axis=1), labels
+
+
+def fkm_necklaces(n: int, d: int):
+    """Necklaces of length n over d symbols as tuples, in lexicographic order, by the iterative FKM step.
+
+    From a prenecklace, raise the last symbol below d - 1, keep the prefix up
+    to it (length p) and repeat that prefix periodically to length n; the
+    result is the next prenecklace, and it is a necklace iff p divides n.
+    """
+    a = [0] * n
+    yield tuple(a)
+    top = d - 1
+    while True:
+        i = n - 1
+        while i >= 0 and a[i] == top:
+            i -= 1
+        if i < 0:
+            return
+        a[i] += 1
+        p = i + 1
+        a[p:] = (a[:p] * (n // p))[: n - p]
+        if n % p == 0:
+            yield tuple(a)

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import permchannel
-from permchannel import cli, fkm_representatives, kernels, perms
+from oracles import fkm_necklaces
+from permchannel import cli, kernels, perms
 from permchannel.cli import main
 
 
@@ -76,9 +77,10 @@ class TestRepresentatives:
         assert code == 0
         assert json.loads(out) == ["0", "1", "2"]
 
-    @pytest.mark.parametrize("n,d", [(6, 2), (3, 10), (3, 11), (2, 12), (5, 1)])
+    @pytest.mark.parametrize("n,d", [(6, 2), (3, 10), (3, 11), (2, 12), (5, 1), (8, 3)])
     def test_lines_are_the_representative_strings(self, capsys, n, d):
-        expected = [str(r) for r in fkm_representatives(n, d)]
+        sep = "" if d <= 10 else ","
+        expected = [sep.join(map(str, symbols)) for symbols in fkm_necklaces(n, d)]
         args = ("representatives", "--group", "cyclic", "--n", str(n), "--d", str(d))
         code, out, _ = run_cli(capsys, *args)
         assert code == 0
@@ -86,6 +88,14 @@ class TestRepresentatives:
         code, out, _ = run_cli(capsys, *args, "--format", "json")
         assert code == 0
         assert out == json.dumps(expected) + "\n"
+
+    @pytest.mark.parametrize("n,d", [(20, 2), (12, 3)])
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_lines_across_many_blocks(self, capsys, n, d, fmt):
+        args = ("representatives", "--group", "cyclic", "--n", str(n), "--d", str(d), "--format", fmt)
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert out == "".join("".join(map(str, symbols)) + "\n" for symbols in fkm_necklaces(n, d))
 
     def test_non_cyclic_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "representatives", "--group", "dihedral", "--n", "4", "--d", "2")

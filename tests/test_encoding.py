@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import cyclic_fourier_basis
+from oracles import cyclic_fourier_basis, fkm_necklaces
 from permchannel import (
     ColoredString,
     Permutation,
@@ -18,7 +20,7 @@ from permchannel import (
     orbits,
     unit_root,
 )
-from permchannel import cli
+from permchannel import cli, encoding
 from permchannel.encoding import basis_json_lines, necklaces, write_basis_json
 from permchannel.errors import StateSpaceBoundError
 
@@ -92,6 +94,9 @@ def assert_rotation_eigenvectors(n, d):
             assert abs(amp - unit_root(n, mu) * at[target]) < 1e-12
 
 
+SMALL_SIZES = [(n, d) for d in range(1, 6) for n in range(1, 13) if d**n <= 4096]
+
+
 class TestFKM:
     def test_four_binary_necklaces(self):
         reps = fkm_representatives(4, 2)
@@ -125,13 +130,30 @@ class TestFKM:
         with pytest.raises(ValueError):
             necklaces(0, 2)
 
-    @pytest.mark.parametrize("n,d", [(20, 2), (12, 3), (8, 3), (6, 4), (1, 3), (5, 1), (3, 11)])
+    @pytest.mark.parametrize(
+        "n,d", [(20, 2), (12, 3), (8, 3), (6, 4), (1, 3), (1, 1), (1, 12), (5, 1), (3, 11), (2, 300)]
+    )
     def test_necklaces_are_the_orbit_minima(self, n, d):
         reps = orbit_labels(make_named_group("cyclic", n), d)[0]
         powers = kernels.digit_powers(n, d)
-        expected = (reps[:, None] // powers % d).tolist()
-        assert [list(symbols) for symbols in necklaces(n, d)] == expected
-        assert all(type(symbols) is tuple for symbols in necklaces(n, d))
+        blocks = list(necklaces(n, d))
+        assert all(block.ndim == 2 and block.shape[1] == n for block in blocks)
+        assert all(block.dtype == np.min_scalar_type(d - 1) for block in blocks)
+        np.testing.assert_array_equal(np.concatenate(blocks), reps[:, None] // powers % d)
+
+    @settings(max_examples=80, deadline=None)
+    @given(size=st.sampled_from(SMALL_SIZES), chunk=st.integers(1, 5))
+    def test_blocks_match_the_iterative_oracle(self, size, chunk):
+        n, d = size
+        with pytest.MonkeyPatch.context() as patch:  # split every level of more than a few rows
+            patch.setattr(encoding, "NECKLACE_CHUNK", chunk)
+            blocks = list(necklaces(n, d))
+        assert max(len(block) for block in blocks) <= chunk * d
+        assert [tuple(symbols) for symbols in np.concatenate(blocks).tolist()] == list(fkm_necklaces(n, d))
+
+    def test_one_symbol_is_one_zero_row(self):
+        blocks = list(necklaces(10**5, 1))
+        assert len(blocks) == 1 and blocks[0].shape == (1, 10**5) and not blocks[0].any()
 
 
 class TestIrrepLabel:
