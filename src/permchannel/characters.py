@@ -42,6 +42,8 @@ from .perms import (
 DEFAULT_MAX_GROUP_ORDER = 5040
 DEFAULT_MAX_PROJECTOR_DIM = 4096
 ORTHOGONALITY_TOL = 1e-9
+INDICATOR_TOL = 1e-9  # largest distance of a Frobenius-Schur indicator from -1, 0 or +1
+LEVEL_SUM_TOL = 1e-6  # largest distance of a multiplicity's level sum from an integer
 EIGEN_SEED = 0  # the eigensolver's first random class-sum combination
 MAX_RETRIES = 12  # fresh combinations tried before a degeneracy is reported
 
@@ -259,7 +261,7 @@ def character_table(group: PermutationGroup, *, max_order: int = DEFAULT_MAX_GRO
 
 
 def frobenius_schur_indicators(
-    group: PermutationGroup, table: CharacterTable | None = None, *, tol: float = 1e-9
+    group: PermutationGroup, table: CharacterTable | None = None
 ) -> FSIndicators:
     """Indicators nu = mean over sigma of chi(sigma^2), rounded to {-1, 0, +1}."""
     if table is None:
@@ -273,9 +275,9 @@ def frobenius_schur_indicators(
         raw /= table.group_order
         nearest = min((-1, 0, 1), key=lambda v: abs(raw - v))
         residual = abs(raw - nearest)
-        if residual > tol:
+        if residual > INDICATOR_TOL:
             raise MultiplicityRoundingError(
-                f"indicator for {ir.label} is {raw}, residual {residual:.3e} > {tol}"
+                f"indicator for {ir.label} is {raw}, residual {residual:.3e} > {INDICATOR_TOL}"
             )
         worst = max(worst, residual)
         values.append(nearest)
@@ -293,7 +295,6 @@ def ambient_multiplicities(
     *,
     table: CharacterTable | None = None,
     per_orbit: bool = False,
-    tol: float = 1e-6,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> MultiplicityVector:
     """Multiplicity of each irrep in the position action on all d**n strings.
@@ -307,9 +308,8 @@ def ambient_multiplicities(
         raise ValueError(f"alphabet size must be >= 1, got {d}")
     if table is None:
         table = character_table(group)
-    sizes = table.class_sizes
     ambient = [d ** cycle_count(c.representative) for c in table.classes]
-    values = _project_class_function(table, ambient, tol, what="multiplicity")
+    values = _project_class_function(table, ambient, what="multiplicity")
     expected = d**group.degree
     total = sum(m * ir.dim for m, ir in zip(values, table.irreps))
     if total != expected:
@@ -323,7 +323,7 @@ def ambient_multiplicities(
             moved = kernels.action_table(c.representative.inverse().images, d)
             row[:] = np.bincount(orbit_of[moved == points], minlength=len(reps))
         by_orbit = tuple(
-            _project_class_function(table, column.tolist(), tol, what="orbit multiplicity") for column in fixed.T
+            _project_class_function(table, column.tolist(), what="orbit multiplicity") for column in fixed.T
         )
         for mu in range(len(table.irreps)):
             if sum(row[mu] for row in by_orbit) != values[mu]:
@@ -331,43 +331,38 @@ def ambient_multiplicities(
     return MultiplicityVector(values, by_orbit)
 
 
-def _project_class_function(table, class_values, tol, *, what) -> tuple[int, ...]:
-    """<f, chi> = sum of size * f * conj(chi) over the k classes, / |G|, rounded to an integer per irrep.
+def _project_class_function(table, class_values, *, what) -> tuple[int, ...]:
+    """<f, chi> = sum of size * f * conj(chi) over the classes, / |G|, exactly, per irrep.
 
-    The identity's term, f(e) * dim (class 0, of size 1), is exact: with
-    integer class values it is split by ``divmod`` into whole multiples of |G|
-    and a remainder below |G|.  The other k - 1 terms are summed in float64
-    with the remainder, which carries a rounding error of at most
-    gamma_(k+2) times the sum of those terms' magnitudes,
-    gamma_m = m*u/(1 - m*u) with u = eps/2 (Higham, *Accuracy and Stability
-    of Numerical Algorithms*, section 3.1).  For f = d**c that magnitude
-    outgrows any fixed tolerance, so the accepted residual is ``tol`` plus
-    that error bound over |G|.  An error bound of 1/4 or more cannot tell
-    neighbouring integers apart, and is refused whatever ``tol`` is.
+    f is an integer class function with f(sigma**u) = f(sigma) for u prime to
+    |G|, as fixed-string counts are: sigma and sigma**u fix the same strings.
+    So each level set {C : f(C) = v} is closed under the Galois action, and its
+    level sum b_v = sum over the set of |C| * conj(chi(C)) is a rational
+    algebraic integer, an integer with |b_v| <= |G| * dim (Serre, *Linear
+    Representations of Finite Groups*, ch. 12-13).  The level sums are one
+    float matmul, rounded; sum of v * b_v / |G| is then exact in Python ints.
+    A level sum off an integer, a remainder or a negative result is refused.
     """
-    sizes = table.class_sizes
-    m_u = np.finfo(float).eps / 2 * (len(sizes) + 2)  # m * u for m = k + 2
-    gamma = m_u / (1 - m_u)
-    weights = [float(s * f) for s, f in zip(sizes[1:], class_values[1:])]
+    levels: dict[int, int] = {}  # level value -> column of the one-hot
+    level_of = [levels.setdefault(v, len(levels)) for v in class_values]
+    one_hot = np.equal.outer(level_of, range(len(levels)))
+    sums = (table.value_matrix().conj() * table.class_sizes) @ one_hot  # [irrep, level]
+    rounded = np.rint(sums.real)
+    residuals = np.abs(sums - rounded).max(axis=1)
+    worst = int(residuals.argmax())
+    if residuals[worst] > LEVEL_SUM_TOL:
+        raise MultiplicityRoundingError(
+            f"{what} for {table.irreps[worst].label}: a level sum is off an integer by "
+            f"{residuals[worst]:.3e} > {LEVEL_SUM_TOL}"
+        )
     out = []
-    for ir in table.irreps:
-        whole, part = divmod(class_values[0] * ir.dim, table.group_order)
-        terms = [part] + [w * v.conjugate() for w, v in zip(weights, ir.values[1:])]
-        frac = sum(terms) / table.group_order  # <f, chi> - whole
-        error = gamma * sum(map(abs, terms)) / table.group_order
-        if error >= 0.25:
+    for ir, row in zip(table.irreps, rounded.astype(np.int64).tolist()):
+        total = sum(v * b for v, b in zip(levels, row))
+        if total % table.group_order or total < 0:
             raise MultiplicityRoundingError(
-                f"{what} for {ir.label} is {whole + frac}, beyond float64 resolution (error bound {error:.3g})"
+                f"{what} for {ir.label} is {total}/{table.group_order}, not a non-negative integer"
             )
-        bound = tol + error
-        rounded = round(frac.real)
-        residual = abs(frac - rounded)
-        nearest = int(whole) + rounded
-        if residual > bound or nearest < 0:
-            raise MultiplicityRoundingError(
-                f"{what} for {ir.label} is {whole + frac}, residual {residual:.3e} > {bound:.3g}"
-            )
-        out.append(nearest)
+        out.append(total // table.group_order)
     return tuple(out)
 
 

@@ -8,6 +8,8 @@ from permchannel import (
     character_table,
     count_ancilla_polya,
     count_classical_burnside,
+    count_cyclic,
+    count_dihedral,
     count_quantum_totally_orthogonal,
     frobenius_schur_indicators,
     generate_group,
@@ -198,35 +200,45 @@ class TestMultiplicities:
         for mu, total in enumerate(mults.values):
             assert sum(row[mu] for row in mults.by_orbit) == total
 
-    def test_tight_tolerance_raises(self):
-        with pytest.raises(MultiplicityRoundingError):
-            ambient_multiplicities(make_named_group("dihedral", 5), 2, tol=1e-18)
+    def test_level_sum_off_an_integer_raises(self):
+        # C3 class values (8, 2, 3) are not Galois-invariant: the nontrivial characters' level sums
+        # over the classes of 2 and of 3 are omega and omega**2, not integers.
+        table = character_table(make_named_group("cyclic", 3))
+        with pytest.raises(MultiplicityRoundingError, match="off an integer"):
+            _project_class_function(table, [8, 2, 3], what="m")
 
-    def test_loose_tolerance_is_honoured(self):
-        # C3 at d=2: class values (8, 2, 2) give multiplicities (4, 2, 2); adding 0.6 to the
-        # identity class moves each by 0.2, within tol=0.3 but not the default tolerance.
-        group = make_named_group("cyclic", 3)
-        table = character_table(group)
-        assert _project_class_function(table, [8.6, 2.0, 2.0], 0.3, what="m") == (4, 2, 2)
-        with pytest.raises(MultiplicityRoundingError, match="residual"):
-            _project_class_function(table, [8.6, 2.0, 2.0], 1e-6, what="m")
-        assert ambient_multiplicities(group, 2, tol=0.3).values == (4, 2, 2)
+    def test_remainder_raises(self):
+        # C3 class values (9, 2, 2): the trivial irrep's projection is (9 + 2 + 2) / 3, not an integer.
+        table = character_table(make_named_group("cyclic", 3))
+        assert _project_class_function(table, [8, 2, 2], what="m") == (4, 2, 2)
+        with pytest.raises(MultiplicityRoundingError, match="13/3, not a non-negative integer"):
+            _project_class_function(table, [9, 2, 2], what="m")
 
     @pytest.mark.parametrize("n", [40, 48, 52, 56])
     def test_long_cycle_sums_round_within_float64_error(self, n):
-        # The trivial irrep's sum is about 2**n / n; its rounding error is far above 1e-6, and from
-        # n = 52 past float64 resolution but for the identity's d**n term, which is added exactly.
+        # The trivial irrep's sum is about 2**n / n, from n = 52 past float64 resolution; the level
+        # sums are small integers, and the multiplicities are formed from them in Python ints.
         group = generate_group([Permutation(tuple((i + 1) % n for i in range(n)))])
         mults = ambient_multiplicities(group, 2, table=character_table(group))
         assert sum(mults.values) == 2**n
         assert mults.values[0] == count_classical_burnside(group, 2)  # the trivial irrep counts the orbits
         assert sum(m * m for m in mults.values) == count_ancilla_polya(group, 2)
 
-    def test_sum_beyond_float64_resolution_is_refused(self):
-        # <(0 1)> on 56 points: the transposition fixes 2**55 strings, a term beyond float64 resolution
-        group = generate_group([Permutation.from_cycles([(0, 1)], 56)])
-        with pytest.raises(MultiplicityRoundingError, match="beyond float64 resolution"):
-            ambient_multiplicities(group, 2, table=character_table(group))
+    @pytest.mark.parametrize("n", [56, 70])
+    def test_transposition_sums_beyond_float64_are_exact(self, n):
+        # <(0 1)> on n points: the transposition fixes 2**(n-1) strings, a term beyond float64
+        # resolution (and at n = 70 beyond int64); the multiplicities are (2**n +- 2**(n-1)) / 2.
+        group = generate_group([Permutation.from_cycles([(0, 1)], n)])
+        mults = ambient_multiplicities(group, 2, table=character_table(group))
+        assert mults.values == (3 * 2 ** (n - 2), 2 ** (n - 2))
+
+    @pytest.mark.parametrize("kind,count", [("cyclic", count_cyclic), ("dihedral", count_dihedral)])
+    @pytest.mark.parametrize("n,d", [(40, 3), (64, 5)])
+    def test_large_named_groups_match_closed_forms(self, kind, count, n, d):
+        mults = ambient_multiplicities(make_named_group(kind, n), d)
+        report = count(n, d)
+        assert sum(mults.values) == report.n_q
+        assert sum(m * m for m in mults.values) == report.n_a
 
 
 class TestOracles:

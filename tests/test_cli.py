@@ -392,7 +392,7 @@ class TestLargeCyclicGroupFile:
 
 
 class TestCycleFileBeyondFloat64:
-    """52- and 56-cycle files: the trivial irrep's sum passes float64 resolution, so its identity term is exact."""
+    """52- and 56-cycle files: the trivial irrep's sum passes float64 resolution, and is formed in Python ints."""
 
     @pytest.fixture(params=[52, 56])
     def cycle(self, request, tmp_path):
@@ -412,6 +412,22 @@ class TestCycleFileBeyondFloat64:
         code, out, err = run_cli(capsys, "verify", "--group-file", path, "--d", "2")
         assert (code, err) == (0, "")
         assert "FAIL" not in out and f"{n} irreps" in out
+
+
+class TestExactMultiplicities:
+    """Groups whose multiplicity sums pass float64 resolution: the projection is exact, so verify passes."""
+
+    def test_verify_transposition_file_passes(self, capsys, tmp_path):
+        path = tmp_path / "t56.txt"
+        path.write_text(" ".join(map(str, [1, 0, *range(2, 56)])) + "\n")  # <(0 1)> on 56 points
+        code, out, err = run_cli(capsys, "verify", "--group-file", str(path), "--d", "2")
+        assert (code, err) == (0, "")
+        assert "failure" not in out and "FAIL" not in out and "2 irreps" in out
+
+    def test_verify_dihedral_forty_passes(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--group", "dihedral", "--n", "40", "--d", "3")
+        assert (code, err) == (0, "")
+        assert "failure" not in out and "FAIL" not in out and "23 irreps" in out
 
 
 class TestDeterminism:
