@@ -16,7 +16,8 @@ and sizes, no Orbit objects) and the ``representatives`` command at C20
 generates the FKM codebook level by level, as ascending numpy blocks of
 prenecklace rows; it is timed alone at C24 d=2 (699,252 necklaces).
 ``ambient_multiplicities`` with its
-per-orbit split is the kernels' heaviest caller in ``characters``;
+per-orbit split (every orbit's fixed counts projected in one call) is the
+kernels' heaviest caller in ``characters``;
 ``isotypic_projector`` builds all 11 dense projectors of S6 at d=3 from
 their orbit-representative columns.
 ``move_indices`` moves given strings by their digits, without a d**n table;
@@ -34,15 +35,21 @@ sector operator from the same overlap pass, so it costs about what
 The group layer scales with |G| instead: group validation, the square-root
 tally, conjugacy classes and the character table, each timed on a fresh copy
 of S6, S7 and S4 x S4 so that every sample also builds the group's rank
-index; the copies share the read-only image array.
+index (int64 row keys up to degree 15); the copies share the read-only image
+array.  ``chartable --group symmetric --n 7`` is also timed cold, in a fresh
+interpreter, so that import costs stay visible: the eigensolver's class-sum
+weights come from the standard library's ``random``, and the table imports
+no ``numpy.random``.
 
 Group construction is timed last: ``generate_group`` (closure by gathers of
 image rows) on S8 and S9 from a transposition and an n-cycle and on the
 generators of the four ``perfbench/groups`` files, on two groups whose
 Cayley graphs have long diameters (one generator of cycle type 5.7.9.16, order
 5040, and D500 from two reflections), ``make_named_group`` for
-S8 and S9, and the ``stabilizer`` calls of ``verify`` on S9 at d=2 (one per
-orbit representative, at most 200; S9 has 10 orbits on binary strings).
+S8 and S9, one ``_rank`` pass over S9's 362,880 image rows (int64 keys, a
+binary search each), and the ``stabilizer`` calls of ``verify`` on S9 at d=2
+(one per orbit representative, at most 200; S9 has 10 orbits on binary
+strings).
 Construction builds image arrays only: no ``Permutation`` item is made until
 a caller reads ``elements``.
 Run from the repo root:
@@ -56,12 +63,15 @@ import contextlib
 import dataclasses
 import os
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
+import permchannel
 from permchannel import (
     ColoredString,
     Permutation,
@@ -89,6 +99,7 @@ from permchannel.encoding import necklaces, write_basis_json
 ORDER_420_CYCLES = [(0, 1, 2), (3, 4, 5, 6), (7, 8, 9, 10, 11), (12, 13, 14, 15, 16, 17, 18)]
 GROUP_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
 GROUP_FILE = GROUP_DIR / "s4xs4.txt"
+SRC_DIR = str(Path(permchannel.__file__).resolve().parents[1])
 GROUP_OPS = {
     "validate": lambda g: g.validate(),
     "square_roots": lambda g: square_root_count(g, g.identity),
@@ -123,6 +134,13 @@ def representatives_c20():
         cli.main(["representatives", "--group", "cyclic", "--n", "20", "--d", "2"])
 
 
+def cold_chartable_s7():
+    """``chartable --group symmetric --n 7`` in a fresh interpreter: imports, group, classes and table."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "permchannel.cli", "chartable", "--group", "symmetric", "--n", "7"]
+    subprocess.run(argv, stdout=subprocess.DEVNULL, env=env, check=True)
+
+
 def group_layer(repeats):
     groups = {
         "S6": make_named_group("symmetric", 6),
@@ -134,6 +152,7 @@ def group_layer(repeats):
     for label, group in groups.items():
         times = [time_on_fresh_group(op, group, repeats) for op in GROUP_OPS.values()]
         print(f"{label:<8}{len(group):>7}" + "".join(f"{t:>18.4f}" for t in times))
+    print(f"{'chartable S7, cold':<33}{timeit(cold_chartable_s7, repeats):>10.4f}  (fresh interpreter, imports included)")
 
 
 def kernel_layer(repeats):
@@ -210,6 +229,7 @@ def construction_layer(repeats):
     for n in (8, 9):
         row("make_named_group", f"symmetric n={n}", lambda: make_named_group("symmetric", n))
     s9 = make_named_group("symmetric", 9)
+    row("_rank", "S9 images, one pass", lambda: s9._rank(s9.images))
     reps = orbit_labels(s9, 2)[0][:200].tolist()
     row("stabilizer", f"S9 d=2, {len(reps)} reps", lambda: [stabilizer(s9, ColoredString.from_index(x, 9, 2)) for x in reps])
 

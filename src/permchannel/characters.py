@@ -9,8 +9,10 @@ applicable at all.
 Nonabelian tables are computed numerically by simultaneous diagonalization of
 the class-sum matrices: a random real linear combination of the structure
 matrices is diagonalized and its eigenvectors, normalized on the identity
-class, yield the characters.  Degenerate eigenvalues trigger a retry with a
-fresh combination.  Abelian groups bypass the eigensolver: cyclic groups get
+class, yield the characters.  The weights of attempt a are Gaussian draws
+from the standard library's ``random.Random(EIGEN_SEED + a)``, so a table
+never imports ``numpy.random``.  Degenerate eigenvalues trigger a retry with
+a fresh combination.  Abelian groups bypass the eigensolver: cyclic groups get
 exact root-of-unity characters, other abelian groups a deterministic
 eigenprojector cascade over their generator list.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,14 +205,19 @@ def _class_structure_matrices(group: PermutationGroup, classes) -> np.ndarray:
     return a
 
 
+def _combination(attempt: int, k: int) -> np.ndarray:
+    """The class-sum weights of one eigensolver attempt: k standard normals, seeded by the attempt."""
+    rng = random.Random(EIGEN_SEED + attempt)
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(k)])
+
+
 def _nonabelian_character_rows(group, classes):
     order = len(group)
     k = len(classes)
     sizes = np.array([c.size for c in classes], dtype=float)
     structure = _class_structure_matrices(group, classes)
     for attempt in range(MAX_RETRIES):
-        rng = np.random.default_rng(EIGEN_SEED + attempt)
-        combo = np.einsum("i,ijt->jt", rng.standard_normal(k), structure)
+        combo = np.einsum("i,ijt->jt", _combination(attempt, k), structure)
         evals, evecs = np.linalg.eig(combo)
         scale = max(1.0, float(np.abs(evals).max()))
         gaps = np.abs(evals[:, None] - evals[None, :]) + np.eye(k) * scale
@@ -302,14 +310,15 @@ def ambient_multiplicities(
     The ambient character value on sigma is d**c(sigma), the number of strings
     sigma fixes.  With ``per_orbit``, each class representative's action table
     gives its fixed strings, and one ``bincount`` over the orbit labels splits
-    them by orbit: one table per class, not per (orbit, class).
+    them by orbit: one table per class, not per (orbit, class).  The orbits'
+    fixed counts are then projected together, in one call.
     """
     if d < 1:
         raise ValueError(f"alphabet size must be >= 1, got {d}")
     if table is None:
         table = character_table(group)
-    ambient = [d ** cycle_count(c.representative) for c in table.classes]
-    values = _project_class_function(table, ambient, what="multiplicity")
+    ambient = np.array([[d ** cycle_count(c.representative) for c in table.classes]], dtype=object)  # past int64
+    (values,) = _project_class_functions(table, ambient, what="multiplicity")
     expected = d**group.degree
     total = sum(m * ir.dim for m, ir in zip(values, table.irreps))
     if total != expected:
@@ -322,31 +331,43 @@ def ambient_multiplicities(
         for row, c in zip(fixed, table.classes):
             moved = kernels.action_table(c.representative.inverse().images, d)
             row[:] = np.bincount(orbit_of[moved == points], minlength=len(reps))
-        by_orbit = tuple(
-            _project_class_function(table, column.tolist(), what="orbit multiplicity") for column in fixed.T
-        )
+        by_orbit = tuple(_project_class_functions(table, fixed.T, what="orbit multiplicity"))
         for mu in range(len(table.irreps)):
             if sum(row[mu] for row in by_orbit) != values[mu]:
                 raise MultiplicityRoundingError("per-orbit multiplicities do not sum to the total")
     return MultiplicityVector(values, by_orbit)
 
 
-def _project_class_function(table, class_values, *, what) -> tuple[int, ...]:
-    """<f, chi> = sum of size * f * conj(chi) over the classes, / |G|, exactly, per irrep.
+def _project_class_functions(table, class_values, *, what) -> list[tuple[int, ...]]:
+    """<f, chi> = sum of size * f * conj(chi) over the classes, / |G|, exactly, per row f and irrep chi.
 
-    f is an integer class function with f(sigma**u) = f(sigma) for u prime to
-    |G|, as fixed-string counts are: sigma and sigma**u fix the same strings.
-    So each level set {C : f(C) = v} is closed under the Galois action, and its
-    level sum b_v = sum over the set of |C| * conj(chi(C)) is a rational
-    algebraic integer, an integer with |b_v| <= |G| * dim (Serre, *Linear
-    Representations of Finite Groups*, ch. 12-13).  The level sums are one
-    float matmul, rounded; sum of v * b_v / |G| is then exact in Python ints.
-    A level sum off an integer, a remainder or a negative result is refused.
+    Each row f of the (rows, classes) integer array ``class_values`` is a
+    class function with f(sigma**u) = f(sigma) for u prime to |G|, as
+    fixed-string counts are: sigma and sigma**u fix the same strings.  So each
+    level set {C : f(C) = v} is closed under the Galois action, and its level
+    sum b_v = sum over the set of |C| * conj(chi(C)) is a rational algebraic
+    integer, an integer with |b_v| <= |G| * dim (Serre, *Linear
+    Representations of Finite Groups*, ch. 12-13).
+
+    The levels of all rows are numbered at once, row by row and ascending by
+    value within a row, from one sort along the rows; one ``bincount`` over
+    (class, level) keys and one float matmul give every level sum, rounded.
+    The sum of v * b_v / |G| over a row's levels is then exact in Python
+    ints, so v may exceed int64 (``class_values`` of dtype object).  A level
+    sum off an integer, a remainder or a negative result is refused.
     """
-    levels: dict[int, int] = {}  # level value -> column of the one-hot
-    level_of = [levels.setdefault(v, len(levels)) for v in class_values]
-    one_hot = np.equal.outer(level_of, range(len(levels)))
-    sums = (table.value_matrix().conj() * table.class_sizes) @ one_hot  # [irrep, level]
+    values = np.asarray(class_values)
+    rows, k = values.shape
+    by_value = np.argsort(values, axis=1, kind="stable")
+    ranked = np.take_along_axis(values, by_value, axis=1)
+    starts = np.ones((rows, k), dtype=bool)  # the classes that open a level, in value order
+    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    level = np.empty((rows, k), dtype=np.int64)
+    np.put_along_axis(level, by_value, np.cumsum(starts).reshape(rows, k) - 1, axis=1)
+    level_values = ranked[starts]
+    counts = np.bincount((np.arange(k) * len(level_values) + level).ravel(), minlength=k * len(level_values))
+    weights = table.value_matrix().conj() * table.class_sizes
+    sums = weights @ counts.reshape(k, len(level_values)).astype(float)  # [irrep, level]
     rounded = np.rint(sums.real)
     residuals = np.abs(sums - rounded).max(axis=1)
     worst = int(residuals.argmax())
@@ -355,15 +376,17 @@ def _project_class_function(table, class_values, *, what) -> tuple[int, ...]:
             f"{what} for {table.irreps[worst].label}: a level sum is off an integer by "
             f"{residuals[worst]:.3e} > {LEVEL_SUM_TOL}"
         )
-    out = []
-    for ir, row in zip(table.irreps, rounded.astype(np.int64).tolist()):
-        total = sum(v * b for v, b in zip(levels, row))
-        if total % table.group_order or total < 0:
-            raise MultiplicityRoundingError(
-                f"{what} for {ir.label} is {total}/{table.group_order}, not a non-negative integer"
-            )
-        out.append(total // table.group_order)
-    return tuple(out)
+    terms = rounded.astype(np.int64).astype(object) * level_values.astype(object)  # [irrep, level], Python ints
+    per_row = np.count_nonzero(starts, axis=1)
+    totals = np.add.reduceat(terms, np.cumsum(per_row) - per_row, axis=1)  # [irrep, row]
+    bad = (totals % table.group_order != 0) | (totals < 0)
+    if bad.any():
+        row, mu = np.argwhere(bad.T)[0]
+        raise MultiplicityRoundingError(
+            f"{what} for {table.irreps[mu].label} is {totals[mu, row]}/{table.group_order}, "
+            "not a non-negative integer"
+        )
+    return [tuple(row) for row in (totals // table.group_order).T.tolist()]
 
 
 def nq_oracle(group: PermutationGroup, d: int, *, table: CharacterTable | None = None) -> int:

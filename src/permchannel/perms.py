@@ -24,12 +24,14 @@ rows the first time they are read, and no group algorithm builds one.
   generator, and a set of row keys dedupes the products, O(frontier * r) per
   round.  The search starts from each generator's powers, built by doubling,
   so a generator of large order needs no round per power.
-* Sorting is one ``np.unique`` over fixed-width row keys that order as the
-  image tuples; the named groups' rows come from modular arithmetic or
+* Sorting is one ``np.unique`` over row keys that order as the image
+  tuples: a row's base-n value in one int64 up to degree 15, fixed-width
+  bytes beyond; the named groups' rows come from modular arithmetic or
   ``itertools.permutations``, which already yields tuple order.
-* Membership is one rank index: the row keys sorted once, a row's rank a
-  binary search; -1 marks a row that is no element.  ``in``, ``validate``
-  and every table of ranks read it.
+* Membership is one rank index: the keys of the sorted rows, so already
+  ascending, and a row's rank is its binary-search position in them; -1
+  marks a row that is no element.  ``in``, ``validate`` and every table of
+  ranks read it.
 * Conjugacy is one cached class index per group, each element's class,
   numbered by least member; ``conjugacy_classes`` and
   ``characters.CharacterTable`` both read it.  A class's members are built
@@ -39,9 +41,9 @@ Products, inverses, squares and conjugates of all elements are array
 gathers, so for r generators:
 
 * ``generate_group``: O(|G| * r) keyed products, one sort.
-* ``validate``: e in S, no repeated row, S * g within S for each generator
-  g, and the span reaching |S| elements; O(|G| * r) rank lookups, not |G|**2
-  products.
+* ``validate``: distinct ascending rows, e in S, S * g within S for each
+  generator g, and the span reaching |S| elements; O(|G| * r) rank lookups,
+  not |G|**2 products.
 * ``square_root_count``: one O(|G| * n) tally of all squares per group, then
   a lookup per call.
 * ``conjugacy_classes``: r conjugation tables, O(|G| * r) per sweep, once per
@@ -237,15 +239,19 @@ class ColoredString:
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One fixed-width byte string per image row, ordered as the image tuples.
+    """One key per image row, ordered as the image tuples.
 
-    Big-endian 32-bit digits compare bytewise in numeric order, so sorting
-    and ``searchsorted`` on the keys follow tuple order for any degree.
+    Up to degree 15, where n**n < 2**63, a row's key is its base-n value, one
+    int64 with digit 0 most significant.  Beyond, it is a fixed-width byte
+    string of big-endian 32-bit digits, which compare bytewise in numeric
+    order.  Either way, sorting and ``searchsorted`` on the keys follow tuple
+    order.
     """
+    n = rows.shape[-1]
+    if n**n < 2**63:  # n <= 15; exact integer matmul, and the empty row (n = 0) has key 0
+        return rows @ n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     rows = np.ascontiguousarray(rows, dtype=">u4")
-    if not rows.shape[-1]:  # degree 0: every row is the empty permutation
-        rows = np.zeros(rows.shape[:-1] + (1,), dtype=">u4")
-    return rows.view(f"V{4 * rows.shape[-1]}").reshape(rows.shape[:-1])
+    return rows.view(f"V{4 * n}").reshape(rows.shape[:-1])
 
 
 def _image_rows(perms: Sequence[Permutation], degree: int) -> np.ndarray:
@@ -265,9 +271,9 @@ class PermutationGroup:
     rows, built on first read.
 
     ``_rank`` maps image rows back to row numbers by a binary search over
-    sorted row keys, and ``_class_index`` holds each row's conjugacy class,
-    so products, inverses, squares and conjugates of all elements are array
-    gathers.  Groups compare by identity.
+    the ascending row keys, and ``_class_index`` holds each row's conjugacy
+    class, so products, inverses, squares and conjugates of all elements are
+    array gathers.  Groups compare by identity.
     """
 
     degree: int
@@ -292,22 +298,19 @@ class PermutationGroup:
         return tuple(Permutation(tuple(row.tolist())) for row in self.generator_images)
 
     @cached_property
-    def _index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row keys in ascending order, and the row number of each."""
-        keys = _row_keys(self.images)
-        order = np.argsort(keys, kind="stable")
-        return keys[order], order
+    def _keys(self) -> np.ndarray:
+        """The row keys of ``images``, ascending since the rows are sorted by tuple."""
+        return _row_keys(self.images)
 
     def _rank(self, rows: np.ndarray) -> np.ndarray:
         """Row number in ``images`` of each image row; -1 for a row that is no element."""
         if rows.shape[-1:] != (self.degree,):
             raise DegreeMismatchError(f"rows of shape {rows.shape} do not have {self.degree} columns")
-        keys, order = self._index
-        probe = _row_keys(rows)
+        keys, probe = self._keys, _row_keys(rows)
         if not len(keys):
             return np.full(probe.shape, -1)
         pos = np.searchsorted(keys, probe).clip(max=len(keys) - 1)
-        return np.where(keys[pos] == probe, order[pos], -1)
+        return np.where(keys[pos] == probe, pos, -1)
 
     def _rank_of(self, p: Permutation) -> int:
         return int(self._rank(np.array(p.images, dtype=np.int64))[()])
@@ -377,14 +380,18 @@ class PermutationGroup:
         If the set S holds the identity and S * g lies in S for every
         generator g, every word in the generators lies in S.  If those words
         also reach all |S| elements, S is the group they span, hence closed
-        under products and inverses.
+        under products and inverses.  The rows must be distinct and sorted
+        by tuple, since a rank is a position in their keys; that is checked
+        first.
         """
+        keys = self._keys  # ranks are positions in these keys, so their order is checked first
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("element list repeats a permutation")
+        if (np.argsort(keys, kind="stable") != np.arange(len(keys))).any():  # linear on sorted keys
+            raise ValueError("element rows are not in ascending order")
         identity = int(self._rank(np.arange(self.degree)))
         if identity < 0:
             raise ValueError("identity missing")
-        keys, _order = self._index
-        if (keys[1:] == keys[:-1]).any():
-            raise ValueError("element list repeats a permutation")
         # right[k, j]: rank of images[j] * generator_images[k], -1 where it escapes
         right = [self._rank(self.images[:, g]) for g in self.generator_images]
         right = np.array(right, dtype=np.int64).reshape(len(right), len(self))

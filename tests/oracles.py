@@ -54,6 +54,22 @@ def inverse_images(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def void_key_ranks(images: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row number of each row among the sorted, distinct ``images``, -1 where absent.
+
+    The keys are fixed-width byte strings of big-endian 32-bit digits, which
+    compare bytewise in tuple order at any degree; a rank is a binary search.
+    """
+
+    def keys(a):
+        a = np.ascontiguousarray(a, dtype=">u4")
+        return a.view(f"V{4 * a.shape[-1]}").reshape(a.shape[:-1])
+
+    table, probe = keys(images), keys(rows)
+    pos = np.searchsorted(table, probe).clip(max=len(table) - 1)
+    return np.where(table[pos] == probe, pos, -1)
+
+
 def brute_closure(generator_images, degree: int | None = None) -> set[tuple[int, ...]]:
     """The group the generators span: products p * g added until none is new.
 

@@ -22,8 +22,10 @@ from permchannel import (
     square_root_count,
     unit_root,
 )
-from permchannel.characters import _project_class_function
+from permchannel import characters
+from permchannel.characters import MAX_RETRIES, _project_class_functions
 from permchannel.errors import (
+    CharacterTableError,
     GroupSizeLimitError,
     MultiplicityRoundingError,
     StateSpaceBoundError,
@@ -131,6 +133,32 @@ class TestCharacterTable:
         assert np.array_equal(a.value_matrix(), b.value_matrix())
 
 
+class TestEigensolverRetries:
+    # Equal weights combine all class sums into the sum of all elements, which is |G| on the
+    # trivial irrep and 0 on every other: with three or more irreps, the eigenvalues merge.
+    @pytest.mark.parametrize("kind,n", [("symmetric", 4), ("dihedral", 5), ("symmetric", 6)])
+    def test_degenerate_first_combination_is_retried(self, monkeypatch, kind, n):
+        expected = character_table(make_named_group(kind, n))
+        combination, attempts = characters._combination, []
+
+        def first_degenerate(attempt, k):
+            attempts.append(attempt)
+            return np.ones(k) if attempt == 0 else combination(attempt, k)
+
+        monkeypatch.setattr(characters, "_combination", first_degenerate)
+        table = character_table(make_named_group(kind, n))
+        assert attempts == [0, 1]
+        assert table.dims == expected.dims
+        assert np.abs(table.value_matrix() - expected.value_matrix()).max() < 1e-9
+
+    def test_every_combination_degenerate_raises(self, monkeypatch):
+        attempts = []
+        monkeypatch.setattr(characters, "_combination", lambda attempt, k: attempts.append(attempt) or np.ones(k))
+        with pytest.raises(CharacterTableError, match=f"not resolved after {MAX_RETRIES} retries"):
+            character_table(make_named_group("symmetric", 4))
+        assert attempts == list(range(MAX_RETRIES))
+
+
 class TestFrobeniusSchur:
     def test_s3_all_real(self):
         fs = frobenius_schur_indicators(make_named_group("symmetric", 3))
@@ -205,14 +233,14 @@ class TestMultiplicities:
         # over the classes of 2 and of 3 are omega and omega**2, not integers.
         table = character_table(make_named_group("cyclic", 3))
         with pytest.raises(MultiplicityRoundingError, match="off an integer"):
-            _project_class_function(table, [8, 2, 3], what="m")
+            _project_class_functions(table, [[8, 2, 3]], what="m")
 
     def test_remainder_raises(self):
         # C3 class values (9, 2, 2): the trivial irrep's projection is (9 + 2 + 2) / 3, not an integer.
         table = character_table(make_named_group("cyclic", 3))
-        assert _project_class_function(table, [8, 2, 2], what="m") == (4, 2, 2)
+        assert _project_class_functions(table, [[8, 2, 2]], what="m") == [(4, 2, 2)]
         with pytest.raises(MultiplicityRoundingError, match="13/3, not a non-negative integer"):
-            _project_class_function(table, [9, 2, 2], what="m")
+            _project_class_functions(table, [[9, 2, 2]], what="m")
 
     @pytest.mark.parametrize("n", [40, 48, 52, 56])
     def test_long_cycle_sums_round_within_float64_error(self, n):

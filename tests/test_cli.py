@@ -11,6 +11,8 @@ from oracles import fkm_necklaces
 from permchannel import cli, kernels, perms
 from permchannel.cli import main
 
+GROUP_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
+
 
 def run_cli(capsys, *args):
     code = main(list(args))
@@ -225,24 +227,47 @@ class TestQuantumOutput:
         assert tail == value + " " * 5 and value == f"{float(value):.2e}" and float(value) < 1e-30
 
 
+def _imported_after(argv, module):
+    """Run the CLI on argv in a fresh interpreter; its exit code, and whether ``module`` was imported."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from permchannel.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[2:])\n"
+        "print(code, sys.argv[1] in sys.modules)\n"
+    )
+    src = str(Path(permchannel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script, module, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    code, imported = done.stdout.split()
+    return int(code), imported == "True"
+
+
 @pytest.mark.parametrize(
     "argv",
     [("simulate", "--group", "cyclic", "--n", "6", "--d", "2"), ("encode", "--group", "cyclic", "--n", "4", "--d", "2")],
 )
 def test_commands_leave_numpy_ma_unimported(argv):
     # ``np.unique`` without return options imports numpy.ma (about 13 ms) to check for a mask.
-    script = (
-        "import contextlib, io, sys\n"
-        "from permchannel.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(sys.argv[1:])\n"
-        "print(code, 'numpy.ma' in sys.modules)\n"
-    )
-    src = str(Path(permchannel.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "False"]
+    assert _imported_after(argv, "numpy.ma") == (0, False)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--group", "symmetric", "--n", "5", "--d", "2"),
+        ("count", "--group-file", str(GROUP_DIR / "f21.txt"), "--d", "3"),
+        ("chartable", "--group", "dihedral", "--n", "6"),
+    ],
+    ids=["verify S5", "count f21", "chartable D6"],
+)
+def test_character_tables_leave_numpy_random_unimported(argv):
+    # The eigensolver draws its class-sum weights from the stdlib ``random``; importing
+    # numpy.random costs about 17 ms and 5.6 MB in each fresh process.
+    assert _imported_after(argv, "numpy.random") == (0, False)
 
 
 def test_memory_error_exits_with_bound_code(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import act_tuple, brute_closure, brute_fixed_count, brute_orbits, brute_square_roots, index_table
+from oracles import (
+    act_tuple,
+    brute_closure,
+    brute_fixed_count,
+    brute_orbits,
+    brute_square_roots,
+    index_table,
+    void_key_ranks,
+)
 from permchannel import (
     ColoredString,
     Permutation,
@@ -474,6 +483,57 @@ class TestValidateRejects:
 
     def test_raw_group_that_is_closed_passes(self):
         _raw_group(self.S3, self.S3_GENS).validate()
+
+    @pytest.mark.parametrize("n", [4, 16], ids=["int64 keys", "byte keys"])
+    def test_rows_out_of_order(self, n):
+        rows = make_named_group("cyclic", n).images
+        for unsorted in (rows[::-1], rows[[0, 2, 1, *range(3, n)]]):
+            with pytest.raises(ValueError, match="ascending order"):
+                PermutationGroup(n, unsorted, rows[1:2]).validate()
+
+    def test_repeated_row_with_byte_keys(self):
+        rows = make_named_group("cyclic", 16).images
+        with pytest.raises(ValueError, match="repeats"):
+            PermutationGroup(16, np.repeat(rows, 2, axis=0)[1:], rows[1:2]).validate()
+
+
+class TestRankKeys:
+    """Ranks from the int64 base-n row keys equal ranks from big-endian byte keys."""
+
+    @staticmethod
+    def probes(group, seed=0):
+        """The group's rows, and each row times a random permutation and times (0 1): members and non-members."""
+        points = list(range(group.degree))
+        random.Random(seed).shuffle(points)
+        swap = [1, 0, *range(2, group.degree)]
+        return np.concatenate([group.images, group.images[:, points], group.images[:, swap]])
+
+    @pytest.mark.parametrize("path", GROUP_FILES, ids=lambda p: p.name)
+    def test_group_files(self, path):
+        group = parse_group_file(path.read_text())
+        probe = self.probes(group)
+        ranks = group._rank(probe)
+        assert group._keys.dtype == np.int64
+        assert (ranks < 0).any() and np.array_equal(ranks[: len(group)], np.arange(len(group)))
+        assert np.array_equal(ranks, void_key_ranks(group.images, probe))
+
+    @pytest.mark.parametrize("degree,dtype", [(15, np.int64), (16, np.void)])
+    def test_either_side_of_the_int64_switch(self, degree, dtype):
+        # 15**15 < 2**63 <= 16**16: the largest degree with int64 keys, and the least with byte keys.
+        blocks = [(0, 1, 2), (0, 1), (3, 4, 5, 6), tuple(range(7, 12)), tuple(range(12, degree))]
+        group = generate_group([Permutation.from_cycles([block], degree) for block in blocks])  # S3 x C4 x C5 x C3|C4
+        probe = self.probes(group, seed=degree)
+        assert np.issubdtype(group._keys.dtype, dtype)
+        assert (group._rank(probe) < 0).any()
+        assert np.array_equal(group._rank(probe), void_key_ranks(group.images, probe))
+
+    @pytest.mark.parametrize("degree", [1, 2, 15, 16])
+    def test_keys_sort_as_the_image_tuples(self, degree):
+        rng = random.Random(degree)
+        rows = [tuple(reversed(range(degree))), tuple(range(degree))]
+        rows += [tuple(rng.sample(range(degree), degree)) for _ in range(200)]
+        keys = perms_module._row_keys(np.array(rows, dtype=np.int64))
+        assert [rows[i] for i in np.argsort(keys, kind="stable")] == sorted(rows)
 
 
 class TestOrbits:

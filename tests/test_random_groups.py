@@ -26,6 +26,7 @@ from oracles import (
     dense_coding_probabilities,
     dense_zero_error,
     index_table,
+    void_key_ranks,
 )
 from oracles import dense_coding_certify as oracle_dense_coding
 from permchannel import (
@@ -255,6 +256,16 @@ def test_orbit_stabilizer_on_random_groups(group, d):
 def test_square_root_counts_sum_to_group_order(group):
     # Every element has exactly one square, so the root counts partition G.
     assert sum(square_root_count(group, p) for p in group) == len(group)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group_strategy(), st.data())
+def test_int64_rank_keys_equal_void_key_ranks(group, data):
+    n = group.degree
+    others = data.draw(st.lists(st.permutations(list(range(n))), min_size=1, max_size=30))
+    probe = np.concatenate([group.images, np.array(others, dtype=np.int64).reshape(len(others), n)])
+    assert group._keys.dtype == np.int64
+    assert np.array_equal(group._rank(probe), void_key_ranks(group.images, probe))
 
 
 def _validates(degree, element_images, generator_images) -> bool:
