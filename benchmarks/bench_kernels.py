@@ -26,11 +26,15 @@ at n=16.  ``verify_classical`` (orbit labels plus every element moving every
 representative) is timed on fresh copies of S7 and C16 at d=2, so that each
 sample labels the orbits anew.  The quantum layer is timed at C16 d=2:
 ``message_basis_cyclic`` (orbit labels and rotation walks), the streamed
-``write_basis_json`` export to a temporary file, ``verify_zero_error``, and
+``write_basis_json`` export to a temporary file (one write per chunk of
+whole messages, each chunk one join of preformatted names, tails and
+message headers), ``verify_zero_error``, and
 ``dense_coding_certify``, which reads the trace of each (sector, element)
 sector operator from the same overlap pass, so it costs about what
 ``verify_zero_error`` does; both also at C20 d=2, where keying the
-20 x 52,488 overlap blocks by pattern is the cost.
+20 x 52,488 overlap blocks by pattern is the cost.  The export alone is
+also timed at C18 d=2: ``basis_json_lines`` drained into a null sink, all
+262,144 states, about 0.56 GB of text.
 
 The group layer scales with |G| instead: group validation, the square-root
 tally, conjugacy classes and the character table, each timed on a fresh copy
@@ -94,7 +98,7 @@ from permchannel import (
     verify_classical,
     verify_zero_error,
 )
-from permchannel.encoding import necklaces, write_basis_json
+from permchannel.encoding import basis_json_lines, necklaces, write_basis_json
 
 ORDER_420_CYCLES = [(0, 1, 2), (3, 4, 5, 6), (7, 8, 9, 10, 11), (12, 13, 14, 15, 16, 17, 18)]
 GROUP_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
@@ -132,6 +136,11 @@ def time_on_fresh_group(op, group, repeats):
 def representatives_c20():
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         cli.main(["representatives", "--group", "cyclic", "--n", "20", "--d", "2"])
+
+
+def drain_basis_json(basis):
+    with open(os.devnull, "w") as sink:
+        sink.writelines(basis_json_lines(basis))
 
 
 def cold_chartable_s7():
@@ -193,6 +202,8 @@ def kernel_layer(repeats):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "basis.json"
         row("write_basis_json", "C16 d=2, temp file", 16, lambda: write_basis_json(basis, path))
+    c18_basis = message_basis_cyclic(18, 2)
+    row("basis_json_lines", "C18 d=2, null sink", 18, lambda: drain_basis_json(c18_basis))
     row("verify_zero_error", "C16 d=2", 16, lambda: verify_zero_error(basis.group, basis))
     row("dense_coding_certify", "C16 d=2", 16, lambda: dense_coding_certify(16, 2, basis=basis))
     c20_basis = message_basis_cyclic(20, 2)

@@ -90,8 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="which protocol(s) to consider",
         )
         sp.add_argument("--format", choices=("json", "csv", "table"), default=None)
-        sp.add_argument("--out", help="output file (encode: basis JSON)")
         sp.add_argument("--unsafe-bounds", action="store_true", help="lift the default size bounds")
+        if name == "encode":
+            sp.add_argument("--out", help="write the basis JSON to this file instead of stdout")
         if name == "scaling":
             sp.add_argument("--n-max", type=int, help="upper end of the n range (inclusive)")
     return parser
@@ -112,7 +113,7 @@ def _config(ns: argparse.Namespace) -> RunConfig:
         d=ns.d,
         mode=ns.mode,
         fmt=fmt,
-        out=ns.out,
+        out=getattr(ns, "out", None),
         n_max=getattr(ns, "n_max", None),
         enum_bound=sys.maxsize if unsafe else DEFAULT_MAX_STATES,
         oracle_bound=sys.maxsize if unsafe else characters.DEFAULT_MAX_GROUP_ORDER,

@@ -21,7 +21,8 @@ stay implicit: u_(j, k) has amplitude ``dft(n_j)[k, l]`` at
 ``walk[offsets[j] + l]``, each size's DFT table built once.  The basis costs
 one ``perms.orbit_labels`` call and one ``kernels.move_indices`` call over
 all representatives, O(n * d**n); :func:`basis_json_lines` streams its JSON
-text from the same arrays.
+text from the same arrays, one join of preformatted pieces per chunk of
+whole messages.
 
 The classical codebook, one necklace per rotation orbit, comes from
 :func:`necklaces`: the FKM extension rule applied to whole levels of
@@ -203,52 +204,69 @@ def encode_message(basis: MessageBasis, message_index: int) -> tuple[int, int, n
     return mu, message_index - sum(basis.multiplicities[:mu]), strings[order], amplitudes[order]
 
 
-def _basis_strings(n: int, d: int) -> list[str]:
-    """``str(ColoredString)`` of every index, in index order."""
-    indices = np.arange(d**n, dtype=np.int64)
-    digits = np.empty((d**n, n), dtype=np.uint8 if d <= 10 else np.int64)
-    for i, power in enumerate(kernels.digit_powers(n, d).tolist()):
-        digits[:, i] = indices // power % d
-    if d <= 10:
-        return (digits + ord("0")).view(f"S{n}").ravel().astype(str).tolist()
-    return [",".join(row) for row in digits.astype(str).tolist()]
+BASIS_JSON_CHUNK = 2048  # amplitude entries per piece of the JSON export (whole messages) and names per block
+
+_CLOSE = "\n  },\n"  # ends the previous message; carried by the next message's header
+
+
+def _basis_strings(n: int, d: int) -> np.ndarray:
+    """``str(ColoredString)`` of every index, in index order: an object array filled block by block."""
+    names = np.empty(d**n, dtype=object)
+    powers = kernels.digit_powers(n, d)
+    for s in range(0, d**n, BASIS_JSON_CHUNK):
+        digits = np.arange(s, min(s + BASIS_JSON_CHUNK, d**n))[:, None] // powers % d
+        if d <= 10:
+            names[s : s + len(digits)] = (digits.astype(np.uint8) + ord("0")).view(f"S{n}").ravel().astype(str)
+        else:
+            names[s : s + len(digits)] = [",".join(row) for row in digits.astype(str).tolist()]
+    return names
 
 
 def basis_json_lines(basis: MessageBasis) -> Iterator[str]:
-    """``json.dumps(payload, indent=1) + "\\n"`` in pieces, one per message, streamed from the arrays.
+    """``json.dumps(payload, indent=1) + "\\n"`` in pieces, one per chunk of whole messages, streamed from the arrays.
 
     The payload holds ``group``, ``n``, ``d``, ``multiplicities`` and one entry
     per message: ``mu``, ``alpha`` and its amplitudes as ``basis_string``,
-    ``re`` and ``im``, in lexicographic string order.  Each (size, k, l)
-    amplitude is formatted once.
+    ``re`` and ``im``, in lexicographic string order.  A piece is one join of
+    preformatted parts: per message a header (the previous message's close,
+    mu and alpha), and per amplitude entry its string's name and its (size,
+    k, l) tail, which ends by opening the next entry or by closing the list.
+    Each name and each tail is formatted once.  A piece holds the messages
+    that first reach ``BASIS_JSON_CHUNK`` entries, so at most that plus n - 1.
     """
     head = {"group": basis.group.kind, "n": basis.n, "d": basis.d, "multiplicities": list(basis.multiplicities)}
     yield json.dumps(head, indent=1)[:-2] + ',\n "entries": [\n'
     names = _basis_strings(basis.n, basis.d)
-    members, places = basis.members, basis.position[basis.members]
-    tails = {
-        size: [
-            [f'",\n     "re": {float(a.real)!r},\n     "im": {float(a.imag)!r}\n    }}' for a in row]
-            for row in basis.dft(size).tolist()
+    values, start = basis._dft
+    tail = [f'",\n     "re": {a.real!r},\n     "im": {a.imag!r}\n    }}' for a in values.tolist()]
+    tails = np.array([t + ',\n    {\n     "basis_string": "' for t in tail] + [t + "\n   ]" for t in tail], dtype=object)
+    sector_start = np.concatenate(([0], np.cumsum(basis.multiplicities)))
+    starts = np.concatenate(([0], np.cumsum(basis.sizes[basis.orbit])))  # each message's first entry, then the total
+    a = 0
+    while a < len(basis):
+        e = min(int(np.searchsorted(starts, starts[a] + BASIS_JSON_CHUNK)), len(basis))
+        orbit, fourier = basis.orbit[a:e], basis.fourier[a:e]
+        sizes = basis.sizes[orbit]
+        mu = basis.n // sizes * fourier
+        alpha = np.arange(a, e) - sector_start[mu]
+        first = starts[a:e] - starts[a]  # each message's first entry in the piece
+        message = np.repeat(np.arange(e - a), sizes)
+        rank = np.arange(starts[e] - starts[a]) - first[message]  # place of the entry in its message's support
+        x = basis.members[basis.offsets[orbit][message] + rank]
+        last = rank == sizes[message] - 1
+        pieces = np.empty(e - a + 2 * len(rank), dtype=object)
+        pieces[first * 2 + np.arange(e - a)] = [
+            f'{_CLOSE}  {{\n   "mu": {m},\n   "alpha": {i},\n   "amplitudes": [\n    {{\n     "basis_string": "'
+            for m, i in zip(mu.tolist(), alpha.tolist())
         ]
-        for size in np.flatnonzero(np.bincount(basis.sizes)).tolist()
-    }
-    sizes = basis.sizes.tolist()
-    offsets = basis.offsets.tolist()
-    alpha, mu = -1, 0
-    for i, (j, k) in enumerate(zip(basis.orbit.tolist(), basis.fourier.tolist())):
-        size = sizes[j]
-        sector = basis.n // size * k
-        alpha = alpha + 1 if sector == mu else 0
-        mu = sector
-        tail = tails[size][k]
-        span = slice(offsets[j], offsets[j + 1])
-        amplitudes = ",\n".join(
-            f'    {{\n     "basis_string": "{names[x]}{tail[l]}'
-            for x, l in zip(members[span].tolist(), places[span].tolist())
-        )
-        close = "\n  },\n" if i + 1 < len(basis) else "\n  }\n ]\n}\n"
-        yield f'  {{\n   "mu": {mu},\n   "alpha": {alpha},\n   "amplitudes": [\n{amplitudes}\n   ]{close}'
+        slot = message + 2 * np.arange(len(rank)) + 1
+        pieces[slot] = names[x]
+        pieces[slot + 1] = tails[(start[sizes] + fourier * sizes)[message] + basis.position[x] + len(tail) * last]
+        if a == 0:
+            pieces[0] = pieces[0][len(_CLOSE) :]
+        yield "".join(pieces.tolist())
+        a = e
+    yield "\n  }\n ]\n}\n"
 
 
 def write_basis_json(basis: MessageBasis, path) -> None:

@@ -139,6 +139,15 @@ class TestEncode:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["count", "verify", "simulate"])
+def test_out_is_an_encode_flag_only(capsys, tmp_path, command):
+    path = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, command, "--group", "cyclic", "--n", "4", "--d", "2", "--out", str(path))
+    assert code == 2
+    assert out == "" and "unrecognized arguments: --out" in err
+    assert not path.exists()
+
+
 class TestSimulate:
     def test_all_modes_pass_for_cyclic(self, capsys):
         code, out, _ = run_cli(

@@ -296,6 +296,7 @@ def oracle_payload(n, d) -> dict:
 
 
 JSON_CASES = [(1, 2), (4, 2), (6, 2), (4, 3), (3, 11), (70, 1)]
+JSON_CHUNKS = [1, 2, 3, 7, encoding.BASIS_JSON_CHUNK]  # amplitude entries per export piece; the small ones split every basis
 
 
 class TestJsonExport:
@@ -322,14 +323,23 @@ class TestJsonExport:
         )
         assert abs(total - 8.0) < 1e-9
 
+    @pytest.mark.parametrize("chunk", JSON_CHUNKS)
     @pytest.mark.parametrize("n,d", JSON_CASES)
-    def test_file_bytes_equal_json_dumps_of_the_oracle_payload(self, n, d, tmp_path):
+    def test_file_bytes_equal_json_dumps_of_the_oracle_payload(self, n, d, chunk, tmp_path, monkeypatch):
+        monkeypatch.setattr(encoding, "BASIS_JSON_CHUNK", chunk)
+        basis = message_basis_cyclic(n, d)
+        _head, *pieces, _end = basis_json_lines(basis)
+        # Each piece holds whole messages, and stops at the message that reaches the chunk.
+        assert all(piece.count('"mu": ') == piece.count("\n   ]") > 0 for piece in pieces)
+        assert max(piece.count('"basis_string"') for piece in pieces) <= chunk + n
         path = tmp_path / "basis.json"
-        write_basis_json(message_basis_cyclic(n, d), path)
+        write_basis_json(basis, path)
         assert path.read_text(encoding="utf-8") == json.dumps(oracle_payload(n, d), indent=1) + "\n"
 
+    @pytest.mark.parametrize("chunk", JSON_CHUNKS)
     @pytest.mark.parametrize("n,d", JSON_CASES)
-    def test_encode_stdout_is_the_same_text(self, n, d, capsys):
+    def test_encode_stdout_is_the_same_text(self, n, d, chunk, capsys, monkeypatch):
+        monkeypatch.setattr(encoding, "BASIS_JSON_CHUNK", chunk)
         assert cli.main(["encode", "--group", "cyclic", "--n", str(n), "--d", str(d)]) == 0
         summary = f"states: {d**n}\nm: [{','.join(str(m) for m in message_basis_cyclic(n, d).multiplicities)}]\n"
         assert capsys.readouterr().out == json.dumps(oracle_payload(n, d), indent=1) + "\n" + summary
