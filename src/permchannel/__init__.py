@@ -6,11 +6,9 @@ certification, all at desk scale.
 """
 
 from .channel import (
-    DenseCodingResult,
     ZeroErrorReport,
     decode_classical,
     dense_coding_certify,
-    dense_coding_roundtrip,
     dense_coding_summary,
     verify_classical,
     verify_zero_error,

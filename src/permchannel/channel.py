@@ -4,8 +4,9 @@ The channel applies an element of the group to the positions of the carriers;
 the element is unknown to the receiver.  Classical decoding maps a received
 string to its orbit (one lookup in ``perms.orbit_labels``); quantum decoding
 projects onto the message basis.  Both are certified zero-error by exhausting
-every (message, element) pair, and the ancilla-assisted protocol is simulated
-sector by sector with clock-shift unitaries on the multiplicity index.
+every (message, element) pair.  The ancilla-assisted protocol, dense coding
+with clock-shift unitaries on the multiplicity index, is certified from the
+trace of each sector operator that the same pass leaves behind.
 
 Certification never forms d**n-sized dense operators.  The classical sweep
 moves the N_c orbit representatives under blocks of elements with
@@ -29,14 +30,13 @@ O(#patterns * max n_j) more per element, and no second sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .encoding import MessageBasis, message_basis_cyclic
 from .errors import DegreeMismatchError
-from .perms import DEFAULT_MAX_STATES, ColoredString, Permutation, PermutationGroup, orbit_labels
+from .perms import DEFAULT_MAX_STATES, ColoredString, PermutationGroup, orbit_labels
 
 MAX_MOVED_INDICES = 1 << 18  # string indices ``verify_classical`` moves per block of elements (2 MiB)
 MAX_OVERLAP_BYTES = 1 << 22  # bytes of one batch of distinct overlap patterns in ``verify_zero_error`` (4 MiB)
@@ -213,131 +213,18 @@ def verify_classical(group: PermutationGroup, d: int, *, max_states: int = DEFAU
     return ZeroErrorReport(len(reps), len(group), tuple(failures), max_offdiag_overlap=0.0)
 
 
-class _Sector(NamedTuple):
-    """The sector-mu states by string index: each index is in at most one support."""
-
-    m: int
-    rows: np.ndarray  # string indices covered by the sector's supports
-    owner: np.ndarray  # per string index: alpha of the state holding it, or -1
-    amp: np.ndarray  # per string index: that state's amplitude, or 0
-
-
-def _sector(basis: MessageBasis, mu: int) -> _Sector:
-    """Sector mu's owner and amplitude per string, gathered from the basis arrays in one O(d**n) step."""
-    m = basis.multiplicities[mu] if 0 <= mu < basis.n else 0
-    if not m:
-        raise ValueError(f"sector {mu} is empty")
-    first = sum(basis.multiplicities[:mu])
-    strings, amplitudes, sizes = basis.support(np.arange(first, first + m))
-    owner = np.full(basis.d**basis.n, -1, dtype=np.int64)
-    owner[strings] = np.repeat(np.arange(m), sizes)
-    amp = np.zeros(basis.d**basis.n, dtype=complex)
-    amp[strings] = amplitudes
-    return _Sector(m, np.flatnonzero(owner >= 0), owner, amp)
-
-
-def _sector_entries(sector: _Sector, table: np.ndarray):
-    """Terms of V = B^H U(sigma) B as (row alpha', column alpha, value), one per support hit."""
-    image = table[sector.rows]
-    target = sector.owner[image]
-    hit = target >= 0
-    values = sector.amp[image[hit]].conj() * sector.amp[sector.rows[hit]]
-    return target[hit], sector.owner[sector.rows[hit]], values
-
-
-def _scatter(flat: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    return np.bincount(flat, values.real, size) + 1j * np.bincount(flat, values.imag, size)
-
-
-def sector_unitary(basis: MessageBasis, mu: int, sigma: Permutation) -> np.ndarray:
-    """U(sigma) restricted to the span of sector mu (m x m matrix)."""
-    sector = _sector(basis, mu)
-    rows, cols, values = _sector_entries(sector, kernels.action_table(sigma.inverse().images, basis.d))
-    return _scatter(rows * sector.m + cols, values, sector.m**2).reshape(sector.m, sector.m)
-
-
-class DenseCodingResult(NamedTuple):
-    a: int
-    b: int
-    probability: float
-
-
-def dense_coding_roundtrip(
-    n: int,
-    d: int,
-    mu: int,
-    a: int,
-    b: int,
-    sigma: Permutation,
-    *,
-    basis: MessageBasis | None = None,
-) -> DenseCodingResult:
-    """Send (a, b) through sector mu under channel element sigma and decode.
-
-    The sender applies the (a, b) clock-shift on the message half of the
-    shared maximally entangled state; the channel permutes the carriers; the
-    receiver measures in the entangled basis and takes the first (a', b') of
-    largest probability.  For cyclic groups the channel is a global phase on
-    each sector, so decoding succeeds with probability 1.  The probabilities
-    come from the m x m sector operator (see ``_shift_probabilities``), so no
-    entangled state is formed, and only the shifts that hold a term of the
-    operator get a row of m probabilities: O(d**n + k * m log m) for k such
-    shifts.
-    """
-    if basis is None:
-        basis = message_basis_cyclic(n, d)
-    elif (n, d) != (basis.n, basis.d):
-        raise ValueError(f"(n, d) = ({n}, {d}) does not match the basis ({basis.n}, {basis.d})")
-    if basis.group.kind != "cyclic":
-        raise ValueError("dense coding is implemented for cyclic groups only")
-    if sigma not in basis.group:
-        raise ValueError("sigma is not an element of the channel group")
-    sector = _sector(basis, mu)
-    m = sector.m
-    if not (0 <= a < m and 0 <= b < m):
-        raise ValueError(f"(a, b) = ({a}, {b}) out of range for m = {m}")
-    norms = np.bincount(sector.owner[sector.rows], np.abs(sector.amp[sector.rows]) ** 2, m)
-    if float(np.abs(norms - 1.0).max()) > 1e-9:
-        raise ValueError("entangled signal states are not orthonormal")
-    table = kernels.action_table(sigma.inverse().images, basis.d)
-    shifts, probs = _shift_probabilities(sector, table)
-    decoded = (shifts + a) % m  # the a' of each row
-    order = np.argsort(decoded)
-    probs = np.roll(probs[order], b, axis=1)  # column b' of each row
-    if not probs.any():  # every (a', b') has probability 0: the first one
-        return DenseCodingResult(0, 0, 0.0)
-    best = int(np.argmax(probs))
-    return DenseCodingResult(int(decoded[order[best // m]]), best % m, float(probs.flat[best]))
-
-
-def _shift_probabilities(sector: _Sector, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(shifts, probs): probs[i, q] is the probability of decoding (a + shifts[i], b + q) mod m after sending (a, b).
-
-    With V = B^H U(sigma) B, sending (a, b) and measuring (a', b') succeeds
-    with probability |tr(W'^H V W)|**2 / m**2 for W = X**a Z**b, and the
-    trace is sum_j V[j + a', j + a] * w**(j * (b - b')).  Up to a phase that
-    is the FFT of the cyclic diagonal V[i + s, i], s = a' - a, at
-    q = b' - b, so the table is the same for every (a, b).  Only the
-    ascending shifts s whose diagonal holds a term of V get a row; every
-    other row of the m x m table is zero.  For a cyclic group V is a phase
-    times the identity, so that is the one row s = 0.
-    """
-    m = sector.m
-    rows, cols, values = _sector_entries(sector, table)
-    shifts, slot = np.unique((rows - cols) % m, return_inverse=True)
-    diagonals = _scatter(slot * m + cols, values, len(shifts) * m).reshape(-1, m)
-    return shifts, np.abs(np.fft.fft(diagonals, axis=1)) ** 2 / m**2
-
-
 def dense_coding_certify(
     n: int, d: int, *, basis: MessageBasis | None = None, tol: float = 1e-9
 ) -> dict:
-    """Round-trip every (mu, a, b) under every channel element.
+    """Certify every (mu, a, b) dense-coding signal under every channel element.
 
     Returns the number of triples that survive all elements; it equals the
-    ancilla-assisted message count when the construction is sound.  The
-    sector traces come from one ``verify_zero_error`` pass over the basis's
-    group, so this costs what that pass costs (see ``dense_coding_summary``).
+    ancilla-assisted message count when the construction is sound.  Each
+    (a, b) of sector mu is decoded as itself with probability
+    |tr V|**2 / m**2, so an element passes all m**2 signals of a sector or
+    none; the traces come from one ``verify_zero_error`` pass over the
+    basis's group, so this costs what that pass costs (see
+    ``dense_coding_summary``).
     """
     _check_tol(tol)
     if basis is None:

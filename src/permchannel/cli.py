@@ -135,10 +135,18 @@ def _resolve_group(cfg: RunConfig) -> PermutationGroup:
     raise UsageError("specify --group or --group-file")
 
 
-def _fmt_value(value) -> str:
+def _printable(value: int, name: str) -> int:
+    """``value``, unless it has more digits than the interpreter converts to text; the limit is not raised."""
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(value) >= 10**limit:
+        raise ResourceBoundError(f"{name} has more than {limit} digits, the limit for printing an integer")
+    return value
+
+
+def _fmt_value(value, name: str) -> str:
     if value is None:
         return "undefined"
-    return str(value)
+    return str(_printable(value, name))
 
 
 def _print_rows(cfg: RunConfig, header: list[str], rows: list[list], json_obj=None) -> None:
@@ -146,9 +154,11 @@ def _print_rows(cfg: RunConfig, header: list[str], rows: list[list], json_obj=No
         payload = json_obj if json_obj is not None else [dict(zip(header, row)) for row in rows]
         print(json.dumps(payload, indent=1, default=str))
     elif cfg.fmt == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(c) for c in row))
+        import csv  # imported here: no other format needs it
+
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     else:
         widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
         print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
@@ -173,11 +183,11 @@ def cmd_count(cfg: RunConfig) -> int:
     wanted = ("N_c", "N_q", "N_a") if cfg.mode == "all" else (QUANTITY_BY_MODE[cfg.mode],)
     for name in wanted:
         value, method = values[name]
-        rows.append([name, _fmt_value(value), method])
+        rows.append([name, _fmt_value(value, name), method])
     json_obj = {"group": cfg.group_kind or cfg.group_file, "n": report.n, "d": report.d}
     for name in wanted:
         value, method = values[name]
-        json_obj[name] = {"value": _fmt_value(value), "method": method}
+        json_obj[name] = {"value": _fmt_value(value, name), "method": method}
     _print_rows(cfg, ["quantity", "value", "method"], rows, json_obj)
     return EXIT_OK
 
@@ -415,9 +425,15 @@ def cmd_scaling(cfg: RunConfig) -> int:
     for n in range(n_lo, n_hi + 1):
         report = counter(n, cfg.d)
         exact = {"classical": report.n_c, "quantum": report.n_q, "ancilla": report.n_a}[cfg.mode]
+        quantity = f"{QUANTITY_BY_MODE[cfg.mode]} at n={n}"
+        _printable(exact, f"the exact {quantity}")
         estimate = counting.asymptotic_estimate(kind, n, cfg.d)
+        try:
+            asymptotic = float(estimate.leading_value)
+        except OverflowError:
+            raise ResourceBoundError(f"the asymptotic {quantity} is beyond float range") from None
         ratio = Fraction(exact) / estimate.leading_value
-        rows.append([n, exact, float(estimate.leading_value), float(ratio)])
+        rows.append([n, exact, asymptotic, float(ratio)])
     _print_rows(cfg, ["n", "exact", "asymptotic", "ratio"], rows)
     return EXIT_OK
 

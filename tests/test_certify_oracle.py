@@ -10,7 +10,6 @@ from oracles import dense_coding_certify as oracle_dense_coding
 from permchannel import (
     Permutation,
     dense_coding_certify,
-    dense_coding_roundtrip,
     generate_group,
     make_named_group,
     message_basis_cyclic,
@@ -21,6 +20,11 @@ CYCLIC_CASES = [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 5)]
 DIHEDRAL_CASES = [(n, 2) for n in range(3, 7)] + [(3, 3), (4, 3)]
 # The dense-coding oracle costs m**5 * d**n per element and sector.
 DIHEDRAL_CODING_CASES = [(3, 2), (4, 2), (5, 2), (3, 3)]
+SIGNAL_CASES = [("cyclic", n, d) for n, d in [(2, 2), (4, 2), (5, 2), (2, 3), (3, 3)]] + [
+    ("dihedral", 4, 2),
+    ("dihedral", 3, 3),
+    ("symmetric", 4, 2),
+]
 
 
 def _images(group):
@@ -77,61 +81,48 @@ def test_dense_coding_failures_match_dense_oracle(n, d):
     assert summary["failures"]
 
 
-@pytest.mark.parametrize("kind,n,d", [("dihedral", 4, 2), ("dihedral", 3, 3), ("symmetric", 4, 2)])
-def test_dense_coding_roundtrip_matches_dense_oracle(kind, n, d):
-    # Round trips take cyclic-labelled bases only; the foreign group wears that label.
-    group = dataclasses.replace(make_named_group(kind, n), kind="cyclic")
-    basis = message_basis_cyclic(n, d)
-    relabeled = dataclasses.replace(basis, group=group)
+@pytest.mark.parametrize("kind,n,d", SIGNAL_CASES)
+def test_sector_traces_give_every_signal_probability(kind, n, d):
+    # The certifier's rule: signal (a, b) of sector mu comes back as itself with
+    # probability |tr V|**2 / m**2, V = B^H U(sigma) B, and is the receiver's
+    # argmax whenever that probability passes 1/2.  The oracle sends each signal
+    # as an explicit entangled state.
+    group = make_named_group(kind, n)
+    traces = verify_zero_error(group, message_basis_cyclic(n, d)).sector_traces
     for mu, block in oracle_sectors(n, d):
         m = block.shape[1]
-        for sigma in group.elements:
+        for e, sigma in enumerate(group.elements):
             probs = dense_coding_probabilities(index_table(sigma.images, n, d), block)
-            for a in range(m):
-                for b in range(m):
-                    result = dense_coding_roundtrip(n, d, mu, a, b, sigma, basis=relabeled)
-                    sent = probs[:, a * m + b]
-                    assert abs(result.probability - sent.max()) < 1e-12
-                    assert sent[result.a * m + result.b] > sent.max() - 1e-12
+            own = abs(traces[e, mu]) ** 2 / m**2
+            assert np.abs(np.diag(probs) - own).max() < 1e-12
+            if own > 0.5:
+                assert (np.argmax(probs, axis=0) == np.arange(m * m)).all()
 
 
-@pytest.mark.parametrize("n,d", [(2, 2), (4, 2), (5, 2), (2, 3), (3, 3)])
-def test_cyclic_dense_coding_roundtrip_matches_dense_oracle(n, d):
-    basis = message_basis_cyclic(n, d)
-    for mu, block in oracle_sectors(n, d):
-        m = block.shape[1]
-        for sigma in basis.group.elements:
-            probs = dense_coding_probabilities(index_table(sigma.images, n, d), block)
-            for a in range(m):
-                for b in range(m):
-                    result = dense_coding_roundtrip(n, d, mu, a, b, sigma, basis=basis)
-                    sent = probs[:, a * m + b]
-                    assert (result.a, result.b) == divmod(int(np.argmax(sent)), m) == (a, b)
-                    assert abs(result.probability - sent.max()) < 1e-12
-
-
-def test_dense_coding_roundtrip_ties_go_to_the_first_outcome():
+def test_sector_traces_of_a_spreading_swap_and_a_leaking_reflection():
     # In S4 at d=2, swapping positions 2 and 3 spreads each sector-2 signal (m=4)
-    # over four outcomes of probability 1/64 each; a reflection sends sector 1
-    # (m=3) out of the sector, which leaves every outcome at probability 0.
+    # over four outcomes of probability 1/64 each, its own among them: |tr V| = 1/2.
+    # A reflection sends sector 1 (m=3) wholly out of the sector: tr V = 0.
     n, d = 4, 2
-    group = dataclasses.replace(make_named_group("symmetric", n), kind="cyclic")
+    group = make_named_group("symmetric", n)
     basis = dataclasses.replace(message_basis_cyclic(n, d), group=group)
+    traces = verify_zero_error(group, basis).sector_traces
     sectors = dict(oracle_sectors(n, d))
     swap, reflection = Permutation((0, 1, 3, 2)), Permutation((3, 2, 1, 0))
     probs = dense_coding_probabilities(index_table(swap.images, n, d), sectors[2])
-    for a in range(4):
-        for b in range(4):
-            sent = probs[:, a * 4 + b]
-            tied = np.flatnonzero(sent > sent.max() - 1e-12)
-            assert len(tied) == 4 and abs(sent.max() - 1 / 64) < 1e-12
-            result = dense_coding_roundtrip(n, d, 2, a, b, swap, basis=basis)
-            assert result.a * 4 + result.b == tied[0]
+    for pos in range(16):
+        sent = probs[:, pos]
+        assert len(np.flatnonzero(sent > sent.max() - 1e-12)) == 4
+        assert abs(sent.max() - 1 / 64) < 1e-12 and abs(sent[pos] - 1 / 64) < 1e-12
+    assert abs(traces[group.elements.index(swap), 2] - 0.5) < 1e-12
     probs = dense_coding_probabilities(index_table(reflection.images, n, d), sectors[1])
     assert probs.max() < 1e-12
-    for a in range(3):
-        for b in range(3):
-            assert dense_coding_roundtrip(n, d, 1, a, b, reflection, basis=basis) == (0, 0, 0.0)
+    assert abs(traces[group.elements.index(reflection), 1]) < 1e-12
+    failures = dense_coding_certify(n, d, basis=basis)["failures"]
+    for mu, m, sigma in [(2, 4, swap), (1, 3, reflection)]:
+        for a in range(m):
+            for b in range(m):
+                assert {"mu": mu, "a": a, "b": b, "element": list(sigma.images)} in failures
 
 
 @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (3, 3)])

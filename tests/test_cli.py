@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ import permchannel
 from oracles import fkm_necklaces
 from permchannel import cli, kernels, perms
 from permchannel.cli import main
+from permchannel.errors import ResourceBoundError
 
 GROUP_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
 
@@ -55,6 +58,20 @@ class TestCount:
         )
         assert code == 0
         assert "N_c" in out and "N_q" not in out
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_counts_past_the_digit_limit_are_a_bound(self, capsys, fmt):
+        # N_c of C20000 at d=2 has about 6000 digits; the interpreter prints at most 4300 by default.
+        code, out, err = run_cli(capsys, "count", "--group", "cyclic", "--n", "20000", "--d", "2", "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("resource bound: N_c has more than")
+
+    def test_digit_limit_edge(self):
+        limit = sys.get_int_max_str_digits()
+        assert cli._printable(10**limit - 1, "x") == 10**limit - 1
+        with pytest.raises(ResourceBoundError, match=f"more than {limit} digits"):
+            cli._printable(10**limit, "x")
 
     def test_missing_d_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "count", "--group", "cyclic", "--n", "4")
@@ -371,12 +388,39 @@ class TestScaling:
         code, _, _ = run_cli(capsys, "scaling", "--group", "cyclic", "--n", "2", "--d", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["1100", "20000"])
+    def test_values_past_float_or_digit_range_are_a_bound(self, capsys, n):
+        # At n=1100 the asymptotic 2**n / n overflows a float; at n=20000 the exact count has too many digits.
+        code, out, err = run_cli(
+            capsys, "scaling", "--group", "cyclic", "--n", n, "--d", "2", "--mode", "classical"
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("resource bound:")
+
     def test_cyclic_quantum_has_no_law(self, capsys):
         code, _, err = run_cli(
             capsys, "scaling", "--group", "cyclic", "--n", "2", "--d", "2", "--mode", "quantum"
         )
         assert code == 2
         assert "exact" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--group", "dihedral", "--n", "4"),  # detail "N_c 6, N_a 55"
+        ("--group-file", str(GROUP_DIR / "f21.txt")),  # detail "FS = [1, 0, 0, 0, 0]; ..."
+    ],
+    ids=["dihedral-4", "f21"],
+)
+def test_verify_csv_rows_have_three_fields(capsys, argv):
+    code, out, _ = run_cli(capsys, "verify", *argv, "--d", "2", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["status", "check", "detail"]
+    assert any("," in row[2] for row in rows[1:])
+    assert all(len(row) == 3 for row in rows)
 
 
 @pytest.mark.parametrize("d", ["0", "-1"])

@@ -19,10 +19,12 @@ from permchannel import (
     cycle_index_symmetric,
     generate_group,
     make_named_group,
+    parse_group_file,
     partitions,
     series_coefficient_nq,
     symmetric_class_size,
 )
+from permchannel import characters
 from permchannel.counting import CountReport
 from permchannel.errors import InexactDivisionError, NotTotallyOrthogonalError
 
@@ -88,6 +90,16 @@ class TestTotallyOrthogonalFormula:
     def test_cyclic_certification_fails(self):
         with pytest.raises(NotTotallyOrthogonalError, match=r"\[1, 0, 1, 0\]"):
             count_quantum_totally_orthogonal(make_named_group("cyclic", 4), 2)
+
+    def test_refusal_builds_one_character_table(self, monkeypatch):
+        # C3 on six points, (0 1 2)(3 4 5): two complex irreps, so certification refuses it.
+        group = parse_group_file("1 2 0 4 5 3\n")
+        calls = []
+        build = characters.character_table
+        monkeypatch.setattr(characters, "character_table", lambda *a, **k: calls.append(1) or build(*a, **k))
+        with pytest.raises(NotTotallyOrthogonalError, match=r"\[1, 0, 0\]"):
+            count_quantum_totally_orthogonal(group, 2)
+        assert len(calls) == 1
 
     def test_uncertified_value_still_computed(self):
         # The squared-element average itself is well defined for any group.

@@ -52,7 +52,6 @@ from permchannel import (
     verify_classical,
     verify_zero_error,
 )
-from permchannel.channel import sector_unitary
 from permchannel.characters import _class_structure_matrices
 from permchannel.perms import orbit_labels
 from test_certify_oracle import oracle_sectors
@@ -170,16 +169,23 @@ def test_cyclic_basis_certification_matches_dense_oracle(group, d):
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(group_strategy(), st.integers(2, 3))
-def test_sector_traces_match_the_sector_unitaries(group, d):
-    # The overlap pass adds up each sector's own amplitudes; sector_unitary builds V = B^H U(sigma) B directly.
+def test_sector_traces_match_the_dense_sector_operators(group, d):
+    # The overlap pass adds up each sector's own amplitudes; the oracle forms V = B^H U(sigma) B from dense columns.
     n = group.degree
     assert d**n <= 243
     basis = dataclasses.replace(message_basis_cyclic(n, d), group=group)
     traces = verify_zero_error(group, basis).sector_traces
     assert traces.shape == (len(group), n)
+    sectors = dict(oracle_sectors(n, d))
     for e, sigma in enumerate(group.elements):
-        for mu, m in enumerate(basis.multiplicities):
-            expected = np.trace(sector_unitary(basis, mu, sigma)) if m else 0.0
+        table = index_table(sigma.images, n, d)
+        for mu in range(n):
+            expected = 0.0
+            if mu in sectors:
+                block = sectors[mu]
+                moved = np.zeros_like(block)
+                moved[table] = block  # U(sigma) sends string x to table[x]
+                expected = np.trace(block.conj().T @ moved)
             assert abs(traces[e, mu] - expected) < 1e-9
 
 
