@@ -19,7 +19,13 @@ prenecklace rows; it is timed alone at C24 d=2 (699,252 necklaces).
 per-orbit split (every orbit's fixed counts projected in one call) is the
 kernels' heaviest caller in ``characters``;
 ``isotypic_projector`` builds all 11 dense projectors of S6 at d=3 from
-their orbit-representative columns.
+their orbit-representative columns, on a fresh group per sample, so that
+each sample also builds the index arrays memoised on the group at d (the
+orbit labels, and where each weight lands and each in-orbit entry reads).
+``moved_values`` pulls 2**20 int32 labels into a reused buffer at C20 d=2,
+as each round of the orbit fixpoint does: along the rotation by 1 and by 8
+(block swaps of 2 x 2**19 and 2**8 x 2**12 entries, copied in tiles) and
+along the D20 reflection (19 reversed axes, one strided copy).
 ``move_indices`` moves given strings by their digits, without a d**n table;
 it is timed on all 2**16 strings and on the 4,116 necklace representatives
 at n=16.  ``verify_classical`` (orbit labels plus every element moving every
@@ -215,8 +221,19 @@ def kernel_layer(repeats):
         lambda: ambient_multiplicities(c12, 2, table=table, per_orbit=True))
     s6 = make_named_group("symmetric", 6)
     s6_table = character_table(s6)
-    row("isotypic_projector", "S6 d=3, every irrep", 6,
-        lambda: [isotypic_projector(s6, 3, mu, table=s6_table) for mu in range(len(s6_table.irreps))], d=3)
+    projectors = time_on_fresh_group(
+        lambda g: [isotypic_projector(g, 3, mu, table=s6_table) for mu in range(len(s6_table.irreps))], s6, repeats
+    )
+    print(f"{'isotypic_projector':<26}{'S6 d=3, fresh group':<22}{3**6:>10}{projectors:>10.4f}")
+    labels, buffer = np.arange(2**20, dtype=np.int32), np.empty(2**20, dtype=np.int32)
+    reflection = np.argsort(make_named_group("dihedral", 20).generator_images[1])
+    pulls = (
+        ("C20 r d=2, buffer", (np.arange(20) - 1) % 20),
+        ("C20 r**8 d=2, buffer", (np.arange(20) - 8) % 20),
+        ("D20 reflection, buffer", reflection),
+    )
+    for case, inv in pulls:
+        row("moved_values", case, 20, lambda: kernels.moved_values(labels, inv, 2, buffer))
 
 
 def construction_layer(repeats):

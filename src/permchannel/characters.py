@@ -414,17 +414,20 @@ def isotypic_projector(
     A(p) and is zero between different orbits, so its columns at the orbit
     representatives r fix it:
 
-    * column r is one ``bincount`` of c(p) over the images p.r; the images of
-      all representatives under all elements are one ``kernels.move_indices``
-      call;
+    * column r is one ``bincount`` of c(p) over the images p.r;
     * for j = q.r, P[i, j] = P[q**-1 . i, r], written only for the i in j's
-      orbit: the sum over orbits O of |O|**2 entries, each moved by its digits.
+      orbit: the sum over orbits O of |O|**2 entries.
 
-    Cost: O(|G| * R * n) for R orbits, plus O(sum |O|**2 * n) and the d**2n
-    zero fill; no d**n action table and no loop over elements.  Besides P,
-    what is still held when P is allocated is the (d**n, R) columns and the
-    rows, columns and values of the sum |O|**2 in-orbit entries.  The d**n
-    bound is checked first, before any labelling or allocation.
+    Only c depends on mu.  Where each weight c(p) lands, where each in-orbit
+    entry goes in P and which column entry it reads are index arrays of the
+    group and d alone (:func:`_projector_geometry`), memoised on the group.
+
+    Cost: the first call for a (group, d) builds those arrays, O(|G| * R * n)
+    for R orbits plus O(sum |O|**2 * n), and keeps them: 2 * sum |O|**2 +
+    |G| * R int64s.  Each call then does two ``bincount`` of |G| * R weights,
+    one gather of the in-orbit entries and the d**2n zero fill with one
+    scatter; no d**n action table and no loop over elements.  The d**n bound
+    is checked first, before any labelling or allocation.
     """
     n = group.degree
     size = d**n
@@ -433,47 +436,53 @@ def isotypic_projector(
     if table is None:
         table = character_table(group)
     irrep = table.irreps[mu]
-    reps, orbit_of = orbit_labels(group, d, max_states=size)
+    keys, entries, sources = _projector_geometry(group, d)
     coeff = irrep.dim * np.conj(irrep.values)[table.class_index] / table.group_order
-    rep_columns, carrier = _representative_columns(group, d, coeff, reps)
-    rows, cols, values = _in_orbit_entries(group, d, orbit_of, rep_columns, carrier)
+    r = len(keys) // len(group)  # orbit representatives
+    weights = np.repeat(coeff, r)
+    columns = np.bincount(keys, weights.real, size * r) + 1j * np.bincount(keys, weights.imag, size * r)
     projector = np.zeros((size, size), dtype=complex)
-    projector[rows, cols] = values
+    projector.ravel()[entries] = columns[sources]
     return projector
 
 
-def _representative_columns(group: PermutationGroup, d: int, coeff: np.ndarray, reps: np.ndarray):
-    """``P[:, reps]`` as a (d**n, R) array, and for each string an element moving its representative to it.
+def _projector_geometry(group: PermutationGroup, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keys, entries, sources): the read-only index arrays of every isotypic projector of the group at d.
 
-    Column k is one ``bincount`` of ``coeff`` over the images of reps[k]
-    under all elements, which are one ``kernels.move_indices`` call.
+    With R orbit representatives r_k, the columns P[:, r_k] are held flat as
+    a (d**n * R) array, entry x * R + k.  ``keys[p * R + k]`` is where weight
+    c(p) lands: the entry of p.r_k in column k, the images of all
+    representatives under all elements being one ``kernels.move_indices``
+    call.  Then for each (i, j) in one orbit, orbit by orbit, ``entries``
+    holds i * d**n + j, its place in the flat P, and ``sources`` the column
+    entry it reads: with j = q.r for an element q moving r to j,
+    P[i, j] = P[q**-1 . i, r], and digit k of q**-1 . i is digit q(k) of i.
+    Memoised on the group by d.
     """
-    size, r = d**group.degree, len(reps)
-    moved = kernels.move_indices(np.argsort(group.images, axis=1), reps, d)  # [p, k]: reps[k] moved by p
-    keys = (moved * r + np.arange(r)).ravel()
-    weights = np.repeat(coeff, r)
-    columns = np.bincount(keys, weights.real, size * r) + 1j * np.bincount(keys, weights.imag, size * r)
-    carrier = np.empty(size, dtype=np.int64)
-    carrier[moved] = np.arange(len(group))[:, None]
-    return columns.reshape(size, r), carrier
-
-
-def _in_orbit_entries(group: PermutationGroup, d: int, orbit_of, rep_columns, carrier):
-    """Rows, columns and values of P at every (i, j) with i and j in one orbit.
-
-    For j = q.r, with q = ``carrier[j]`` and r its orbit's representative,
-    P[i, j] = P[q**-1 . i, r]; digit k of q**-1 . i is digit q(k) of i.
-    """
-    # every (i, j) in one orbit, orbit by orbit: members[start + a], members[start + b]
-    members = np.argsort(orbit_of, kind="stable")
-    sizes = np.bincount(orbit_of, minlength=rep_columns.shape[1])
-    pair_orbit = np.repeat(np.arange(len(sizes)), sizes**2)
-    within = np.arange(len(pair_orbit)) - np.repeat(np.cumsum(sizes**2) - sizes**2, sizes**2)
-    start, width = (np.cumsum(sizes) - sizes)[pair_orbit], sizes[pair_orbit]
-    rows, cols = members[start + within // width], members[start + within % width]
-    q = carrier[cols]
-    powers = kernels.digit_powers(group.degree, d)
-    source = np.zeros_like(rows)
-    for position, power in enumerate(powers.tolist()):
-        source += rows // powers[group.images[q, position]] % d * power
-    return rows, cols, rep_columns[source, pair_orbit]
+    memo = group._projector_geometry
+    if d not in memo:
+        size = d**group.degree
+        reps, orbit_of = orbit_labels(group, d, max_states=size)
+        r = len(reps)
+        moved = kernels.move_indices(np.argsort(group.images, axis=1), reps, d)  # [p, k]: reps[k] moved by p
+        keys = (moved * r + np.arange(r)).ravel()
+        carrier = np.empty(size, dtype=np.int64)  # for each string, an element moving its representative to it
+        carrier[moved] = np.arange(len(group))[:, None]
+        # every (i, j) in one orbit, orbit by orbit: members[start + a], members[start + b]
+        members = np.argsort(orbit_of, kind="stable")
+        sizes = np.bincount(orbit_of, minlength=r)
+        pair_orbit = np.repeat(np.arange(r), sizes**2)
+        within = np.arange(len(pair_orbit)) - np.repeat(np.cumsum(sizes**2) - sizes**2, sizes**2)
+        start, width = (np.cumsum(sizes) - sizes)[pair_orbit], sizes[pair_orbit]
+        rows, cols = members[start + within // width], members[start + within % width]
+        q = carrier[cols]
+        powers = kernels.digit_powers(group.degree, d)
+        digit_of = (np.arange(size) // powers[:, None] % d).ravel()  # entry k * d**n + x: digit k of string x
+        source = np.zeros_like(rows)
+        for position, (column, power) in enumerate(zip(group.images.T, powers.tolist())):
+            source += digit_of.take(column.take(q) * size + rows) * power  # digit q(position) of each i
+        geometry = keys, rows * size + cols, source * r + pair_orbit
+        for array in geometry:
+            array.flags.writeable = False
+        memo[d] = geometry
+    return memo[d]

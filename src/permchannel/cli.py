@@ -138,7 +138,8 @@ def _resolve_group(cfg: RunConfig) -> PermutationGroup:
 def _printable(value: int, name: str) -> int:
     """``value``, unless it has more digits than the interpreter converts to text; the limit is not raised."""
     limit = sys.get_int_max_str_digits()
-    if limit and abs(value) >= 10**limit:
+    # 10**limit has more than 3 * limit bits, so only a longer value needs the exact comparison
+    if limit and abs(value).bit_length() > 3 * limit and abs(value) >= 10**limit:
         raise ResourceBoundError(f"{name} has more than {limit} digits, the limit for printing an integer")
     return value
 
@@ -277,7 +278,7 @@ def _verify_checks(cfg: RunConfig, group: PermutationGroup, d: int):
     n_c = counting.count_classical_burnside(group, d)
     if d**group.degree <= cfg.enum_bound:
         reps, orbit_of = orbit_labels(group, d, max_states=cfg.enum_bound)
-        yield "orbit count matches group average", n_c == len(reps), f"{n_c} == {len(reps)}"
+        yield "orbit count matches group average", n_c == len(reps), f"{_fmt_value(n_c, 'N_c')} == {len(reps)}"
         sizes = np.bincount(orbit_of)[:200].tolist()
         stabs = (len(stabilizer(group, ColoredString.from_index(x, group.degree, d))) for x in reps[:200].tolist())
         ok = all(stab * size == len(group) for stab, size in zip(stabs, sizes))
@@ -288,13 +289,14 @@ def _verify_checks(cfg: RunConfig, group: PermutationGroup, d: int):
     yield (
         "ancilla count equals squared-alphabet classical count",
         n_a == counting.count_classical_burnside(group, d * d),
-        f"{n_a}",
+        _fmt_value(n_a, "N_a"),
     )
 
     if group.kind in CLOSED_FORMS:
         closed = CLOSED_FORMS[group.kind](group.degree, d)
         ok = closed.n_c == n_c and closed.n_a == n_a
-        yield "closed forms match group averages", ok, f"N_c {closed.n_c}, N_a {closed.n_a}"
+        detail = f"N_c {_fmt_value(closed.n_c, 'N_c')}, N_a {_fmt_value(closed.n_a, 'N_a')}"
+        yield "closed forms match group averages", ok, detail
 
     if len(group) <= cfg.oracle_bound:
         table = characters.character_table(group, max_order=cfg.oracle_bound)
@@ -303,13 +305,14 @@ def _verify_checks(cfg: RunConfig, group: PermutationGroup, d: int):
         mults = characters.ambient_multiplicities(group, d, table=table)
         nq_sum = sum(mults.values)
         na_sum = sum(m * m for m in mults.values)
-        yield "squared multiplicities match ancilla count", na_sum == n_a, f"{na_sum} == {n_a}"
+        detail = f"{_fmt_value(na_sum, 'the squared multiplicity sum')} == {_fmt_value(n_a, 'N_a')}"
+        yield "squared multiplicities match ancilla count", na_sum == n_a, detail
         if all(v == 1 for v in fs.values):
             formula = counting.count_quantum_totally_orthogonal(group, d, certify=False)
             yield (
                 "real-irrep quantum formula matches multiplicity sum",
                 formula == nq_sum,
-                f"{formula} == {nq_sum}",
+                f"{_fmt_value(formula, 'N_q')} == {_fmt_value(nq_sum, 'the multiplicity sum')}",
             )
             class_sums = table.value_matrix().sum(axis=0)  # sum over the irreps, per class
             ok = all(
@@ -322,13 +325,14 @@ def _verify_checks(cfg: RunConfig, group: PermutationGroup, d: int):
             yield (
                 "not totally orthogonal: squared-cycle formula inapplicable",
                 True,
-                f"FS = {list(fs.values)}; formula {formula} vs multiplicity sum {nq_sum}",
+                f"FS = {list(fs.values)}; formula {_fmt_value(formula, 'the squared-cycle formula')} "
+                f"vs multiplicity sum {_fmt_value(nq_sum, 'the multiplicity sum')}",
             )
         if group.kind == "cyclic":
             yield (
                 "multiplicity sum equals full space dimension",
                 nq_sum == d**group.degree,
-                f"{nq_sum} == {d**group.degree}",
+                f"{_fmt_value(nq_sum, 'the multiplicity sum')} == {_fmt_value(d**group.degree, 'd**n')}",
             )
 
     if group.kind == "cyclic" and d**group.degree <= cfg.enum_bound:

@@ -58,9 +58,11 @@ No group operation builds an array with |G|**2 entries.
 one orbit labelling, memoised on the group per d.  ``kernels.orbit_reps``
 gives each string its orbit's least member: the ``kernels.orbit_minima``
 fixpoint run on the generators' n-point inverse-image rows, each label pull
-one axis transpose of the int32 working labels and each squared jump an
-n-point gather, so no d**n action table is built.  The orbits are numbered by
-a running count of the strings that are their own minimum: O(d**n), no sort.
+one axis transpose of the int32 working labels into a reused spare buffer
+and each squared jump an n-point gather, so no d**n action table is built.
+The strings that are their own minimum are the representatives; the orbits
+are numbered by one scatter onto them and one gather through the minima:
+O(d**n), no sort.
 :func:`orbits`, the per-orbit multiplicities and the classical decoder and
 certifier all read it.  :func:`orbits` returns an array-backed sequence: the
 check that every orbit size divides |G| runs eagerly, ``len`` builds
@@ -70,6 +72,7 @@ read.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -312,8 +315,27 @@ class PermutationGroup:
         pos = np.searchsorted(keys, probe).clip(max=len(keys) - 1)
         return np.where(keys[pos] == probe, pos, -1)
 
+    @cached_property
+    def _key_list(self) -> list[int]:
+        """``_keys`` as Python ints, for :meth:`_rank_of` up to degree 15."""
+        return self._keys.tolist()
+
     def _rank_of(self, p: Permutation) -> int:
-        return int(self._rank(np.array(p.images, dtype=np.int64))[()])
+        """Row number of one permutation in ``images``; -1 if it is no element.
+
+        Up to degree 15 its base-n key is formed in Python and bisected in the
+        key list, with no numpy call; beyond, and for a row of another degree,
+        it goes through :meth:`_rank`.
+        """
+        n = self.degree
+        if len(p.images) != n or n**n >= 2**63:
+            return int(self._rank(np.array(p.images, dtype=np.int64))[()])
+        key = 0
+        for image in p.images:
+            key = key * n + image
+        keys = self._key_list
+        rank = bisect.bisect_left(keys, key)
+        return rank if rank < len(keys) and keys[rank] == key else -1
 
     @cached_property
     def _square_root_counts(self) -> np.ndarray:
@@ -338,22 +360,26 @@ class PermutationGroup:
         A class is an orbit of q -> g q g**-1 over the generators g.  Each
         generator gives one table of ranks, one gather over the image array;
         ``kernels.orbit_minima`` labels each row with its class's least row,
-        and a running count of the rows that are their own label numbers the
-        classes in order: O(|G| * r) per sweep, no sort.
+        and :func:`_numbered` numbers the classes in order: O(|G| * r) per
+        sweep, no sort.
         """
         rows, gens = self.images, self.generator_images
         tables = [self._rank(g[rows[:, inv]]) for g, inv in zip(gens, np.argsort(gens, axis=1))]
         tables = np.array(tables, dtype=np.int64).reshape(len(tables), len(self))
         if (tables < 0).any():
             raise ValueError("a conjugate escapes the element set; the group is not closed")
-        minima = kernels.orbit_minima(tables)
-        class_of = (np.cumsum(minima == np.arange(len(self))) - 1)[minima]
+        _least, class_of = _numbered(kernels.orbit_minima(tables))
         class_of.flags.writeable = False
         return class_of
 
     @cached_property
     def _orbit_labels(self) -> dict:
         """:func:`orbit_labels` by alphabet size; they live as long as the group."""
+        return {}
+
+    @cached_property
+    def _projector_geometry(self) -> dict:
+        """``characters`` isotypic-projector index arrays by alphabet size; they live as long as the group."""
         return {}
 
     @cached_property
@@ -551,10 +577,11 @@ def orbit_labels(
     Orbit j is the j-th in representative order, as in :func:`orbits`, so
     ``orbit_of[reps[j]] == j``.  ``kernels.orbit_reps`` labels each string
     with its orbit's least member, by axis transposes along the generators;
-    a representative is a string that is its own label, and a running count
-    of those numbers the orbits in order, so the labelling costs O(d**n)
-    with no sort.  Memoised on the group by d (read-only arrays); the d**n
-    bound is checked on every call.
+    a representative is a string that is its own label, and the orbits are
+    numbered by one scatter of ``arange(R)`` onto the R representatives and
+    one gather through the labels (:func:`_numbered`), so the labelling
+    costs O(d**n) with no sort.  Memoised on the group by d (read-only
+    arrays); the d**n bound is checked on every call.
     """
     n = group.degree
     if d < 1:
@@ -563,13 +590,22 @@ def orbit_labels(
         raise StateSpaceBoundError(f"d**n = {d**n} exceeds the bound {max_states}")
     labels = group._orbit_labels
     if d not in labels:
-        minima = kernels.orbit_reps(np.argsort(group.generator_images, axis=1), n, d)
-        is_rep = minima == np.arange(len(minima))
-        reps = np.flatnonzero(is_rep)
-        orbit_of = (np.cumsum(is_rep) - 1)[minima]
+        reps, orbit_of = _numbered(kernels.orbit_reps(np.argsort(group.generator_images, axis=1), n, d))
         reps.flags.writeable = orbit_of.flags.writeable = False
         labels[d] = reps, orbit_of
     return labels[d]
+
+
+def _numbered(minima: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(least, number): the points that are their own orbit minimum, ascending, and each point's orbit index.
+
+    One scatter of ``arange(R)`` onto the R least points and one gather
+    through the minima: O(len(minima)), no sort.
+    """
+    least = np.flatnonzero(minima == np.arange(len(minima)))
+    number = np.empty_like(minima)
+    number[least] = np.arange(len(least))
+    return least, number.take(minima, mode="clip")  # minima are points, so clip only skips the bounds check
 
 
 class Orbits(Sequence):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -406,6 +408,28 @@ class TestIsotypicProjectors:
         monkeypatch.setattr(kernels, "action_table", None)
         for mu in range(len(table.irreps)):
             isotypic_projector(group, 2, mu, table=table)
+
+    def test_memoised_geometry_gives_the_projectors_of_a_fresh_copy_and_the_oracle(self, monkeypatch):
+        # Two alphabets on one group, irreps in reverse order: every call after the first at a d reads the
+        # memoised index arrays (no move_indices), and equals a fresh copy's projector bit for bit.
+        group = make_named_group("dihedral", 4)
+        table = character_table(group)
+        images = [p.images for p in group]
+        move_indices = kernels.move_indices
+        for d in (2, 3):
+            for mu in reversed(range(len(table.irreps))):
+                irrep = table.irreps[mu]
+                projector = isotypic_projector(group, d, mu, table=table)
+                monkeypatch.setattr(kernels, "move_indices", None)
+                assert np.array_equal(projector, isotypic_projector(group, d, mu, table=table))
+                monkeypatch.setattr(kernels, "move_indices", move_indices)
+                fresh = dataclasses.replace(group)
+                assert np.array_equal(projector, isotypic_projector(fresh, d, mu, table=table))
+                chars = [table.character(mu, p) for p in group]
+                expected = brute_isotypic_projector(images, chars, irrep.dim, group.degree, d)
+                assert np.abs(projector - expected).max() < 1e-12
+        assert sorted(group._projector_geometry) == [2, 3]
+        assert not any(a.flags.writeable for geometry in group._projector_geometry.values() for a in geometry)
 
     def test_cyclic_trivial_sector_rank(self):
         p = isotypic_projector(make_named_group("cyclic", 4), 2, 0)

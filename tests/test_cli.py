@@ -227,14 +227,14 @@ class TestQuantumOutput:
     def test_simulate_all_modes_make_one_overlap_pass(self, capsys, monkeypatch):
         # One d**n transpose per element for the pattern pass (8), none for the ancilla, and the orbit-label
         # pulls: the classical check and the cyclic basis each label C8 at d=2 once (on their own groups),
-        # pulling along r, r**2 and r**4 (windows of 2, 4 and 8 steps, each lowering some label) and along
-        # r**8 == e, which changes nothing and ends the fixpoint: 2 * 4 transposes.
+        # pulling along r, r**2 and r**4 (windows of 2, 4 and 8 steps, each lowering some label); the next
+        # jump, r**8 == e, ends the fixpoint unpulled: 2 * 3 transposes.
         calls = []
         moved_values = kernels.moved_values
         monkeypatch.setattr(kernels, "moved_values", lambda *args: calls.append(args) or moved_values(*args))
         code, out, _ = run_cli(capsys, "simulate", "--group", "cyclic", "--n", "8", "--d", "2")
         assert code == 0
-        assert len(calls) == 8 + 2 * 4
+        assert len(calls) == 8 + 2 * 3
         classical, quantum, ancilla = out.splitlines(keepends=True)
         assert classical == '[classical] {"messages": 36, "elements": 8, "failures": 0}\n'
         head = '[quantum] {"messages": 256, "elements": 8, "failures": [], "max_offdiag_overlap": '
@@ -320,6 +320,17 @@ class TestVerify:
         assert code == 0
         assert "FS = [1, 0, 1, 0]" in out
         assert "formula 10 vs multiplicity sum 16" in out
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("kind", ["cyclic", "symmetric"])
+    def test_counts_past_the_digit_limit_are_a_bound(self, capsys, kind, fmt):
+        # At d = 10**1500, N_c on three points has about 4500 digits and N_a about 9000; the interpreter
+        # prints at most 4300 by default.
+        d = str(10**1500)
+        code, out, err = run_cli(capsys, "verify", "--group", kind, "--n", "3", "--d", d, "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("resource bound: N_a has more than")
 
     def test_trivial_cyclic(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--group", "cyclic", "--n", "1", "--d", "2")

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import act_tuple, brute_orbits, index_table
-from permchannel import Permutation, count_classical_burnside, make_named_group, orbit_labels
+from oracles import act_tuple, brute_closure, brute_orbits, index_table
+from permchannel import Permutation, count_classical_burnside, generate_group, make_named_group, orbit_labels
 from permchannel import kernels
 
 
@@ -47,6 +47,63 @@ def test_moved_values_gathers_through_the_action_table(n, d):
         moved = kernels.moved_values(values, inv, d)
         assert moved.dtype == np.int32
         assert np.array_equal(moved, values[kernels.action_table(inv, d)])
+
+
+def digit_table(images, n: int, d: int) -> np.ndarray:
+    """Index of each string moved by ``images``, from its digits: digit j goes to position images[j]."""
+    digits = np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1) % d
+    return digits @ d ** (n - 1 - np.asarray(images, dtype=np.int64)).reshape(n)
+
+
+@st.composite
+def moves(draw):
+    """(n, d, images): a rotation, a reflection or any permutation of n <= 12 points, d**n <= 4096."""
+    n = draw(st.integers(0, 12))
+    d = draw(st.integers(1, 9).filter(lambda d: d**n <= 4096))
+    kind = draw(st.sampled_from(["rotation", "reflection", "any"]))
+    if kind == "any" or n == 0:
+        return n, d, tuple(draw(st.permutations(range(n))))
+    k = draw(st.integers(0, n - 1))
+    return n, d, tuple((k + i) % n if kind == "rotation" else (k - i) % n for i in range(n))
+
+
+@given(moves())
+@example((0, 2, ()))  # one empty string
+@example((7, 1, (1, 2, 3, 4, 5, 6, 0)))  # d = 1: the one string
+@example((12, 2, (4, 5, 6, 7, 8, 9, 10, 11, 0, 1, 2, 3)))  # a two-block swap
+@settings(max_examples=80, deadline=None)
+def test_moved_values_into_a_buffer_gathers_through_the_action_table(case):
+    n, d, images = case
+    inv = inverse_images(Permutation(images))
+    values = np.random.default_rng(d**n).integers(0, 2**31 - 1, d**n).astype(np.int32)
+    before = values.copy()
+    out = np.full_like(values, -1)
+    assert kernels.moved_values(values, inv, d, out) is out
+    assert np.array_equal(out, values[digit_table(images, n, d)])
+    assert np.array_equal(values, before)
+
+
+@pytest.mark.parametrize("n,d", [(14, 2), (9, 3), (7, 4)])
+def test_moved_values_of_every_rotation_and_reflection(n, d):
+    # Large enough that the block swaps of the rotations run over several tiles, or columns of them.
+    values = np.random.default_rng(n).permutation(d**n).astype(np.int32)
+    out = np.empty_like(values)
+    for k in range(n):
+        for images in ([(k + i) % n for i in range(n)], [(k - i) % n for i in range(n)]):
+            expected = values[digit_table(images, n, d)]
+            inv = inverse_images(Permutation(tuple(images)))
+            assert np.array_equal(kernels.moved_values(values, inv, d, out), expected)
+            assert np.array_equal(kernels.moved_values(values, inv, d), expected)
+
+
+@pytest.mark.parametrize(
+    "rows,cols", [(1, 9000), (2, 20000), (4, 5), (5, 7), (255, 300), (256, 257), (300, 70), (9000, 3), (1000, 129)]
+)
+def test_swap_blocks_is_a_transpose(rows, cols):
+    source = np.arange(rows * cols, dtype=np.int32).reshape(rows, cols)
+    out = np.full((cols, rows), -1, dtype=np.int32)
+    kernels._swap_blocks(source, out)
+    assert np.array_equal(out, source.T)
 
 
 @pytest.mark.parametrize("n,d", [(1, 1), (4, 1), (1, 3), (3, 2), (5, 2), (4, 3), (3, 4)])
@@ -156,6 +213,37 @@ def test_orbit_reps_transpose_pull_matches_table_gathers_and_search(case):
     tables = np.array([kernels.action_table(inv, d) for inv in invs], dtype=np.int64).reshape(len(gens), d**n)
     assert np.array_equal(rep, kernels.orbit_minima(tables))
     assert rep.tolist() == brute_orbit_minima([index_table(tuple(g), n, d).tolist() for g in gens], d**n)
+
+
+@st.composite
+def repeated_generator_sets(draw):
+    """(n, d, generator images): one to three generators on n <= 6 points, the first maybe repeated."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 4).filter(lambda d: d**n <= 729))
+    gens = [tuple(g) for g in draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))]
+    return n, d, gens + gens[:1] * draw(st.integers(0, 1))
+
+
+@given(repeated_generator_sets())
+@example((6, 2, [(1, 2, 3, 4, 5, 0)]))  # one generator
+@example((5, 3, [(1, 0, 2, 3, 4), (1, 0, 2, 3, 4)]))  # one generator twice
+@example((4, 2, [(1, 2, 3, 0), (3, 2, 1, 0), (1, 2, 3, 0)]))  # D4, the rotation repeated
+@settings(max_examples=60, deadline=None)
+def test_orbit_reps_and_labels_match_the_brute_orbits(case):
+    n, d, gens = case
+    index = {x: ix for ix, x in enumerate(itertools.product(range(d), repeat=n))}
+    want_minima, want_orbit = [0] * d**n, [0] * d**n
+    by_least = sorted((min(index[x] for x in orbit), orbit) for orbit in brute_orbits(brute_closure(gens), n, d))
+    for j, (least, orbit) in enumerate(by_least):
+        for x in orbit:
+            want_minima[index[x]], want_orbit[index[x]] = least, j
+    invs = np.array([Permutation(g).inverse().images for g in gens], dtype=np.int64)
+    minima = kernels.orbit_reps(invs, n, d)
+    reps, orbit_of = orbit_labels(generate_group([Permutation(g) for g in gens], degree=n), d)
+    assert minima.dtype == reps.dtype == orbit_of.dtype == np.int64
+    assert minima.tolist() == want_minima
+    assert reps.tolist() == [least for least, _ in by_least]
+    assert orbit_of.tolist() == want_orbit
 
 
 def test_orbit_labels_build_no_action_table(monkeypatch):

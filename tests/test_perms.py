@@ -527,6 +527,32 @@ class TestRankKeys:
         assert (group._rank(probe) < 0).any()
         assert np.array_equal(group._rank(probe), void_key_ranks(group.images, probe))
 
+    @staticmethod
+    def _small_groups(n):
+        """(n, generators, probe): generators permute the first five points, one may cycle the rest.
+
+        The groups have at most 120 * 11 elements; the probe is any permutation, seldom a member.
+        """
+        head = st.permutations(range(min(n, 5))).map(lambda im: tuple(im) + tuple(range(len(im), n)))
+        shift = tuple(range(min(n, 5))) + tuple(range(6, n)) + (5,) * (n > 5)
+        gens = st.lists(head, max_size=2).flatmap(lambda gs: st.sampled_from([gs, gs + [shift]]))
+        return st.tuples(st.just(n), gens, st.permutations(range(n)).map(tuple))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0, 1, 2, 5, 15, 16]).flatmap(lambda n: TestRankKeys._small_groups(n)))
+    @example((0, [], ()))
+    @example((15, [tuple(range(1, 15)) + (0,)], tuple(range(15))))  # C15, probing the identity
+    @example((16, [tuple(range(1, 16)) + (0,)], (1, 0) + tuple(range(2, 16))))  # C16, probing a swap
+    def test_scalar_rank_equals_the_array_rank(self, case):
+        # Degree 15 is the last with Python-int keys bisected, degree 16 the first through the byte keys.
+        degree, gens, probe = case
+        group = generate_group([Permutation(g) for g in gens], degree=degree)
+        members = {q.images for q in group.elements}
+        for p in (*group.elements[:20], Permutation(probe)):
+            want = int(group._rank(np.array(p.images, dtype=np.int64).reshape(degree)))
+            assert group._rank_of(p) == want
+            assert (want >= 0) == (p.images in members)
+
     @pytest.mark.parametrize("degree", [1, 2, 15, 16])
     def test_keys_sort_as_the_image_tuples(self, degree):
         rng = random.Random(degree)
