@@ -62,6 +62,12 @@ binary search each), and the ``stabilizer`` calls of ``verify`` on S9 at d=2
 strings).
 Construction builds image arrays only: no ``Permutation`` item is made until
 a caller reads ``elements``.
+
+The CLI layer times ``main(argv)`` alone, after the imports, in 10 fresh
+interpreters with stdout sent to the null device: ``count --group cyclic
+--n 4 --d 2``, whose plain argv is read straight from the option table, and
+the same with ``--n=4``, which goes through the argparse parser (its
+construction and argparse's first ``gettext`` call included).
 Run from the repo root:
 
     python benchmarks/bench_kernels.py
@@ -149,11 +155,42 @@ def drain_basis_json(basis):
         sink.writelines(basis_json_lines(basis))
 
 
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for fresh interpreters."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
+
+
 def cold_chartable_s7():
     """``chartable --group symmetric --n 7`` in a fresh interpreter: imports, group, classes and table."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, "-m", "permchannel.cli", "chartable", "--group", "symmetric", "--n", "7"]
-    subprocess.run(argv, stdout=subprocess.DEVNULL, env=env, check=True)
+    subprocess.run(argv, stdout=subprocess.DEVNULL, env=src_env(), check=True)
+
+
+CLI_RUNS = 10  # fresh interpreters per CLI row
+TIME_MAIN = (  # prints the seconds of main(argv) alone, after the imports, stdout to a null sink
+    "import contextlib, os, sys, time\n"
+    "from permchannel.cli import main\n"
+    "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+    "    start = time.perf_counter()\n"
+    "    main(sys.argv[1:])\n"
+    "    elapsed = time.perf_counter() - start\n"
+    "print(elapsed)\n"
+)
+
+
+def cli_layer():
+    """``main(argv)`` in ``CLI_RUNS`` fresh interpreters: plain argv (read directly) and an ``=`` form (argparse)."""
+    print()
+    print(f"{'cli, fresh interpreter':<26}{'case':<22}{'runs':>10}{'time (s)':>10}")
+    cases = (
+        ("count C4 d=2, plain", ["count", "--group", "cyclic", "--n", "4", "--d", "2"]),
+        ("count C4 d=2, --n=4", ["count", "--group", "cyclic", "--n=4", "--d", "2"]),
+    )
+    for case, argv in cases:
+        command = [sys.executable, "-c", TIME_MAIN, *argv]
+        runs = [subprocess.run(command, capture_output=True, env=src_env(), check=True) for _ in range(CLI_RUNS)]
+        median = statistics.median(float(run.stdout) for run in runs)
+        print(f"{'main(argv)':<26}{case:<22}{CLI_RUNS:>10}{median:>10.5f}")
 
 
 def group_layer(repeats):
@@ -269,6 +306,7 @@ def main():
     kernel_layer(args.repeats)
     group_layer(args.repeats)
     construction_layer(args.repeats)
+    cli_layer()
 
 
 if __name__ == "__main__":

@@ -186,7 +186,9 @@ def message_basis_cyclic(n: int, d: int, *, max_states: int = DEFAULT_MAX_STATES
     if (position < 0).any():
         raise ValueError("rotation walks do not cover every string once; not the rotation orbits")
     mu = (n // sizes)[walk_orbit] * place
-    order = np.lexsort((walk_orbit, mu))
+    # mu then orbit: walk_orbit ascends along the walk, so a stable sort by mu alone keeps that order;
+    # numpy sorts 8- and 16-bit keys stably by radix
+    order = np.argsort(mu.astype(np.min_scalar_type(n)), kind="stable")
     multiplicities = tuple(np.bincount(mu, minlength=n).tolist())
     return MessageBasis(n, d, group, multiplicities, walk, offsets, orbit_of, position, walk_orbit[order], place[order])
 

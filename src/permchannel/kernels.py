@@ -136,6 +136,21 @@ def _gather(label: np.ndarray, table: np.ndarray, out: np.ndarray) -> np.ndarray
     return np.take(label, table, out=out, mode="clip")  # a table holds points, so clip only skips the bounds check
 
 
+JUMP_TILE = 2**16  # labels per chunk of the pointer jump: numpy's int64 copy of each index chunk is 512 KB
+
+
+def _pointer_jump(label: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``label[label]`` into ``out``, gathered chunk by chunk.
+
+    ``np.take`` first converts int32 indices to an int64 array; whole, that is
+    an 8 MB copy at 2**20 labels, so the chunks keep each copy small.
+    """
+    for start in range(0, len(label), JUMP_TILE):
+        chunk = slice(start, start + JUMP_TILE)
+        np.take(label, label[chunk], out=out[chunk], mode="clip")  # labels are points: clip only skips the check
+    return out
+
+
 def orbit_minima(jumps: np.ndarray, size: int | None = None, pull=_gather) -> np.ndarray:
     """Least point of each of ``size`` points' orbit under the bijections ``jumps`` (one per row).
 
@@ -176,8 +191,8 @@ def orbit_minima(jumps: np.ndarray, size: int | None = None, pull=_gather) -> np
             label, spare = spare, label
             jump, changed = jump[jump], True
         if changed:
-            if lowered:  # labels are points, so clip only skips the bounds check
-                label, spare = np.take(label, label, out=spare, mode="clip"), label
+            if lowered:
+                label, spare = _pointer_jump(label, spare), label
             lowered, settled = True, 0
         settled += 1
         k += 1

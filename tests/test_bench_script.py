@@ -9,4 +9,5 @@ def test_kernel_benchmark_imports():
     spec = importlib.util.spec_from_file_location("bench_kernels", BENCH_KERNELS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert all(callable(f) for f in (module.kernel_layer, module.group_layer, module.construction_layer, module.main))
+    layers = (module.kernel_layer, module.group_layer, module.construction_layer, module.cli_layer)
+    assert all(callable(f) for f in (*layers, module.main))

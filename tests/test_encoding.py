@@ -343,3 +343,20 @@ class TestJsonExport:
         assert cli.main(["encode", "--group", "cyclic", "--n", str(n), "--d", str(d)]) == 0
         summary = f"states: {d**n}\nm: [{','.join(str(m) for m in message_basis_cyclic(n, d).multiplicities)}]\n"
         assert capsys.readouterr().out == json.dumps(oracle_payload(n, d), indent=1) + "\n" + summary
+
+
+@given(st.sampled_from(SMALL_SIZES + [(14, 2), (9, 3)]))
+@settings(max_examples=40, deadline=None)
+def test_message_order_is_the_lexsort_by_sector_then_orbit(size):
+    # The basis sorts its messages by mu alone (a stable radix sort of small keys); since the walk
+    # visits the orbits in ascending order, that is the (mu, orbit) lexsort of the walk.
+    n, d = size
+    basis = message_basis_cyclic(n, d)
+    sizes = basis.sizes
+    walk_orbit = np.repeat(np.arange(len(sizes)), sizes)
+    place = np.arange(d**n) - basis.offsets[walk_orbit]
+    mu = (n // sizes)[walk_orbit] * place
+    order = np.lexsort((walk_orbit, mu))
+    assert np.array_equal(np.argsort(mu.astype(np.min_scalar_type(n)), kind="stable"), order)
+    assert np.array_equal(basis.orbit, walk_orbit[order])
+    assert np.array_equal(basis.fourier, place[order])

@@ -156,6 +156,15 @@ def test_orbit_minima_match_search(count):
         assert kernels.orbit_minima(tables).tolist() == brute_orbit_minima(tables.tolist(), size)
 
 
+def test_pointer_jump_in_chunks_is_the_whole_gather():
+    # A size that is not a multiple of the chunk: the last chunk is short.
+    size = 3 * kernels.JUMP_TILE + 5
+    label = np.random.default_rng(7).integers(0, size, size).astype(np.int32)
+    out = np.full_like(label, -1)
+    assert kernels._pointer_jump(label, out) is out
+    assert np.array_equal(out, label[label])
+
+
 @pytest.mark.parametrize(
     "kind,n,d", [("cyclic", 4, 2), ("cyclic", 6, 2), ("dihedral", 4, 2), ("symmetric", 4, 3), ("cyclic", 5, 3)]
 )
@@ -213,6 +222,18 @@ def test_orbit_reps_transpose_pull_matches_table_gathers_and_search(case):
     tables = np.array([kernels.action_table(inv, d) for inv in invs], dtype=np.int64).reshape(len(gens), d**n)
     assert np.array_equal(rep, kernels.orbit_minima(tables))
     assert rep.tolist() == brute_orbit_minima([index_table(tuple(g), n, d).tolist() for g in gens], d**n)
+
+
+@given(generator_sets())
+@example((4, 3, [(1, 0, 2, 3), (0, 2, 3, 1)]))  # S4 from two generators: the pointer jump runs
+@settings(max_examples=40, deadline=None)
+def test_orbit_minima_with_short_jump_chunks_match_search(case):
+    n, d, gens = case
+    tables = np.array([index_table(tuple(g), n, d) for g in gens], dtype=np.int64).reshape(len(gens), d**n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "JUMP_TILE", 7)  # most sizes here are not a multiple of 7
+        labels = kernels.orbit_minima(tables, d**n)
+    assert labels.tolist() == brute_orbit_minima(tables.tolist(), d**n)
 
 
 @st.composite
