@@ -25,7 +25,8 @@ orbit labels, and where each weight lands and each in-orbit entry reads).
 ``moved_values`` pulls 2**20 int32 labels into a reused buffer at C20 d=2,
 as each round of the orbit fixpoint does: along the rotation by 1 and by 8
 (block swaps of 2 x 2**19 and 2**8 x 2**12 entries, copied in tiles) and
-along the D20 reflection (19 reversed axes, one strided copy).
+along the D20 reflection (19 reversed axes, moved by row gathers and
+in-row lookups in strips).
 ``move_indices`` moves given strings by their digits, without a d**n table;
 it is timed on all 2**16 strings and on the 4,116 necklace representatives
 at n=16.  ``verify_classical`` (orbit labels plus every element moving every

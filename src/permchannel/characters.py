@@ -93,7 +93,7 @@ class CharacterTable:
 
     @property
     def class_index(self) -> np.ndarray:
-        """(|G|,) int64, read-only: the class index of each element, in ``group.images`` row order.
+        """(|G|,) int32, read-only: the class index of each element, in ``group.images`` row order.
 
         This is the group's cached class index, which also orders ``classes``.
         """
@@ -470,7 +470,7 @@ def _projector_geometry(group: PermutationGroup, d: int) -> tuple[np.ndarray, np
         carrier[moved] = np.arange(len(group))[:, None]
         # every (i, j) in one orbit, orbit by orbit: members[start + a], members[start + b]
         members = np.argsort(orbit_of, kind="stable")
-        sizes = np.bincount(orbit_of, minlength=r)
+        sizes = kernels.label_counts(orbit_of, r)
         pair_orbit = np.repeat(np.arange(r), sizes**2)
         within = np.arange(len(pair_orbit)) - np.repeat(np.cumsum(sizes**2) - sizes**2, sizes**2)
         start, width = (np.cumsum(sizes) - sizes)[pair_orbit], sizes[pair_orbit]

@@ -352,7 +352,7 @@ def _verify_checks(cfg: RunConfig, group: PermutationGroup, d: int):
     if d**group.degree <= cfg.enum_bound:
         reps, orbit_of = orbit_labels(group, d, max_states=cfg.enum_bound)
         yield "orbit count matches group average", n_c == len(reps), f"{_fmt_value(n_c, 'N_c')} == {len(reps)}"
-        sizes = np.bincount(orbit_of)[:200].tolist()
+        sizes = kernels.label_counts(orbit_of, len(reps))[:200].tolist()
         stabs = (len(stabilizer(group, ColoredString.from_index(x, group.degree, d))) for x in reps[:200].tolist())
         ok = all(stab * size == len(group) for stab, size in zip(stabs, sizes))
         yield "orbit-stabilizer product", ok, f"{len(sizes)} representatives"

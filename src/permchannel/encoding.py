@@ -52,6 +52,7 @@ class MessageBasis:
 
     Orbit j's members in rotation order are ``walk[offsets[j]:offsets[j + 1]]``;
     string x is at place ``position[x]`` of orbit ``orbit_of[x]``'s walk.
+    ``orbit_of`` is ``perms.orbit_labels``'s, int32 below 2**31 strings.
     Message i (ascending mu, then orbit) is the Fourier state k = ``fourier[i]``
     on orbit ``orbit[i]``, with amplitude ``dft(size)[k, l]`` at walk place l.
     """
@@ -176,7 +177,7 @@ def message_basis_cyclic(n: int, d: int, *, max_states: int = DEFAULT_MAX_STATES
     for _ in range(n - 1):
         powers.append(step[powers[-1]])
     moved = kernels.move_indices(np.array(powers), reps, d)  # [l, j]: rotation**l of representative j
-    sizes = np.bincount(orbit_of, minlength=len(reps))
+    sizes = kernels.label_counts(orbit_of, len(reps))
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     walk = moved.T[np.arange(n) < sizes[:, None]]
     walk_orbit = np.repeat(np.arange(len(reps)), sizes)

@@ -10,24 +10,28 @@ given strings, by their digits, without a d**n table.
 
 :func:`orbit_minima` labels every point with the least point of its orbit
 under a few bijections of ``range(size)``, doubling each bijection's jump
-until the labels settle; it is given how a label array is pulled along a
-jump, into a given buffer.  The fixpoint runs on two label buffers, the
-labels and a spare that each round's pull and minimum are written into, so
-a round allocates no d**n array.  :func:`orbit_reps` runs it on the
-generators' n-point inverse-image rows: ``label[action_table(inv, d)]`` is
-``moved_values(label, inv, d)``, one axis transpose, and the table of the
-square is ``action_table(inv[inv], d)``, so labelling all d**n strings
-builds no action table.  ``perms`` runs it on rank tables of group
-elements, pulled by a gather.  The working labels are int32 below 2**31
-points.
+for ceil(log2 order) rounds; it is given each jump's order and how a label
+array is pulled along a jump, into a given buffer.  The fixpoint runs on
+two label buffers, the labels and a spare that each round's pull and
+minimum are written into, so a round allocates no d**n array.
+:func:`orbit_reps` runs it on the generators' n-point inverse-image rows:
+``label[action_table(inv, d)]`` is ``moved_values(label, inv, d)``, one
+axis transpose, and the table of the square is ``action_table(inv[inv], d)``,
+so labelling all d**n strings builds no action table.  ``perms`` runs it on
+rank tables of group elements, pulled by a gather.  The labels, and the
+minima returned, are int32 below 2**31 points (:func:`label_dtype`).
 
 A transpose first merges the runs of positions that move together into one
 axis.  numpy copies in the output's memory order; when the move swaps two
 such blocks (a rotation), that order reads the input down the columns of a
-2-D array, so the swap is copied tile by tile (:func:`_swap_blocks`).
+2-D array, so the swap is copied tile by tile (:func:`_swap_blocks`); when
+it reverses the unit axes (a D_n reflection), a large array is moved by
+rows and in-row lookups instead (:func:`_reverse_digits`).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -65,6 +69,9 @@ def moved_values(values: np.ndarray, inv_images, d: int, out: np.ndarray | None 
     source = values.reshape(shape)
     if order == [1, 0]:
         _swap_blocks(source, out.reshape(shape[::-1]))
+    elif values.size >= REVERSE_MIN_SIZE and d <= 4 and order in _reflections(len(inv)):
+        run = len(inv) - (order[0] == 0)  # the reversed axes: all, or all but the first
+        _reverse_digits(values.reshape(-1, d**run), run, d, out)
     else:
         np.copyto(out.reshape([shape[axis] for axis in order]), source.transpose(order))
     return out
@@ -83,6 +90,41 @@ def _merged_axes(axes: list[int], d: int) -> tuple[list[int], list[int]]:
     for axis, r in enumerate(by_input):
         order[r] = axis
     return [d ** runs[r][1] for r in by_input], order
+
+
+def _reflections(n: int) -> list[list[int]]:
+    """The transpose orders that reverse all n unit axes, or all but the first (a D_n reflection)."""
+    reversed_axes = list(range(n - 1, 0, -1))
+    return [reversed_axes + [0], [0] + reversed_axes]
+
+
+REVERSE_MIN_SIZE = 2**20  # entries from which _reverse_digits beats one strided copy, at d <= 4
+REVERSE_STRIP = 64  # rows per strip of _reverse_digits
+
+
+def _reverse_digits(source: np.ndarray, r: int, d: int, out: np.ndarray) -> None:
+    """``out`` holds each row of ``source`` (d**r entries) moved to the index with its r base-d digits reversed.
+
+    With r1 = r // 2 high digits h and r2 low digits l, entry h * d**r2 + l
+    moves to rev(l) * d**r1 + rev(h): viewed as a d**r1 x d**r2 array M, a
+    row moves to the transpose of ``M[rev][:, rev]``, a row gather, in-row
+    lookups and a block transpose.  These run a strip of ``REVERSE_STRIP``
+    rows of M at a time, through two strip buffers.  One copy of the move
+    walks r axes of length d, mostly loop overhead: at 2**20 int32 entries
+    on a 2-core x86-64 host the D20 reflection takes 9-15 ms that way and
+    about 5 ms here; below 2**20 entries, or at d = 5, the copy is as fast.
+    """
+    r1 = r // 2
+    rev_rows, rev_cols = (np.arange(d**k).reshape((d,) * k).transpose().ravel() for k in (r1, r - r1))
+    rows, cols = len(rev_rows), len(rev_cols)
+    gathered = np.empty((min(REVERSE_STRIP, rows), cols), source.dtype)
+    looked = np.empty_like(gathered)
+    for block, moved in zip(source.reshape(-1, rows, cols), out.reshape(-1, cols, rows)):
+        for start in range(0, rows, REVERSE_STRIP):
+            picks = rev_rows[start : start + REVERSE_STRIP]
+            np.take(block, picks, axis=0, out=gathered[: len(picks)], mode="clip")  # clip only skips the check
+            np.take(gathered[: len(picks)], rev_cols, axis=1, out=looked[: len(picks)], mode="clip")
+            np.copyto(moved[:, start : start + len(picks)], looked[: len(picks)].T)
 
 
 SWAP_TILE = 8192  # entries per tile of a block swap: 32 KB of int32 labels on each side
@@ -136,67 +178,101 @@ def _gather(label: np.ndarray, table: np.ndarray, out: np.ndarray) -> np.ndarray
     return np.take(label, table, out=out, mode="clip")  # a table holds points, so clip only skips the bounds check
 
 
-JUMP_TILE = 2**16  # labels per chunk of the pointer jump: numpy's int64 copy of each index chunk is 512 KB
+def label_dtype(size: int) -> type:
+    """Dtype of labels of ``size`` points: int32 while every point fits (below 2**31 points), else int64."""
+    return np.int32 if size < 2**31 else np.int64
 
 
-def _pointer_jump(label: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``label[label]`` into ``out``, gathered chunk by chunk.
+def permutation_order(images) -> int:
+    """Order of the permutation with these images: the lcm of its cycle lengths."""
+    images, order = np.asarray(images).tolist(), 1
+    seen = [False] * len(images)
+    for start in range(len(images)):
+        x, length = start, 0
+        while not seen[x]:
+            seen[x], x, length = True, images[x], length + 1
+        order = math.lcm(order, max(length, 1))
+    return order
+
+
+JUMP_TILE = 2**16  # indices per chunk of take_chunked: numpy's int64 copy of each int32 chunk is 512 KB
+
+
+def take_chunked(values: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``values[indices]`` into ``out``, which may be ``indices``, gathered chunk by chunk.
 
     ``np.take`` first converts int32 indices to an int64 array; whole, that is
     an 8 MB copy at 2**20 labels, so the chunks keep each copy small.
     """
-    for start in range(0, len(label), JUMP_TILE):
+    for start in range(0, len(indices), JUMP_TILE):
         chunk = slice(start, start + JUMP_TILE)
-        np.take(label, label[chunk], out=out[chunk], mode="clip")  # labels are points: clip only skips the check
+        np.take(values, indices[chunk], out=out[chunk], mode="clip")  # indices are points: clip only skips the check
     return out
 
 
-def orbit_minima(jumps: np.ndarray, size: int | None = None, pull=_gather) -> np.ndarray:
+def label_counts(labels: np.ndarray, length: int) -> np.ndarray:
+    """``np.bincount(labels, minlength=length)`` for labels below ``length``, counted chunk by chunk.
+
+    ``np.bincount`` first converts int32 labels to an int64 array, 8 MB at
+    2**20 labels; the chunks hold at least ``length`` labels, so adding up
+    their counts costs no more than counting them.
+    """
+    counts, step = np.zeros(length, dtype=np.int64), max(JUMP_TILE, length)
+    for start in range(0, len(labels), step):
+        counts += np.bincount(labels[start : start + step], minlength=length)
+    return counts
+
+
+def orbit_minima(jumps: np.ndarray, orders, size: int | None = None, pull=_gather) -> np.ndarray:
     """Least point of each of ``size`` points' orbit under the bijections ``jumps`` (one per row).
 
+    ``orders`` holds each jump's order, or a multiple of it.
     ``pull(label, jump, out)`` writes into ``out`` the label at each point's
     image under ``jump`` and returns it, and ``jump[jump]`` must be the jump
     of the square: true of index tables pulled by ``label[table]`` (the
     default, ``size`` then the row length) and of inverse-image rows pulled by
     :func:`moved_values`.  For one jump j, round k pulls the label of the
     point 2**k steps ahead (j**(2**k)), so after k rounds each label is the
-    least over a window of 2**k steps.  A round that changes nothing means
-    every window already holds its cycle's minimum, so a long cycle settles
-    in about log2(length) rounds, and a jump that has become the identity
-    ends them unpulled.  The jumps are taken in turn until all of
-    them in a row leave the labels unchanged; then the labels are constant
-    on every orbit, and equal its least point.  The jump ``label[label]``
-    after a change carries a lower label found elsewhere to every point that
-    points at it.  It is skipped after the first jump that lowers any label:
-    starting from the points themselves, the labels are then the least
-    points of that jump's cycles, which label themselves.  So one jump, as
-    for a cyclic group, needs no such gather.
+    least over a window of 2**k steps, and ceil(log2 order) rounds cover
+    every cycle.  Only round 1 is compared with the labels: if it lowers
+    none, each label is at most the next one on its cycle, so they are
+    already constant on the jump's cycles and it has no more rounds.  The
+    jumps are taken in turn until all of them in a row leave the labels
+    unchanged; then the labels are constant on every orbit, and equal its
+    least point.  The jump ``label[label]`` after a change carries a lower
+    label found elsewhere to every point that points at it.  It is skipped
+    after the first jump that lowers any label: starting from the points
+    themselves, the labels are then the least points of that jump's cycles,
+    which label themselves.  So one jump, as for a cyclic group, needs no
+    such gather and no confirming round.
 
     Each round writes the pull and its minimum into a spare buffer, which
-    becomes the labels if they changed: two buffers in all.  Labels are held
-    as int32 below 2**31 points, halving the memory each round streams; the
-    result is int64.
+    becomes the labels: two buffers in all.  The labels, and the result, are
+    of :func:`label_dtype`: int32 below 2**31 points, halving the memory each
+    round streams.
     """
     size = jumps.shape[1] if size is None else size
-    label = np.arange(size, dtype=np.int32 if size < 2**31 else np.int64)
+    label = np.arange(size, dtype=label_dtype(size))
     spare = np.empty_like(label)
     settled = k = 0
     lowered = False  # whether an earlier jump has lowered any label
     while settled < len(jumps):
         jump, changed = jumps[k % len(jumps)], False
-        while not np.array_equal(jump, np.arange(len(jump))):  # the identity moves no label
+        rounds = (int(orders[k % len(jumps)]) - 1).bit_length()  # ceil(log2 order): none for the identity
+        for i in range(rounds):
+            if i:
+                jump = jump[jump]
             np.minimum(label, pull(label, jump, spare), out=spare)
-            if np.array_equal(spare, label):
+            if not i and np.array_equal(spare, label):
                 break
-            label, spare = spare, label
-            jump, changed = jump[jump], True
+            label, spare, changed = spare, label, True
         if changed:
             if lowered:
-                label, spare = _pointer_jump(label, spare), label
+                label, spare = take_chunked(label, label, spare), label
             lowered, settled = True, 0
         settled += 1
         k += 1
-    return label.astype(np.int64)
+    return label
 
 
 def orbit_reps(inv_images, n: int, d: int) -> np.ndarray:
@@ -209,4 +285,5 @@ def orbit_reps(inv_images, n: int, d: int) -> np.ndarray:
     table is built.
     """
     invs = np.asarray(inv_images, dtype=np.int64).reshape(len(inv_images), n)  # n == 0 too
-    return orbit_minima(invs, int(d) ** n, lambda label, inv, out: moved_values(label, inv, d, out))
+    orders = [permutation_order(inv) for inv in invs]
+    return orbit_minima(invs, orders, int(d) ** n, lambda label, inv, out: moved_values(label, inv, d, out))

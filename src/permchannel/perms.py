@@ -58,11 +58,12 @@ No group operation builds an array with |G|**2 entries.
 one orbit labelling, memoised on the group per d.  ``kernels.orbit_reps``
 gives each string its orbit's least member: the ``kernels.orbit_minima``
 fixpoint run on the generators' n-point inverse-image rows, each label pull
-one axis transpose of the int32 working labels into a reused spare buffer
-and each squared jump an n-point gather, so no d**n action table is built.
+one axis transpose of the int32 labels into a reused spare buffer and each
+squared jump an n-point gather, so no d**n action table is built.
 The strings that are their own minimum are the representatives; the orbits
-are numbered by one scatter onto them and one gather through the minima:
-O(d**n), no sort.
+are numbered by one scatter onto them and one gather through the minima,
+written back into the minima: O(d**n), no sort, and ``orbit_of`` is int32
+below 2**31 strings (``kernels.label_dtype``).
 :func:`orbits`, the per-orbit multiplicities and the classical decoder and
 certifier all read it.  :func:`orbits` returns an array-backed sequence: the
 check that every orbit size divides |G| runs eagerly, ``len`` builds
@@ -143,7 +144,7 @@ class Permutation:
         return result
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in cycle_decomposition(self).cycles))
+        return kernels.permutation_order(self.images)
 
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self.images))
@@ -355,7 +356,7 @@ class PermutationGroup:
 
     @cached_property
     def _class_index(self) -> np.ndarray:
-        """(|G|,) int64, read-only: each row's conjugacy class, the classes numbered by least member.
+        """(|G|,) int32, read-only: each row's conjugacy class, the classes numbered by least member.
 
         A class is an orbit of q -> g q g**-1 over the generators g.  Each
         generator gives one table of ranks, one gather over the image array;
@@ -368,7 +369,8 @@ class PermutationGroup:
         tables = np.array(tables, dtype=np.int64).reshape(len(tables), len(self))
         if (tables < 0).any():
             raise ValueError("a conjugate escapes the element set; the group is not closed")
-        _least, class_of = _numbered(kernels.orbit_minima(tables))
+        orders = [kernels.permutation_order(g) for g in gens]  # a multiple of each conjugation's order
+        _least, class_of = _numbered(kernels.orbit_minima(tables, orders))
         class_of.flags.writeable = False
         return class_of
 
@@ -425,7 +427,7 @@ class PermutationGroup:
             if (moved < 0).any():
                 p = self.images[int(np.argmax(moved < 0))]
                 raise ValueError(f"product {p.tolist()} * {g.tolist()} escapes the element set")
-        minima = kernels.orbit_minima(right)
+        minima = kernels.orbit_minima(right, [kernels.permutation_order(g) for g in self.generator_images])
         if np.count_nonzero(minima == minima[identity]) != len(self):
             raise ValueError("generators do not span the element set")
 
@@ -580,8 +582,10 @@ def orbit_labels(
     a representative is a string that is its own label, and the orbits are
     numbered by one scatter of ``arange(R)`` onto the R representatives and
     one gather through the labels (:func:`_numbered`), so the labelling
-    costs O(d**n) with no sort.  Memoised on the group by d (read-only
-    arrays); the d**n bound is checked on every call.
+    costs O(d**n) with no sort.  ``reps`` is int64 and ``orbit_of`` of
+    ``kernels.label_dtype(d**n)``: int32 below 2**31 strings.  Memoised on
+    the group by d (read-only arrays); the d**n bound is checked on every
+    call.
     """
     n = group.degree
     if d < 1:
@@ -600,12 +604,13 @@ def _numbered(minima: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(least, number): the points that are their own orbit minimum, ascending, and each point's orbit index.
 
     One scatter of ``arange(R)`` onto the R least points and one gather
-    through the minima: O(len(minima)), no sort.
+    through the minima, written back into ``minima`` chunk by chunk:
+    O(len(minima)), no sort, and the numbers keep the minima's dtype.
     """
-    least = np.flatnonzero(minima == np.arange(len(minima)))
+    least = np.flatnonzero(minima == np.arange(len(minima), dtype=minima.dtype))
     number = np.empty_like(minima)
     number[least] = np.arange(len(least))
-    return least, number.take(minima, mode="clip")  # minima are points, so clip only skips the bounds check
+    return least, kernels.take_chunked(number, minima, minima)
 
 
 class Orbits(Sequence):
@@ -658,7 +663,7 @@ def orbits(group: PermutationGroup, d: int, *, max_states: int = DEFAULT_MAX_STA
     check that every orbit size divides |G| runs here, before any item is read.
     """
     reps, orbit_of = orbit_labels(group, d, max_states=max_states)
-    sizes = np.bincount(orbit_of, minlength=len(reps))
+    sizes = kernels.label_counts(orbit_of, len(reps))
     if (len(group) % sizes).any():
         raise ValueError("orbit size does not divide the group order; group is not closed")
     return Orbits(orbit_of, sizes, group.degree, d, len(group))

@@ -96,6 +96,42 @@ def test_moved_values_of_every_rotation_and_reflection(n, d):
             assert np.array_equal(kernels.moved_values(values, inv, d), expected)
 
 
+def reflections(n: int):
+    """Images of the n reflections of D_n: position i to (k - i) mod n."""
+    return [tuple((k - i) % n for i in range(n)) for k in range(n)]
+
+
+@pytest.mark.parametrize("n,d", [(n, 2) for n in range(3, 21)] + [(n, 3) for n in range(3, 13)] + [(6, 4)])
+def test_moved_values_reverses_digits_along_every_reflection(n, d, monkeypatch):
+    # The digit reversal also runs here from 1 entry on, in strips of 3 rows, so short strips and odd and
+    # even splits of the reversed digits (n - 1 or n of them) all occur; at 2**20 it runs with its defaults too.
+    values = np.random.default_rng(n).integers(0, 2**31 - 1, d**n).astype(np.int32)
+    before = values.copy()
+    reverse_digits, reversed_runs = kernels._reverse_digits, []
+
+    def counted(source, r, d, out):
+        reversed_runs.append(r)
+        reverse_digits(source, r, d, out)
+
+    monkeypatch.setattr(kernels, "_reverse_digits", counted)
+    sizes = [(kernels.REVERSE_MIN_SIZE, kernels.REVERSE_STRIP)] if d**n >= kernels.REVERSE_MIN_SIZE else []
+    out = np.empty_like(values)
+    for images in reflections(n):
+        inv = inverse_images(Permutation(images))
+        monkeypatch.setattr(kernels, "REVERSE_MIN_SIZE", 2**62)  # the action table by one strided copy
+        expected = values[kernels.action_table(inv, d)]
+        for min_size, strip in sizes + [(1, 3)]:
+            monkeypatch.setattr(kernels, "REVERSE_MIN_SIZE", min_size)
+            monkeypatch.setattr(kernels, "REVERSE_STRIP", strip)
+            out.fill(-1)
+            assert kernels.moved_values(values, inv, d, out) is out
+            assert np.array_equal(out, expected)
+            assert np.array_equal(kernels.moved_values(values, inv, d), expected)
+    assert np.array_equal(values, before)
+    # Two reflections reverse the digits: i -> -i (all but the first) and i -> n - 1 - i (all of them).
+    assert sorted(reversed_runs) == [n - 1] * (2 * len(sizes) + 2) + [n] * (2 * len(sizes) + 2)
+
+
 @pytest.mark.parametrize(
     "rows,cols", [(1, 9000), (2, 20000), (4, 5), (5, 7), (255, 300), (256, 257), (300, 70), (9000, 3), (1000, 129)]
 )
@@ -148,21 +184,128 @@ def brute_orbit_minima(tables, size):
     return label
 
 
+def brute_order(table) -> int:
+    """Least k > 0 with table composed k times the identity, by repeated composition."""
+    power, k = list(table), 1
+    while power != sorted(power):
+        power, k = [table[x] for x in power], k + 1
+    return k
+
+
+def table_orders(tables) -> list[int]:
+    return [brute_order(t) for t in np.asarray(tables).tolist()]
+
+
 @pytest.mark.parametrize("count", [0, 1, 2, 3])
 def test_orbit_minima_match_search(count):
     rng = np.random.default_rng(count)
     for size in (1, 2, 17, 60):
         tables = np.array([rng.permutation(size) for _ in range(count)], dtype=np.int64).reshape(count, size)
-        assert kernels.orbit_minima(tables).tolist() == brute_orbit_minima(tables.tolist(), size)
+        labels = kernels.orbit_minima(tables, table_orders(tables))
+        assert labels.dtype == np.int32
+        assert labels.tolist() == brute_orbit_minima(tables.tolist(), size)
 
 
-def test_pointer_jump_in_chunks_is_the_whole_gather():
+def test_take_chunked_is_the_whole_gather():
     # A size that is not a multiple of the chunk: the last chunk is short.
     size = 3 * kernels.JUMP_TILE + 5
     label = np.random.default_rng(7).integers(0, size, size).astype(np.int32)
     out = np.full_like(label, -1)
-    assert kernels._pointer_jump(label, out) is out
+    assert kernels.take_chunked(label, label, out) is out
     assert np.array_equal(out, label[label])
+    values = np.random.default_rng(8).integers(0, 2**31 - 1, size).astype(np.int32)
+    expected = values[label]
+    assert kernels.take_chunked(values, label, label) is label  # written over its own indices
+    assert np.array_equal(label, expected)
+
+
+def test_label_dtype_at_the_int32_limit():
+    assert kernels.label_dtype(0) is kernels.label_dtype(2**31 - 1) is np.int32
+    assert kernels.label_dtype(2**31) is kernels.label_dtype(2**40) is np.int64
+
+
+@given(st.permutations(range(12)))
+@example(tuple(range(12)))
+@settings(max_examples=60, deadline=None)
+def test_permutation_order_is_the_least_power_to_the_identity(images):
+    assert kernels.permutation_order(images) == brute_order(images)
+
+
+def cycle_table(lengths, points) -> list[int]:
+    """A permutation of ``sum(lengths)`` points made of cycles of the given lengths, through ``points`` in order."""
+    table, start = list(range(len(points))), 0
+    for length in lengths:
+        cycle = points[start : start + length]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            table[a] = b
+        start += length
+    return table
+
+
+@given(st.integers(1, 70), st.randoms(use_true_random=False))
+@example(1, None)  # the identity: no round
+@example(16, None)  # order 2**4: four rounds cover the cycle exactly
+@example(17, None)  # order 2**4 + 1: a fifth round
+@example(33, None)
+@settings(max_examples=60, deadline=None)
+def test_orbit_minima_rounds_cover_one_long_cycle(length, rng):
+    # One cycle whose length is the order, so a round short of ceil(log2 order) leaves a wrong label.
+    points = list(range(length))
+    if rng is not None:
+        rng.shuffle(points)
+    table = np.array([cycle_table([length], points)])
+    assert kernels.orbit_minima(table, [length]).tolist() == [0] * length
+    assert kernels.orbit_minima(table, [3 * length]).tolist() == [0] * length  # a multiple of the order
+
+
+@st.composite
+def cyclic_generator_sets(draw):
+    """(n, d, generators): powers of one permutation with cycles of 1, 2, 4, 8 or 3, 5, 9 points, n <= 9.
+
+    Exponent 0 gives the identity and a repeated exponent a repeated generator; n may be 0 or 1 and d 1.
+    """
+    lengths = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 8, 9]), max_size=3).filter(lambda ls: sum(ls) <= 9))
+    n = sum(lengths)
+    d = draw(st.integers(1, 8).filter(lambda d: d**n <= 512))
+    base = cycle_table(lengths, draw(st.permutations(range(n))))
+    gens = []
+    for exponent in draw(st.lists(st.integers(0, 20), min_size=1, max_size=3)):
+        power = list(range(n))
+        for _ in range(exponent):
+            power = [base[x] for x in power]
+        gens.append(tuple(power))
+    return n, d, gens
+
+
+@given(cyclic_generator_sets())
+@example((0, 3, [()]))  # degree 0: the one empty string
+@example((1, 5, [(0,)]))
+@example((9, 2, [(1, 2, 3, 4, 5, 6, 7, 8, 0)]))  # a 9-cycle: order 2**3 + 1
+@example((8, 2, [(1, 2, 3, 4, 5, 6, 7, 0), (1, 2, 3, 4, 5, 6, 7, 0)]))  # an 8-cycle, twice
+@example((9, 1, [(1, 2, 3, 4, 5, 6, 7, 8, 0), tuple(range(9))]))  # d = 1, and the identity
+@settings(max_examples=80, deadline=None)
+def test_orbit_reps_of_cyclic_groups_match_the_brute_orbits(case):
+    n, d, gens = case
+    elements = brute_closure(gens, n)
+    invs = np.array([Permutation(g).inverse().images for g in gens], dtype=np.int64).reshape(len(gens), n)
+    minima = kernels.orbit_reps(invs, n, d)
+    assert minima.dtype == np.int32
+    assert_rep_matches_brute(minima, brute_orbits(elements, n, d), d)
+    tables = np.array([index_table(g, n, d) for g in gens]).reshape(len(gens), d**n)
+    assert np.array_equal(kernels.orbit_minima(tables, [len(elements)] * len(gens)), minima)  # |G|: a multiple
+
+
+@given(st.integers(0, 300), st.integers(1, 40), st.integers(1, 50))
+@example(0, 1, 1)
+@example(50, 7, 7)  # chunks of exactly the count length
+@settings(max_examples=60, deadline=None)
+def test_label_counts_equal_one_bincount(size, length, tile):
+    labels = np.random.default_rng(size).integers(0, length, size).astype(np.int32)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "JUMP_TILE", tile)
+        counts = kernels.label_counts(labels, length)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == np.bincount(labels, minlength=length).tolist()
 
 
 @pytest.mark.parametrize(
@@ -218,9 +361,9 @@ def test_orbit_reps_transpose_pull_matches_table_gathers_and_search(case):
     n, d, gens = case
     invs = np.array([Permutation(tuple(g)).inverse().images for g in gens], dtype=np.int64).reshape(len(gens), n)
     rep = kernels.orbit_reps(invs, n, d)
-    assert rep.dtype == np.int64
+    assert rep.dtype == np.int32
     tables = np.array([kernels.action_table(inv, d) for inv in invs], dtype=np.int64).reshape(len(gens), d**n)
-    assert np.array_equal(rep, kernels.orbit_minima(tables))
+    assert np.array_equal(rep, kernels.orbit_minima(tables, table_orders(tables)))
     assert rep.tolist() == brute_orbit_minima([index_table(tuple(g), n, d).tolist() for g in gens], d**n)
 
 
@@ -232,7 +375,7 @@ def test_orbit_minima_with_short_jump_chunks_match_search(case):
     tables = np.array([index_table(tuple(g), n, d) for g in gens], dtype=np.int64).reshape(len(gens), d**n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "JUMP_TILE", 7)  # most sizes here are not a multiple of 7
-        labels = kernels.orbit_minima(tables, d**n)
+        labels = kernels.orbit_minima(tables, table_orders(tables), d**n)
     assert labels.tolist() == brute_orbit_minima(tables.tolist(), d**n)
 
 
@@ -261,7 +404,7 @@ def test_orbit_reps_and_labels_match_the_brute_orbits(case):
     invs = np.array([Permutation(g).inverse().images for g in gens], dtype=np.int64)
     minima = kernels.orbit_reps(invs, n, d)
     reps, orbit_of = orbit_labels(generate_group([Permutation(g) for g in gens], degree=n), d)
-    assert minima.dtype == reps.dtype == orbit_of.dtype == np.int64
+    assert minima.dtype == orbit_of.dtype == np.int32 and reps.dtype == np.int64
     assert minima.tolist() == want_minima
     assert reps.tolist() == [least for least, _ in by_least]
     assert orbit_of.tolist() == want_orbit
@@ -271,7 +414,7 @@ def test_orbit_labels_build_no_action_table(monkeypatch):
     monkeypatch.setattr(kernels, "action_table", None)
     group = make_named_group("dihedral", 8)
     reps, orbit_of = orbit_labels(group, 3)
-    assert reps.dtype == orbit_of.dtype == np.int64
+    assert reps.dtype == np.int64 and orbit_of.dtype == np.int32
     assert len(reps) == count_classical_burnside(group, 3)
     assert np.array_equal(orbit_of[reps], np.arange(len(reps)))
 

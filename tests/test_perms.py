@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     act_tuple,
     brute_closure,
+    brute_conjugacy_classes,
     brute_fixed_count,
     brute_orbits,
     brute_square_roots,
@@ -688,7 +689,7 @@ def test_orbit_labels_equal_a_sort_of_the_orbit_minima(case):
     reps, orbit_of = orbit_labels(group, d)
     invs = np.array([g.inverse().images for g in group.generators], dtype=np.int64).reshape(-1, n)
     want_reps, want_orbit_of = np.unique(kernels.orbit_reps(invs, n, d), return_inverse=True)
-    assert reps.dtype == want_reps.dtype and orbit_of.dtype == want_orbit_of.dtype
+    assert reps.dtype == np.int64 and orbit_of.dtype == np.int32
     assert np.array_equal(reps, want_reps) and np.array_equal(orbit_of, want_orbit_of)
     assert not reps.flags.writeable and not orbit_of.flags.writeable
 
@@ -764,6 +765,27 @@ class TestConjugacyClasses:
         for c in classes:
             assert c.representative == c.members[0]
             assert all(cycle_type(p) == c.partition for p in c.members)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=3))))
+    @example((0, [()]))
+    @example((1, [(0,), (0,)]))
+    @example((5, [(1, 2, 3, 4, 0)]))  # order 5 = 2**2 + 1
+    @example((4, [(1, 2, 3, 0), (1, 2, 3, 0), (0, 1, 2, 3)]))  # order 4, repeated, and the identity
+    @example((5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]))  # S5 from a transposition and a 5-cycle
+    def test_class_index_and_validate_match_the_brute_classes(self, case):
+        n, gens = case
+        group = generate_group([Permutation(tuple(g)) for g in gens], degree=n)
+        group.validate()
+        rank = {row: r for r, row in enumerate(map(tuple, group.images.tolist()))}
+        assert set(rank) == brute_closure(gens, n)
+        want = [0] * len(group)
+        by_least = sorted(sorted(rank[p] for p in c) for c in brute_conjugacy_classes(list(rank)))
+        for number, ranks in enumerate(by_least):
+            for r in ranks:
+                want[r] = number
+        assert group._class_index.dtype == np.int32
+        assert group._class_index.tolist() == want
 
 
 class TestSquareRoots:
