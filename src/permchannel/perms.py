@@ -635,7 +635,7 @@ class Orbits(Sequence):
     @cached_property
     def _grouped(self) -> tuple[np.ndarray, list[int]]:
         """All strings grouped by orbit, ascending within each, and the offset of each orbit."""
-        members = np.argsort(self._orbit_of, kind="stable")
+        members = kernels.members_by_label(self._orbit_of, len(self._sizes))
         return members, [0] + np.cumsum(self._sizes).tolist()
 
     def _orbit(self, j: int) -> Orbit:

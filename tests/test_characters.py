@@ -431,6 +431,60 @@ class TestIsotypicProjectors:
         assert sorted(group._projector_geometry) == [2, 3]
         assert not any(a.flags.writeable for geometry in group._projector_geometry.values() for a in geometry)
 
+    @pytest.mark.parametrize(
+        "group,d,complex_dims",
+        [
+            (make_named_group("symmetric", 4), 2, []),
+            (make_named_group("dihedral", 5), 2, []),
+            (make_named_group("symmetric", 3), 3, []),
+            (make_named_group("cyclic", 4), 2, [1, 1]),  # the +-i irreps
+            (make_named_group("cyclic", 6), 2, [1, 1, 1, 1]),
+            (F21, 2, [1, 1, 3, 3]),  # the non-trivial linear pair and the degree-3 pair
+            (QUATERNION, 1, []),
+        ],
+        ids=("S4", "D5", "S3-d3", "C4", "C6", "F21", "Q8-d1"),
+    )
+    def test_dtype_follows_the_character(self, group, d, complex_dims):
+        # float64 exactly when every character value is real; a real projector is bit for bit the real part of
+        # the complex projector built from the same index arrays, whose imaginary part is exact zeros.
+        table = character_table(group)
+        keys, entries, sources = characters._projector_geometry(group, d)
+        size, r = d**group.degree, len(keys) // len(group)
+        found = []
+        for mu, irrep in enumerate(table.irreps):
+            projector = isotypic_projector(group, d, mu, table=table)
+            weights = np.repeat(irrep.dim * np.conj(irrep.values)[table.class_index] / table.group_order, r)
+            columns = np.bincount(keys, weights.real, size * r) + 1j * np.bincount(keys, weights.imag, size * r)
+            reference = np.zeros((size, size), dtype=complex)
+            reference.ravel()[entries] = columns[sources]
+            if all(value.imag == 0.0 for value in irrep.values):
+                assert projector.dtype == np.float64
+                assert not reference.imag.any()
+                assert projector.tobytes() == reference.real.tobytes()
+            else:
+                assert projector.dtype == np.complex128
+                assert projector.tobytes() == reference.tobytes()
+                found.append(irrep.dim)
+        assert found == complex_dims
+
+    @pytest.mark.parametrize("group", [make_named_group("symmetric", 4), make_named_group("cyclic", 4), F21],
+                             ids=("S4", "C4", "F21"))
+    def test_projectors_sum_to_the_identity(self, group):
+        table = character_table(group)
+        total = sum(isotypic_projector(group, 2, mu, table=table) for mu in range(len(table.irreps)))
+        assert np.abs(total - np.eye(2**group.degree)).max() < 1e-12
+
+    @pytest.mark.parametrize("mu", [-1, -5, 5, 6, 100])
+    @pytest.mark.parametrize("with_table", [True, False])
+    def test_irrep_index_out_of_range(self, mu, with_table):
+        # S4 has 5 irreps; checked before the orbits are labelled or anything is allocated
+        group = make_named_group("symmetric", 4)
+        table = character_table(group) if with_table else None
+        with pytest.raises(IndexError, match=r"irrep index -?\d+ is outside range\(5\)"):
+            isotypic_projector(group, 2, mu, table=table)
+        assert group._orbit_labels == {}
+        assert group._projector_geometry == {}
+
     def test_cyclic_trivial_sector_rank(self):
         p = isotypic_projector(make_named_group("cyclic", 4), 2, 0)
         assert abs(np.trace(p).real - 6) < 1e-9

@@ -219,6 +219,30 @@ def test_take_chunked_is_the_whole_gather():
     assert np.array_equal(label, expected)
 
 
+@given(
+    st.sampled_from([1, 2, 255, 256, 257, 2**16 - 1, 2**16, 2**16 + 1, 2**17]),
+    st.integers(0, 3000),
+    st.sampled_from([np.int32, np.int64]),
+    st.integers(0, 2**32 - 1),
+)
+@example(256, 2000, np.int32, 0)  # the largest uint8 label
+@example(257, 2000, np.int32, 0)  # one past it: uint16
+@example(2**16, 3000, np.int64, 1)  # the largest uint16 label
+@example(2**16 + 1, 3000, np.int32, 1)  # one past it: the 32-bit merge sort
+@example(3, 0, np.int32, 2)  # no points
+@settings(max_examples=80, deadline=None)
+def test_members_by_label_is_the_stable_argsort(count, size, dtype, seed):
+    # Few distinct labels repeat often, so the order within each label is checked too.
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, min(count, rng.integers(1, 300)), size).astype(dtype)
+    if size:
+        labels[rng.integers(0, size, 3)] = count - 1  # the top label, at up to 3 places
+    expected = np.argsort(labels, kind="stable")
+    members = kernels.members_by_label(labels, count)
+    assert members.dtype == expected.dtype
+    assert np.array_equal(members, expected)
+
+
 def test_label_dtype_at_the_int32_limit():
     assert kernels.label_dtype(0) is kernels.label_dtype(2**31 - 1) is np.int32
     assert kernels.label_dtype(2**31) is kernels.label_dtype(2**40) is np.int64
