@@ -44,7 +44,10 @@ message headers), ``verify_zero_error``, and
 ``dense_coding_certify``, which reads the trace of each (sector, element)
 sector operator from the same overlap pass, so it costs about what
 ``verify_zero_error`` does; both also at C20 d=2, where keying the
-20 x 52,488 overlap blocks by pattern is the cost.  The export alone is
+20 x 52,488 overlap blocks by pattern is the cost, one element per batch as
+at C16.  ``verify_zero_error`` is also timed on the small bases of the
+``cyclic-certify`` jobs, C10 d=2 (all 10 elements keyed by one sort and
+scored as one batch) and C14 d=2 (two elements a batch).  The export alone is
 also timed at C18 d=2: ``basis_json_lines`` drained into a null sink, all
 262,144 states, about 0.56 GB of text.
 
@@ -63,9 +66,11 @@ generators of the four ``perfbench/groups`` files, on two groups whose
 Cayley graphs have long diameters (one generator of cycle type 5.7.9.16, order
 5040, and D500 from two reflections), ``make_named_group`` for
 S8 and S9, one ``_rank`` pass over S9's 362,880 image rows (int64 keys, a
-binary search each), and the ``stabilizer`` calls of ``verify`` on S9 at d=2
+binary search each), the ``stabilizer`` calls of ``verify`` on S9 at d=2
 (one per orbit representative, at most 200; S9 has 10 orbits on binary
-strings).
+strings), and ``stabilizer_orders``, which ``verify`` now calls instead:
+one comparison of all the representatives' symbol rows per block of
+elements, on D12 d=2 (200 representatives) and S9 d=2.
 Construction builds image arrays only: no ``Permutation`` item is made until
 a caller reads ``elements``.
 
@@ -114,6 +119,7 @@ from permchannel import (
     parse_group_file,
     square_root_count,
     stabilizer,
+    stabilizer_orders,
     verify_classical,
     verify_zero_error,
 )
@@ -266,6 +272,9 @@ def kernel_layer(repeats):
     row("basis_json_lines", "C18 d=2, null sink", 18, lambda: drain_basis_json(c18_basis))
     row("verify_zero_error", "C16 d=2", 16, lambda: verify_zero_error(basis.group, basis))
     row("dense_coding_certify", "C16 d=2", 16, lambda: dense_coding_certify(16, 2, basis=basis))
+    for n in (10, 14):
+        small = message_basis_cyclic(n, 2)
+        row("verify_zero_error", f"C{n} d=2", n, lambda: verify_zero_error(small.group, small))
     c20_basis = message_basis_cyclic(20, 2)
     row("verify_zero_error", "C20 d=2", 20, lambda: verify_zero_error(c20_basis.group, c20_basis))
     row("dense_coding_certify", "C20 d=2", 20, lambda: dense_coding_certify(20, 2, basis=c20_basis))
@@ -320,6 +329,10 @@ def construction_layer(repeats):
     row("_rank", "S9 images, one pass", lambda: s9._rank(s9.images))
     reps = orbit_labels(s9, 2)[0][:200].tolist()
     row("stabilizer", f"S9 d=2, {len(reps)} reps", lambda: [stabilizer(s9, ColoredString.from_index(x, 9, 2)) for x in reps])
+    d12 = make_named_group("dihedral", 12)
+    d12_reps = orbit_labels(d12, 2)[0][:200]
+    row("stabilizer_orders", f"D12 d=2, {len(d12_reps)} reps", lambda: stabilizer_orders(d12, d12_reps, 2))
+    row("stabilizer_orders", f"S9 d=2, {len(reps)} reps", lambda: stabilizer_orders(s9, reps, 2))
 
 
 def main():

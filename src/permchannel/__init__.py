@@ -62,6 +62,7 @@ from .perms import (
     parse_group_file,
     square_root_count,
     stabilizer,
+    stabilizer_orders,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,8 @@ from the standard library's ``random.Random(EIGEN_SEED + a)``, so a table
 never imports ``numpy.random``.  Degenerate eigenvalues trigger a retry with
 a fresh combination.  Abelian groups bypass the eigensolver: cyclic groups get
 exact root-of-unity characters, other abelian groups a deterministic
-eigenprojector cascade over their generator list.
+eigenprojector cascade over their generator list, whose values are then
+snapped to the exact roots of unity of the group's exponent.
 """
 
 from __future__ import annotations
@@ -185,7 +186,22 @@ def _abelian_character_rows(group: PermutationGroup) -> np.ndarray:
     spaces.sort(key=lambda item: item[1])
     if len(spaces) != order or any(b.shape[1] != 1 for b, _ in spaces):
         raise CharacterTableError("generator cascade failed to isolate the characters")
-    return np.array([np.conj(basis[:, 0] / basis[0, 0]) for basis, _tag in spaces])
+    rows = np.array([np.conj(basis[:, 0] / basis[0, 0]) for basis, _tag in spaces])
+    return _exact_roots(rows, math.lcm(*(g.order() for g in gens)))
+
+
+def _exact_roots(values: np.ndarray, e: int) -> np.ndarray:
+    """Each value as the exact e-th root of unity ``unit_root(e, j)`` nearest to it.
+
+    Every character value of an abelian group is an e-th root of unity, e the
+    lcm of its generator orders; a value farther than ``ORTHOGONALITY_TOL``
+    from every such root raises ``CharacterTableError``.
+    """
+    roots = np.array([unit_root(e, j) for j in range(e)])
+    exact = roots[np.rint(np.angle(values) * (e / (2 * math.pi))).astype(np.int64) % e]
+    if np.abs(values - exact).max() > ORTHOGONALITY_TOL:
+        raise CharacterTableError(f"a character value lies off the {e}-th roots of unity")
+    return exact
 
 
 def _class_structure_matrices(group: PermutationGroup, classes) -> np.ndarray:

@@ -30,13 +30,12 @@ from . import characters, counting, encoding, kernels
 from .errors import PermChannelError, ResourceBoundError
 from .perms import (
     DEFAULT_MAX_STATES,
-    ColoredString,
     PermutationGroup,
     load_group_file,
     make_named_group,
     orbit_labels,
     square_root_count,
-    stabilizer,
+    stabilizer_orders,
 )
 
 if TYPE_CHECKING:
@@ -352,9 +351,8 @@ def _verify_checks(cfg: RunConfig, group: PermutationGroup, d: int):
     if d**group.degree <= cfg.enum_bound:
         reps, orbit_of = orbit_labels(group, d, max_states=cfg.enum_bound)
         yield "orbit count matches group average", n_c == len(reps), f"{_fmt_value(n_c, 'N_c')} == {len(reps)}"
-        sizes = kernels.label_counts(orbit_of, len(reps))[:200].tolist()
-        stabs = (len(stabilizer(group, ColoredString.from_index(x, group.degree, d))) for x in reps[:200].tolist())
-        ok = all(stab * size == len(group) for stab, size in zip(stabs, sizes))
+        sizes = kernels.label_counts(orbit_of, len(reps))[:200]
+        ok = bool((stabilizer_orders(group, reps[:200], d) * sizes == len(group)).all())
         yield "orbit-stabilizer product", ok, f"{len(sizes)} representatives"
         report = channel_mod.verify_classical(group, d, max_states=cfg.enum_bound)
         yield "classical decoding is orbit-invariant", report.zero_error, f"{len(report.failures)} mismatches"

@@ -240,7 +240,9 @@ def basis_json_lines(basis: MessageBasis) -> Iterator[str]:
     head = {"group": basis.group.kind, "n": basis.n, "d": basis.d, "multiplicities": list(basis.multiplicities)}
     yield json.dumps(head, indent=1)[:-2] + ',\n "entries": [\n'
     sector_start = np.concatenate(([0], np.cumsum(basis.multiplicities)))
-    starts = np.concatenate(([0], np.cumsum(basis.sizes[basis.orbit])))  # each message's first entry, then the total
+    starts = np.zeros(len(basis) + 1, dtype=np.int64)  # each message's first entry, then the total
+    np.take(basis.sizes, basis.orbit, out=starts[1:], mode="clip")  # clip: an unbuffered ``out``
+    np.cumsum(starts, out=starts)  # in place: one d**n array at a time
     members = basis.members  # like starts, built before the names, so neither's temporaries lie on top of them
     names = _basis_strings(basis.n, basis.d)
     values, start = basis._dft

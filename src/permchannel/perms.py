@@ -48,7 +48,9 @@ gathers, so for r generators:
   a lookup per call.
 * ``conjugacy_classes``: r conjugation tables, O(|G| * r) per sweep, once per
   group; then one ``Permutation`` per class.
-* ``stabilizer``: one O(|G| * n) gather per string.
+* ``stabilizer``: one O(|G| * n) gather per string; ``stabilizer_orders``
+  counts the fixing elements of many strings by one comparison per block
+  of elements, O(|G| * n) per string with no Python work per string.
 * ``cycle_count_tally`` (the group averages): O(|G| * n log n), once per
   group for the elements and once for their squares.
 
@@ -88,6 +90,7 @@ from .errors import DegreeMismatchError, GroupSizeLimitError, StateSpaceBoundErr
 
 DEFAULT_MAX_GROUP_ORDER = 10**6
 DEFAULT_MAX_STATES = 1 << 20
+MAX_STABILIZER_BYTES = 1 << 16  # gathered symbols ``stabilizer_orders`` compares per block of elements (64 KiB)
 
 
 @dataclass(frozen=True, order=True)
@@ -680,6 +683,23 @@ def stabilizer(group: PermutationGroup, x: ColoredString) -> PermutationGroup:
     symbols = np.array(x.symbols, dtype=np.int64)
     fixed = group.images[(symbols[group.images] == symbols).all(axis=1)]
     return PermutationGroup(group.degree, fixed, fixed, "custom")
+
+
+def stabilizer_orders(group: PermutationGroup, strings, d: int) -> np.ndarray:
+    """|stabilizer(group, x)| for each string index x, without building the subgroups.
+
+    The strings' symbol rows (uint8 below d = 257) are compared with their
+    own gathers under a block of elements at once, ``sym[:, images] ==
+    sym[:, None, :]``, and the all-equal rows counted per string; each block
+    holds at most ``MAX_STABILIZER_BYTES`` symbols.
+    """
+    strings = np.asarray(strings, dtype=np.int64)
+    sym = (strings[:, None] // kernels.digit_powers(group.degree, d) % d).astype(np.min_scalar_type(d - 1))
+    orders = np.zeros(len(strings), dtype=np.int64)
+    step = max(1, MAX_STABILIZER_BYTES // max(1, sym.size))
+    for start in range(0, len(group), step):
+        orders += (np.take(sym, group.images[start : start + step], axis=1) == sym[:, None, :]).all(axis=2).sum(axis=1)
+    return orders
 
 
 @dataclass(frozen=True)

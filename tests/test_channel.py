@@ -161,6 +161,42 @@ class TestZeroError:
         assert verify_zero_error(group, basis) == whole
         assert len(whole.failures) > 0
 
+    @pytest.mark.parametrize(("n", "d"), [(6, 2), (5, 3), (4, 2)])
+    def test_batching_keeps_a_foreign_groups_failures_in_order(self, monkeypatch, n, d):
+        # Negative control: the dihedral reflections split the rotation orbits, so messages fail.
+        basis = message_basis_cyclic(n, d)
+        group = make_named_group("dihedral", n)
+        reports = []
+        for key_bytes, slots in ((1, 1), (1 << 62, 1 << 62)):  # one element per batch, then all in one
+            monkeypatch.setattr(channel_module, "MAX_KEY_BYTES", key_bytes)
+            monkeypatch.setattr(channel_module, "MAX_STACKED_SLOTS", slots)
+            reports.append(verify_zero_error(group, basis))
+        single, whole = reports
+        assert len(single.failures) > 0
+        assert single.failures == whole.failures
+        assert single.max_offdiag_overlap == whole.max_offdiag_overlap
+        assert np.abs(single.sector_traces - whole.sector_traces).max() < 1e-12
+        rank = {tuple(row): e for e, row in enumerate(group.images.tolist())}
+        order = [(rank[images], message) for message, images in single.failures]
+        assert order == sorted(order) and len(set(order)) == len(order)  # by element, then message
+
+    def test_default_budgets_batch_small_bases_and_not_c16(self, monkeypatch):
+        # (first element, elements) of each batch: C10 is one stacked batch, C14 two elements a batch, C16 one.
+        batches = []
+        key_batches = channel_module._key_batches
+
+        def spy(*args):
+            for batch in key_batches(*args):
+                batches.append((batch[0], int(batch[2][-1]) + 1))
+                yield batch
+
+        monkeypatch.setattr(channel_module, "_key_batches", spy)
+        for n, per_batch in ((10, 10), (14, 2), (16, 1)):
+            batches.clear()
+            basis = message_basis_cyclic(n, 2)
+            assert verify_zero_error(basis.group, basis).zero_error
+            assert batches == [(first, per_batch) for first in range(0, n, per_batch)]
+
     def test_json_payload(self):
         report = verify_zero_error(C4, message_basis_cyclic(4, 2))
         payload = report.to_json()

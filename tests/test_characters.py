@@ -24,7 +24,7 @@ from permchannel import (
     square_root_count,
     unit_root,
 )
-from permchannel import characters
+from permchannel import characters, cli
 from permchannel.characters import MAX_RETRIES, _project_class_functions
 from permchannel.errors import (
     CharacterTableError,
@@ -43,6 +43,12 @@ KLEIN = generate_group([Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))])
 
 # C7 x| C3 on 7 points: its two 3-dimensional irreps have non-real characters.
 F21 = generate_group([Permutation((1, 2, 3, 4, 5, 6, 0)), Permutation((0, 2, 4, 6, 1, 3, 5))])
+
+# Non-cyclic abelian groups, whose tables come from the generator cascade.
+C2XC4 = generate_group([Permutation((1, 0, 2, 3, 4, 5)), Permutation((0, 1, 3, 4, 5, 2))])
+C2_CUBED = generate_group(
+    [Permutation((1, 0, 2, 3, 4, 5)), Permutation((0, 1, 3, 2, 4, 5)), Permutation((0, 1, 2, 3, 5, 4))]
+)
 
 TABLE_ZOO = [
     make_named_group("cyclic", 2),
@@ -133,6 +139,50 @@ class TestCharacterTable:
         a = character_table(make_named_group("symmetric", 4))
         b = character_table(make_named_group("symmetric", 4))
         assert np.array_equal(a.value_matrix(), b.value_matrix())
+
+
+class TestExactAbelianCharacters:
+    """The cascade's values are snapped to exact e-th roots of unity, e the lcm of the generator orders."""
+
+    @pytest.mark.parametrize(
+        ("group", "exponent"), [(KLEIN, 2), (C2XC4, 4), (C2_CUBED, 2)], ids=["klein", "c2xc4", "c2^3"]
+    )
+    def test_values_are_exact_roots_of_unity(self, group, exponent):
+        table = character_table(group)
+        assert len(table.irreps) == len(group)
+        roots = {unit_root(exponent, j) for j in range(exponent)}
+        assert {v for irrep in table.irreps for v in irrep.values} <= roots
+        # ±1 and ±i multiply exactly, so each character is a homomorphism to the bit.
+        for j in range(len(table.irreps)):
+            for p in group.elements:
+                for q in group.elements:
+                    assert table.character(j, p * q) == table.character(j, p) * table.character(j, q)
+
+    def test_values_within_the_tolerance_snap_and_others_raise(self):
+        values = np.array([[1 + 1e-12, -1 - 2e-16j], [1j + 1e-13, -1j]])
+        assert characters._exact_roots(values, 4).tolist() == [[1, -1], [1j, -1j]]
+        with pytest.raises(CharacterTableError, match="2-th roots"):
+            characters._exact_roots(np.array([[1j]]), 2)
+        with pytest.raises(CharacterTableError):
+            characters._exact_roots(np.array([[1 + 1e-6]]), 4)
+
+    def test_chartable_text_shows_the_same_table(self, capsys, tmp_path):
+        path = tmp_path / "c2xc4.txt"
+        path.write_text("1 0 2 3 4 5\n0 1 3 4 5 2\n")
+        assert cli.main(["chartable", "--group-file", str(path)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert rows[0][3:] == ["[1^6]x1", "[4", "1^2]x1", "[2^2", "1^2]x1", "[4", "1^2]x1", "[2", "1^4]x1", "[4", "2]x1",
+                               "[2^3]x1", "[4", "2]x1"]
+        assert rows[1:] == [
+            ["mu0", "1", "+1", "1", "1", "1", "1", "1", "1", "1", "1"],
+            ["mu1", "1", "+0", "1", "1i", "-1", "-1i", "1", "1i", "-1", "-1i"],
+            ["mu2", "1", "+1", "1", "-1", "1", "-1", "1", "-1", "1", "-1"],
+            ["mu3", "1", "+0", "1", "-1i", "-1", "1i", "1", "-1i", "-1", "1i"],
+            ["mu4", "1", "+1", "1", "1", "1", "1", "-1", "-1", "-1", "-1"],
+            ["mu5", "1", "+0", "1", "1i", "-1", "-1i", "-1", "-1i", "1", "1i"],
+            ["mu6", "1", "+1", "1", "-1", "1", "-1", "-1", "1", "-1", "1"],
+            ["mu7", "1", "+0", "1", "-1i", "-1", "1i", "-1", "1i", "1", "-1i"],
+        ]
 
 
 class TestEigensolverRetries:

@@ -40,6 +40,7 @@ from permchannel import (
     parse_group_file,
     square_root_count,
     stabilizer,
+    stabilizer_orders,
     verify_classical,
     verify_zero_error,
 )
@@ -738,6 +739,24 @@ class TestStabilizer:
             x = ColoredString.from_index(ix, group.degree, d)
             orbit = obs[rep_of[ix]]
             assert len(stabilizer(group, x)) * orbit.size == len(group)
+
+    @pytest.mark.parametrize(
+        "kind,n,d", [("cyclic", 10, 2), ("cyclic", 6, 3), ("dihedral", 12, 2), ("symmetric", 6, 2), ("symmetric", 4, 4)]
+    )
+    @pytest.mark.parametrize("block_bytes", [None, 1], ids=["default blocks", "one element per block"])
+    def test_stabilizer_orders_count_each_subgroup(self, monkeypatch, kind, n, d, block_bytes):
+        # The verify suite's representatives, plus every string of the smaller cases.
+        group = make_named_group(kind, n)
+        if block_bytes is not None:
+            monkeypatch.setattr(perms_module, "MAX_STABILIZER_BYTES", block_bytes)
+        strings = orbit_labels(group, d)[0][:200] if d**n > 1000 else np.arange(d**n)
+        expected = [len(stabilizer(group, ColoredString.from_index(x, n, d))) for x in strings.tolist()]
+        orders = stabilizer_orders(group, strings, d)
+        assert orders.dtype == np.int64
+        assert orders.tolist() == expected
+
+    def test_stabilizer_orders_of_no_strings(self):
+        assert stabilizer_orders(make_named_group("cyclic", 3), [], 2).tolist() == []
 
 
 class TestConjugacyClasses:

@@ -5,6 +5,7 @@ arbitrary generator sets so the counting/oracle identities are exercised on
 subgroups nobody hand-picked.
 """
 
+import contextlib
 import dataclasses
 import itertools
 
@@ -30,6 +31,7 @@ from oracles import (
 )
 from oracles import dense_coding_certify as oracle_dense_coding
 from permchannel import (
+    ColoredString,
     Permutation,
     PermutationGroup,
     ambient_multiplicities,
@@ -49,9 +51,11 @@ from permchannel import (
     orbits,
     square_root_count,
     stabilizer,
+    stabilizer_orders,
     verify_classical,
     verify_zero_error,
 )
+from permchannel import channel, perms
 from permchannel.characters import _class_structure_matrices
 from permchannel.perms import orbit_labels
 from test_certify_oracle import oracle_sectors
@@ -167,6 +171,53 @@ def test_cyclic_basis_certification_matches_dense_oracle(group, d):
         assert dense_coding_certify(n, d, basis=relabeled) == oracle_dense_coding(images, oracle_sectors(n, d), n, d)
 
 
+@contextlib.contextmanager
+def _budgets(module, **values):
+    """The module's constants set to ``values`` for the block; hypothesis examples cannot use ``monkeypatch``."""
+    saved = {name: getattr(module, name) for name in values}
+    for name, value in values.items():
+        setattr(module, name, value)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(module, name, value)
+
+
+ONE_PER_BATCH = {"MAX_KEY_BYTES": 1, "MAX_STACKED_SLOTS": 1}
+ALL_IN_ONE_BATCH = {"MAX_KEY_BYTES": 1 << 62, "MAX_STACKED_SLOTS": 1 << 62}
+
+
+def _assert_batchings_agree(group, basis, *batchings):
+    reports = []
+    for budgets in batchings:
+        with _budgets(channel, **budgets):
+            reports.append(verify_zero_error(group, basis))
+    first = reports[0]
+    for other in reports[1:]:
+        assert other.failures == first.failures
+        assert other.max_offdiag_overlap == first.max_offdiag_overlap
+        assert np.abs(other.sector_traces - first.sector_traces).max() < 1e-12
+    return first
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group_strategy(), st.integers(1, 3), st.integers(1, 4096), st.integers(1, 1024))
+def test_batching_does_not_change_the_zero_error_report(group, d, key_bytes, slots):
+    # One element per batch, every element in one batch, and a drawn budget in between.
+    drawn = {"MAX_KEY_BYTES": key_bytes, "MAX_STACKED_SLOTS": slots}
+    _assert_batchings_agree(group, message_basis_cyclic(group.degree, d), ONE_PER_BATCH, ALL_IN_ONE_BATCH, drawn)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 11), st.integers(1, 4))
+def test_batching_does_not_change_the_cyclic_certificate(n, d):
+    assume(d**n <= 4096)
+    basis = message_basis_cyclic(n, d)
+    report = _assert_batchings_agree(basis.group, basis, ONE_PER_BATCH, ALL_IN_ONE_BATCH)
+    assert report.zero_error and report.max_offdiag_overlap < 1e-9
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(group_strategy(), st.integers(2, 3))
 def test_sector_traces_match_the_dense_sector_operators(group, d):
@@ -255,6 +306,17 @@ def test_oracles_and_hierarchy_on_random_groups(group, d):
 def test_orbit_stabilizer_on_random_groups(group, d):
     for orbit in orbits(group, d):
         assert len(stabilizer(group, orbit.representative)) * orbit.size == len(group)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(group_strategy(), st.integers(1, 3))
+def test_stabilizer_orders_match_the_subgroups(group, d):
+    # Every string, in default blocks and one element per block.
+    strings = np.arange(d**group.degree)
+    expected = [len(stabilizer(group, ColoredString.from_index(x, group.degree, d))) for x in strings.tolist()]
+    assert stabilizer_orders(group, strings, d).tolist() == expected
+    with _budgets(perms, MAX_STABILIZER_BYTES=1):
+        assert stabilizer_orders(group, strings, d).tolist() == expected
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
