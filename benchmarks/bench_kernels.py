@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Benchmark the index kernels and the group layer.
 
-The two index kernels are the per-permutation action table (an axis
-transpose) and the orbit labelling fixpoint, which pulls int32 labels along
-each generator's powers by the same axis transposes (no action table); both
-scale with d**n.  They are timed on the cyclic generator at 2**16 and 2**20
+The two index kernels are the per-permutation action table (``moved_values``
+of ``arange(d**n)``, one axis transpose, as ``ambient_multiplicities`` builds
+it per class) and the orbit labelling fixpoint, which pulls int32 labels
+along each generator's powers by the same axis transposes (no action table);
+both scale with d**n.  They are timed on the cyclic generator at 2**16 and 2**20
 strings.  ``orbit_reps`` is also timed on one generator of order 420 (cycle
 type 3.4.5.7 at n=20), whose long cycles the fixpoint must cross in few
 sweeps, on the generators of D20 at d=2 and of C12 and D12 at d=3 (the
@@ -24,9 +25,9 @@ each sample also builds the index arrays memoised on the group at d (the
 orbit labels, and where each weight lands and each in-orbit entry reads);
 its row also gives the tracemalloc peak of one such sample, which holds all
 11 projectors, float64 since every character of S6 is real.
-``members_by_label`` groups the 2**20 strings of C20 at d=2 by their int32
-orbit labels (52,488 orbits), as ``orbits``, ``MessageBasis.members`` and
-the projector index arrays do: one stable radix sort of uint16 keys.
+``np.argsort(labels, kind="stable")`` groups the 2**20 strings of C20 at
+d=2 by their int32 orbit labels (52,488 orbits), as ``orbits``,
+``MessageBasis.members`` and the projector index arrays do.
 ``moved_values`` pulls 2**20 int32 labels into a reused buffer at C20 d=2,
 as each round of the orbit fixpoint does: along the rotation by 1 and by 8
 (block swaps of 2 x 2**19 and 2**8 x 2**12 entries, copied in tiles) and
@@ -40,12 +41,11 @@ sample labels the orbits anew.  The quantum layer is timed at C16 d=2:
 ``message_basis_cyclic`` (orbit labels and rotation walks), the streamed
 ``write_basis_json`` export to a temporary file (one write per chunk of
 whole messages, each chunk one join of preformatted names, tails and
-message headers), ``verify_zero_error``, and
-``dense_coding_certify``, which reads the trace of each (sector, element)
-sector operator from the same overlap pass, so it costs about what
-``verify_zero_error`` does; both also at C20 d=2, where keying the
-20 x 52,488 overlap blocks by pattern is the cost, one element per batch as
-at C16.  ``verify_zero_error`` is also timed on the small bases of the
+message headers), ``verify_zero_error``, and ``dense_coding_summary`` on
+that pass's report, which reads the trace of each (sector, element) sector
+operator from it in O(|G| * n); both also at C20 d=2, where keying the
+20 x 52,488 overlap blocks by pattern is the cost of the pass, one element
+per batch as at C16.  ``verify_zero_error`` is also timed on the small bases of the
 ``cyclic-certify`` jobs, C10 d=2 (all 10 elements keyed by one sort and
 scored as one batch) and C14 d=2 (two elements a batch).  The export alone is
 also timed at C18 d=2: ``basis_json_lines`` drained into a null sink, all
@@ -66,11 +66,10 @@ generators of the four ``perfbench/groups`` files, on two groups whose
 Cayley graphs have long diameters (one generator of cycle type 5.7.9.16, order
 5040, and D500 from two reflections), ``make_named_group`` for
 S8 and S9, one ``_rank`` pass over S9's 362,880 image rows (int64 keys, a
-binary search each), the ``stabilizer`` calls of ``verify`` on S9 at d=2
-(one per orbit representative, at most 200; S9 has 10 orbits on binary
-strings), and ``stabilizer_orders``, which ``verify`` now calls instead:
-one comparison of all the representatives' symbol rows per block of
-elements, on D12 d=2 (200 representatives) and S9 d=2.
+binary search each), and ``stabilizer_orders``, ``verify``'s
+orbit-stabilizer check: one comparison of all the representatives' symbol
+rows per block of elements, on D12 d=2 (200 representatives) and S9 d=2
+(its 10 orbits on binary strings).
 Construction builds image arrays only: no ``Permutation`` item is made until
 a caller reads ``elements``.
 
@@ -101,13 +100,12 @@ import numpy as np
 
 import permchannel
 from permchannel import (
-    ColoredString,
     Permutation,
     ambient_multiplicities,
     character_table,
     cli,
     conjugacy_classes,
-    dense_coding_certify,
+    dense_coding_summary,
     generate_group,
     isotypic_projector,
     kernels,
@@ -118,7 +116,6 @@ from permchannel import (
     orbits,
     parse_group_file,
     square_root_count,
-    stabilizer,
     stabilizer_orders,
     verify_classical,
     verify_zero_error,
@@ -238,7 +235,8 @@ def kernel_layer(repeats):
 
     for n in (16, 20):
         inv = np.array(make_named_group("cyclic", n).generators[0].inverse().images, dtype=np.int64)
-        row("action_table", f"cyclic n={n} d=2", n, lambda: kernels.action_table(inv, 2))
+        points = np.arange(2**n)
+        row("moved_values", f"C{n} d=2, arange", n, lambda: kernels.moved_values(points, inv, 2))
         row("orbit_reps", f"cyclic n={n} d=2", n, lambda: kernels.orbit_reps(inv.reshape(1, n), n, 2))
     for label, group in (("C20", make_named_group("cyclic", 20)), ("D20", make_named_group("dihedral", 20))):
         row("orbit_labels", f"{label} d=2, fresh group", 20, lambda: orbit_labels(dataclasses.replace(group), 2))
@@ -271,13 +269,15 @@ def kernel_layer(repeats):
     c18_basis = message_basis_cyclic(18, 2)
     row("basis_json_lines", "C18 d=2, null sink", 18, lambda: drain_basis_json(c18_basis))
     row("verify_zero_error", "C16 d=2", 16, lambda: verify_zero_error(basis.group, basis))
-    row("dense_coding_certify", "C16 d=2", 16, lambda: dense_coding_certify(16, 2, basis=basis))
+    report = verify_zero_error(basis.group, basis)
+    row("dense_coding_summary", "C16 d=2, one report", 16, lambda: dense_coding_summary(basis, report))
     for n in (10, 14):
         small = message_basis_cyclic(n, 2)
         row("verify_zero_error", f"C{n} d=2", n, lambda: verify_zero_error(small.group, small))
     c20_basis = message_basis_cyclic(20, 2)
     row("verify_zero_error", "C20 d=2", 20, lambda: verify_zero_error(c20_basis.group, c20_basis))
-    row("dense_coding_certify", "C20 d=2", 20, lambda: dense_coding_certify(20, 2, basis=c20_basis))
+    c20_report = verify_zero_error(c20_basis.group, c20_basis)
+    row("dense_coding_summary", "C20 d=2, one report", 20, lambda: dense_coding_summary(c20_basis, c20_report))
     c12 = make_named_group("cyclic", 12)
     table = character_table(c12)
     row("ambient_multiplicities", "C12 d=2, per_orbit", 12,
@@ -292,8 +292,7 @@ def kernel_layer(repeats):
     peak = traced_peak_mb(lambda: every_projector(dataclasses.replace(s6)))
     print(f"{'isotypic_projector':<26}{'S6 d=3, fresh group':<22}{3**6:>10}{projectors:>10.4f}  ({peak:.1f} MB peak)")
     c20_reps, c20_labels = orbit_labels(c20, 2)
-    row("members_by_label", f"C20 d=2, {len(c20_reps)} orbits", 20,
-        lambda: kernels.members_by_label(c20_labels, len(c20_reps)))
+    row("argsort(stable)", f"C20 d=2, {len(c20_reps)} orbits", 20, lambda: np.argsort(c20_labels, kind="stable"))
     labels, buffer = np.arange(2**20, dtype=np.int32), np.empty(2**20, dtype=np.int32)
     reflection = np.argsort(make_named_group("dihedral", 20).generator_images[1])
     pulls = (
@@ -309,7 +308,7 @@ def construction_layer(repeats):
     print()
     print(f"{'construction':<26}{'case':<22}{'items':>10}{'time (s)':>10}")
 
-    def row(name, case, fn):  # items: the group order, or the number of stabilizers
+    def row(name, case, fn):  # items: the group order, or the number of stabilizer orders
         print(f"{name:<26}{case:<22}{len(fn()):>10}{timeit(fn, repeats):>10.4f}")
 
     for n in (8, 9):
@@ -327,8 +326,7 @@ def construction_layer(repeats):
         row("make_named_group", f"symmetric n={n}", lambda: make_named_group("symmetric", n))
     s9 = make_named_group("symmetric", 9)
     row("_rank", "S9 images, one pass", lambda: s9._rank(s9.images))
-    reps = orbit_labels(s9, 2)[0][:200].tolist()
-    row("stabilizer", f"S9 d=2, {len(reps)} reps", lambda: [stabilizer(s9, ColoredString.from_index(x, 9, 2)) for x in reps])
+    reps = orbit_labels(s9, 2)[0][:200]
     d12 = make_named_group("dihedral", 12)
     d12_reps = orbit_labels(d12, 2)[0][:200]
     row("stabilizer_orders", f"D12 d=2, {len(d12_reps)} reps", lambda: stabilizer_orders(d12, d12_reps, 2))

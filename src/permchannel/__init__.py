@@ -8,7 +8,6 @@ certification, all at desk scale.
 from .channel import (
     ZeroErrorReport,
     decode_classical,
-    dense_coding_certify,
     dense_coding_summary,
     verify_classical,
     verify_zero_error,
@@ -42,7 +41,7 @@ from .counting import (
     series_coefficient_nq,
     symmetric_class_size,
 )
-from .encoding import MessageBasis, encode_message, fkm_representatives, message_basis_cyclic
+from .encoding import MessageBasis, encode_message, message_basis_cyclic
 from .perms import (
     ColoredString,
     ConjugacyClass,
@@ -61,7 +60,6 @@ from .perms import (
     orbits,
     parse_group_file,
     square_root_count,
-    stabilizer,
     stabilizer_orders,
 )
 

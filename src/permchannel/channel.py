@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .encoding import MessageBasis, message_basis_cyclic
+from .encoding import MessageBasis, message_basis_cyclic  # noqa: F401  perfbench/tests/test_tracer.py wraps this import
 from .errors import DegreeMismatchError
 from .perms import DEFAULT_MAX_STATES, ColoredString, PermutationGroup, orbit_labels
 
@@ -263,31 +263,12 @@ def verify_classical(group: PermutationGroup, d: int, *, max_states: int = DEFAU
     return ZeroErrorReport(len(reps), len(group), tuple(failures), max_offdiag_overlap=0.0)
 
 
-def dense_coding_certify(
-    n: int, d: int, *, basis: MessageBasis | None = None, tol: float = 1e-9
-) -> dict:
-    """Certify every (mu, a, b) dense-coding signal under every channel element.
-
-    Returns the number of triples that survive all elements; it equals the
-    ancilla-assisted message count when the construction is sound.  Each
-    (a, b) of sector mu is decoded as itself with probability
-    |tr V|**2 / m**2, so an element passes all m**2 signals of a sector or
-    none; the traces come from one ``verify_zero_error`` pass over the
-    basis's group, so this costs what that pass costs (see
-    ``dense_coding_summary``).
-    """
-    _check_tol(tol)
-    if basis is None:
-        basis = message_basis_cyclic(n, d)
-    elif (n, d) != (basis.n, basis.d):
-        raise ValueError(f"(n, d) = ({n}, {d}) does not match the basis ({basis.n}, {basis.d})")
-    return dense_coding_summary(basis, verify_zero_error(basis.group, basis, tol=tol), tol=tol)
-
-
 def dense_coding_summary(basis: MessageBasis, report: ZeroErrorReport, *, tol: float = 1e-9) -> dict:
-    """The ``dense_coding_certify`` result, read from ``verify_zero_error(basis.group, basis)``.
+    """``{"triples", "failures"}``: how many (mu, a, b) dense-coding signals pass every element, and each failure.
 
-    Every (a, b) of sector mu is decoded as itself with probability
+    Read from ``report = verify_zero_error(basis.group, basis)``; the triples
+    equal the ancilla-assisted count when the construction is sound.  Every
+    (a, b) of sector mu is decoded as itself with probability
     |tr V|**2 / m**2, V = B^H U(sigma) B, and one signal's m**2 outcomes sum
     to at most 1, so for 0 <= tol < 1/2 an element passes all m**2 pairs of
     the sector or none.  The report's ``sector_traces`` hold tr V for every

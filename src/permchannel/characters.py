@@ -345,7 +345,7 @@ def ambient_multiplicities(
         points = np.arange(orbit_of.shape[0])
         fixed = np.empty((len(table.classes), len(reps)), dtype=np.int64)
         for row, c in zip(fixed, table.classes):
-            moved = kernels.action_table(c.representative.inverse().images, d)
+            moved = kernels.moved_values(points, c.representative.inverse().images, d)
             row[:] = np.bincount(orbit_of[moved == points], minlength=len(reps))
         by_orbit = tuple(_project_class_functions(table, fixed.T, what="orbit multiplicity"))
         for mu in range(len(table.irreps)):
@@ -498,7 +498,7 @@ def _projector_geometry(group: PermutationGroup, d: int) -> tuple[np.ndarray, np
         carrier = np.empty(size, dtype=np.int64)  # for each string, an element moving its representative to it
         carrier[moved] = np.arange(len(group))[:, None]
         # every (i, j) in one orbit, orbit by orbit: members[start + a], members[start + b]
-        members = kernels.members_by_label(orbit_of, r)
+        members = np.argsort(orbit_of, kind="stable")
         sizes = kernels.label_counts(orbit_of, r)
         pair_orbit = np.repeat(np.arange(r), sizes**2)
         within = np.arange(len(pair_orbit)) - np.repeat(np.cumsum(sizes**2) - sizes**2, sizes**2)

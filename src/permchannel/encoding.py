@@ -43,7 +43,7 @@ from . import kernels
 from .characters import unit_root
 from .counting import count_cyclic
 from .errors import StateSpaceBoundError
-from .perms import DEFAULT_MAX_STATES, ColoredString, PermutationGroup, make_named_group, orbit_labels
+from .perms import DEFAULT_MAX_STATES, PermutationGroup, make_named_group, orbit_labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +79,7 @@ class MessageBasis:
     @cached_property
     def members(self) -> np.ndarray:
         """Each orbit's strings in ascending order, orbit after orbit (same offsets as ``walk``)."""
-        return kernels.members_by_label(self.orbit_of, len(self.offsets) - 1)
+        return np.argsort(self.orbit_of, kind="stable")
 
     @cached_property
     def _dft(self) -> tuple[np.ndarray, np.ndarray]:
@@ -157,15 +157,6 @@ def _necklace_blocks(rows: np.ndarray, p: np.ndarray, k: int, d: int) -> Iterato
     necklace = n % p == 0
     if necklace.any():
         yield rows[necklace]
-
-
-def fkm_representatives(n: int, d: int, *, max_count: int = DEFAULT_MAX_STATES) -> list[ColoredString]:
-    """One lexicographically minimal representative per rotation orbit, in order: :func:`necklaces` as strings."""
-    return [
-        ColoredString(tuple(symbols), d)
-        for block in necklaces(n, d, max_count=max_count)
-        for symbols in block.tolist()
-    ]
 
 
 def message_basis_cyclic(n: int, d: int, *, max_states: int = DEFAULT_MAX_STATES) -> MessageBasis:

@@ -3,10 +3,10 @@
 Length-``n`` strings over ``{0..d-1}`` are identified with integers in
 ``[0, d**n)``, position 0 being the most significant base-``d`` digit.  Then
 ``arange(d**n).reshape((d,) * n)`` holds each string's index at the string
-itself, and moving positions is moving axes: :func:`action_table` is one
-axis transpose and copy, O(d**n), and :func:`moved_values` moves any
-per-string array the same way.  :func:`move_indices` moves only a few
-given strings, by their digits, without a d**n table.
+itself, and moving positions is moving axes: :func:`moved_values` moves
+any per-string array by one axis transpose and copy, O(d**n), so moving
+that arange gives a permutation's action table.  :func:`move_indices`
+moves only a few given strings, by their digits, without a d**n table.
 
 :func:`orbit_minima` labels every point with the least point of its orbit
 under a few bijections of ``range(size)``, doubling each bijection's jump
@@ -15,13 +15,11 @@ array is pulled along a jump, into a given buffer.  The fixpoint runs on
 two label buffers, the labels and a spare that each round's pull and
 minimum are written into, so a round allocates no d**n array.
 :func:`orbit_reps` runs it on the generators' n-point inverse-image rows:
-``label[action_table(inv, d)]`` is ``moved_values(label, inv, d)``, one
-axis transpose, and the table of the square is ``action_table(inv[inv], d)``,
-so labelling all d**n strings builds no action table.  ``perms`` runs it on
-rank tables of group elements, pulled by a gather.  The labels, and the
-minima returned, are int32 below 2**31 points (:func:`label_dtype`).
-:func:`members_by_label` groups the points by label with numpy's radix
-sort, on 8- or 16-bit keys up to 2**16 labels.
+a label is pulled by ``moved_values(label, inv, d)``, one axis transpose,
+and the row of the square is ``inv[inv]``, so labelling all d**n strings
+builds no action table.  ``perms`` runs it on rank tables of group
+elements, pulled by a gather.  The labels, and the minima returned, are
+int32 below 2**31 points (:func:`label_dtype`).
 
 A transpose first merges the runs of positions that move together into one
 axis.  numpy copies in the output's memory order; when the move swaps two
@@ -43,22 +41,16 @@ def digit_powers(n: int, d: int) -> np.ndarray:
     return d ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
-def action_table(inv_images, d: int) -> np.ndarray:
-    """Index table of one permutation's action on all d**n strings.
+def moved_values(values: np.ndarray, inv_images, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The value at each string's image under one permutation, by one axis transpose.
 
     ``inv_images`` are the images of the *inverse* permutation, so that
-    ``permuted[i] == original[inv_images[i]]``; ``out[ix]`` is the index of
-    string ``ix`` permuted.  So axis ``inv_images[i]`` of the output is axis
-    i of the index array: a transpose by the inverse, ``argsort(inv_images)``.
-    """
-    return moved_values(np.arange(int(d) ** len(inv_images), dtype=np.int64), inv_images, d)
-
-
-def moved_values(values: np.ndarray, inv_images, d: int, out: np.ndarray | None = None) -> np.ndarray:
-    """``values[action_table(inv_images, d)]``: the value at each string's image, by the same transpose.
-
-    Written into ``out``, a C-contiguous array of the same size and dtype,
-    when given; ``values`` is only read.
+    ``permuted[i] == original[inv_images[i]]``; axis ``inv_images[i]`` of the
+    output is axis i of ``values``, a transpose by ``argsort(inv_images)``.
+    With ``values = arange(d**n)`` this is the action table: ``out[ix]`` is
+    the index of string ``ix`` permuted.  Written into ``out``, a
+    C-contiguous array of the same size and dtype, when given; ``values`` is
+    only read.
     """
     inv = np.asarray(inv_images, dtype=np.int64)
     d = int(d)
@@ -159,7 +151,7 @@ def _swap_blocks(source: np.ndarray, out: np.ndarray) -> None:
 
 
 def move_indices(inv_images, indices, d: int) -> np.ndarray:
-    """Index of each string in ``indices`` after each permutation: ``action_table(inv, d)[indices]``.
+    """Index of each string in ``indices`` after each permutation: ``moved_values(arange(d**n), inv, d)[indices]``.
 
     ``inv_images`` is one row of inverse images, or a 2-D array of rows, which
     gives one output row per permutation.  Digit i of a moved string is digit
@@ -223,21 +215,6 @@ def label_counts(labels: np.ndarray, length: int) -> np.ndarray:
     for start in range(0, len(labels), step):
         counts += np.bincount(labels[start : start + step], minlength=length)
     return counts
-
-
-def members_by_label(labels: np.ndarray, count: int) -> np.ndarray:
-    """``np.argsort(labels, kind="stable")`` for labels below ``count``: the points grouped by label, ascending within each.
-
-    numpy sorts 8- and 16-bit keys stably by radix, in two passes at most, so
-    for at most 2**16 labels they are sorted as uint8 or uint16, a copy of
-    one or two bytes per point; the order is the same.  At 2**20 int32
-    labels of 52,488 orbits (C20 d=2) on a 2-core x86-64 host the sort takes
-    about 30 ms, against 60 ms for the merge sort (timsort) of the int32
-    labels, which is kept past 2**16 labels.
-    """
-    if count <= 2**16:
-        labels = labels.astype(np.uint8 if count <= 2**8 else np.uint16)
-    return np.argsort(labels, kind="stable")
 
 
 def orbit_minima(jumps: np.ndarray, orders, size: int | None = None, pull=_gather) -> np.ndarray:

@@ -8,7 +8,7 @@ Conventions, fixed package-wide:
 * A permutation moves the *content* of position ``j`` to position ``p(j)``:
   the moved string y has ``y[i] == x[p.inverse()(i)]``.  In index space that
   is ``kernels.move_indices(p.inverse().images, [x.index], d)``, or entry
-  ``x.index`` of ``kernels.action_table(p.inverse().images, d)``.
+  ``x.index`` of ``kernels.moved_values(arange(d**n), p.inverse().images, d)``.
 * A length-``n`` string over ``{0..d-1}`` is identified with its base-``d``
   value, position 0 most significant.  Index order is therefore lexicographic
   order, and membership lookups are O(1).
@@ -48,9 +48,9 @@ gathers, so for r generators:
   a lookup per call.
 * ``conjugacy_classes``: r conjugation tables, O(|G| * r) per sweep, once per
   group; then one ``Permutation`` per class.
-* ``stabilizer``: one O(|G| * n) gather per string; ``stabilizer_orders``
-  counts the fixing elements of many strings by one comparison per block
-  of elements, O(|G| * n) per string with no Python work per string.
+* ``stabilizer_orders``: counts the fixing elements of many strings by one
+  comparison per block of elements, O(|G| * n) per string with no Python
+  work per string.
 * ``cycle_count_tally`` (the group averages): O(|G| * n log n), once per
   group for the elements and once for their squares.
 
@@ -551,8 +551,8 @@ class Orbit:
 
     ``member_indices`` is ascending, so ``member_indices[0]`` is the
     lexicographically minimal member (the canonical representative).
-    ``stabilizer_order`` is |G| / size; the explicit stabilizer subgroup is
-    computed independently by :func:`stabilizer`.
+    ``stabilizer_order`` is |G| / size; :func:`stabilizer_orders` counts the
+    fixing elements directly.
     """
 
     index: int
@@ -638,7 +638,7 @@ class Orbits(Sequence):
     @cached_property
     def _grouped(self) -> tuple[np.ndarray, list[int]]:
         """All strings grouped by orbit, ascending within each, and the offset of each orbit."""
-        members = kernels.members_by_label(self._orbit_of, len(self._sizes))
+        members = np.argsort(self._orbit_of, kind="stable")
         return members, [0] + np.cumsum(self._sizes).tolist()
 
     def _orbit(self, j: int) -> Orbit:
@@ -672,21 +672,8 @@ def orbits(group: PermutationGroup, d: int, *, max_states: int = DEFAULT_MAX_STA
     return Orbits(orbit_of, sizes, group.degree, d, len(group))
 
 
-def stabilizer(group: PermutationGroup, x: ColoredString) -> PermutationGroup:
-    """Subgroup of elements fixing the string x: those with x[p(j)] == x[j] for every j.
-
-    The fixed rows are a subsequence of the group's sorted rows, hence
-    sorted; they are the subgroup's image array and its generators.
-    """
-    if group.degree != x.n:
-        raise DegreeMismatchError(f"group degree {group.degree} != string length {x.n}")
-    symbols = np.array(x.symbols, dtype=np.int64)
-    fixed = group.images[(symbols[group.images] == symbols).all(axis=1)]
-    return PermutationGroup(group.degree, fixed, fixed, "custom")
-
-
 def stabilizer_orders(group: PermutationGroup, strings, d: int) -> np.ndarray:
-    """|stabilizer(group, x)| for each string index x, without building the subgroups.
+    """The stabilizer order of each string index x: the elements with x[p(j)] == x[j] for every j, counted.
 
     The strings' symbol rows (uint8 below d = 257) are compared with their
     own gathers under a block of elements at once, ``sym[:, images] ==

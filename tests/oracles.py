@@ -42,6 +42,11 @@ def brute_fixed_count(images: tuple[int, ...], n: int, d: int) -> int:
     return sum(1 for x in all_strings(n, d) if act_tuple(images, x) == x)
 
 
+def brute_stabilizer_order(element_images, symbols: tuple[int, ...]) -> int:
+    """How many of the elements leave the symbol tuple unchanged."""
+    return sum(1 for images in element_images if act_tuple(images, symbols) == symbols)
+
+
 def compose_images(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """(p after q)(i) = p(q(i))."""
     return tuple(p[q[i]] for i in range(len(p)))

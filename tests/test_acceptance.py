@@ -9,7 +9,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from oracles import brute_orbits, tuple_cycle_counts
+from oracles import brute_orbits, brute_stabilizer_order, tuple_cycle_counts
 from permchannel import (
     ColoredString,
     ambient_multiplicities,
@@ -23,8 +23,7 @@ from permchannel import (
     count_quantum_totally_orthogonal,
     count_symmetric,
     cycle_index_symmetric,
-    dense_coding_certify,
-    fkm_representatives,
+    dense_coding_summary,
     frobenius_schur_indicators,
     is_totally_orthogonal,
     make_named_group,
@@ -34,11 +33,11 @@ from permchannel import (
     partitions,
     series_coefficient_nq,
     square_root_count,
-    stabilizer,
+    stabilizer_orders,
     symmetric_class_size,
     verify_zero_error,
 )
-from test_encoding import GOLDEN_BASIS, coefficient_table
+from test_encoding import GOLDEN_BASIS, coefficient_table, necklace_rows
 
 
 @contextmanager
@@ -59,7 +58,7 @@ def test_criterion_1_worked_example_reproduction():
         assert (report.n_c, report.n_q, report.n_a) == (6, 16, 70)
         mults = ambient_multiplicities(make_named_group("cyclic", 4), 2)
         assert mults.values == (6, 3, 4, 3)
-        reps = [str(r) for r in fkm_representatives(4, 2)]
+        reps = ["".join(map(str, row)) for row in necklace_rows(4, 2)]
         assert reps == ["0000", "0001", "0011", "0101", "0111", "1111"]
         basis = message_basis_cyclic(4, 2)
         assert basis.multiplicities == (6, 3, 4, 3)
@@ -158,7 +157,8 @@ def test_criterion_7_dense_coding():
         start = time.perf_counter()
         expected_totals = {2: 10, 3: 24, 4: 70}
         for n, expected in expected_totals.items():
-            summary = dense_coding_certify(n, 2)
+            basis = message_basis_cyclic(n, 2)
+            summary = dense_coding_summary(basis, verify_zero_error(basis.group, basis))
             assert summary["failures"] == []
             assert summary["triples"] == expected
             assert expected == count_cyclic(n, 2).n_a
@@ -176,11 +176,14 @@ def test_criterion_8_group_theory_lemma_suite():
             (make_named_group("cyclic", 4), 3),
         ]
         for group, d in zoo:
-            brute = brute_orbits([p.images for p in group], group.degree, d)
+            elements = [p.images for p in group]
+            brute = brute_orbits(elements, group.degree, d)
             assert count_classical_burnside(group, d) == len(brute)
             for orbit in brute:
-                x = ColoredString(min(orbit), d)
-                assert len(stabilizer(group, x)) * len(orbit) == len(group)
+                x = min(orbit)
+                [order] = stabilizer_orders(group, [ColoredString(x, d).index], d).tolist()
+                assert order == brute_stabilizer_order(elements, x)
+                assert order * len(orbit) == len(group)
 
         # Conjugacy class sizes against the factorial formula, S_n for n <= 6.
         for n in range(1, 7):

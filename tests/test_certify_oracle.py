@@ -9,7 +9,7 @@ from oracles import cyclic_fourier_basis, dense_coding_probabilities, dense_zero
 from oracles import dense_coding_certify as oracle_dense_coding
 from permchannel import (
     Permutation,
-    dense_coding_certify,
+    dense_coding_summary,
     generate_group,
     make_named_group,
     message_basis_cyclic,
@@ -51,7 +51,7 @@ def _assert_zero_error_matches(group, basis):
 
 
 def _assert_dense_coding_matches(basis):
-    summary = dense_coding_certify(basis.n, basis.d, basis=basis)
+    summary = dense_coding_summary(basis, verify_zero_error(basis.group, basis))
     assert summary == oracle_dense_coding(_images(basis.group), oracle_sectors(basis.n, basis.d), basis.n, basis.d)
     return summary
 
@@ -106,7 +106,8 @@ def test_sector_traces_of_a_spreading_swap_and_a_leaking_reflection():
     n, d = 4, 2
     group = make_named_group("symmetric", n)
     basis = dataclasses.replace(message_basis_cyclic(n, d), group=group)
-    traces = verify_zero_error(group, basis).sector_traces
+    report = verify_zero_error(group, basis)
+    traces = report.sector_traces
     sectors = dict(oracle_sectors(n, d))
     swap, reflection = Permutation((0, 1, 3, 2)), Permutation((3, 2, 1, 0))
     probs = dense_coding_probabilities(index_table(swap.images, n, d), sectors[2])
@@ -118,7 +119,7 @@ def test_sector_traces_of_a_spreading_swap_and_a_leaking_reflection():
     probs = dense_coding_probabilities(index_table(reflection.images, n, d), sectors[1])
     assert probs.max() < 1e-12
     assert abs(traces[group.elements.index(reflection), 1]) < 1e-12
-    failures = dense_coding_certify(n, d, basis=basis)["failures"]
+    failures = dense_coding_summary(basis, report)["failures"]
     for mu, m, sigma in [(2, 4, swap), (1, 3, reflection)]:
         for a in range(m):
             for b in range(m):

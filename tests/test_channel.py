@@ -10,7 +10,6 @@ from permchannel import (
     PermutationGroup,
     count_ancilla_polya,
     decode_classical,
-    dense_coding_certify,
     dense_coding_summary,
     generate_group,
     kernels,
@@ -139,9 +138,9 @@ class TestZeroError:
         "certify",
         [
             lambda tol: verify_zero_error(C4, message_basis_cyclic(4, 2), tol=tol),
-            lambda tol: dense_coding_certify(4, 2, tol=tol),
+            lambda tol: dense_coding_summary(basis := message_basis_cyclic(4, 2), verify_zero_error(C4, basis), tol=tol),
         ],
-        ids=["verify_zero_error", "dense_coding_certify"],
+        ids=["verify_zero_error", "dense_coding_summary"],
     )
     @pytest.mark.parametrize("tol", [-1e-12, 0.5, 1.0, float("nan")])
     def test_tolerance_outside_half_open_unit_half_rejected(self, tol, certify):
@@ -245,7 +244,8 @@ class TestSectorPhases:
 class TestDenseCoding:
     def test_certify_counts_match_ancilla_totals(self):
         for n, expected in [(2, 10), (3, 24)]:
-            summary = dense_coding_certify(n, 2)
+            basis = message_basis_cyclic(n, 2)
+            summary = dense_coding_summary(basis, verify_zero_error(basis.group, basis))
             assert summary["failures"] == []
             assert summary["triples"] == expected == count_ancilla_polya(make_named_group("cyclic", n), 2)
 
@@ -253,9 +253,9 @@ class TestDenseCoding:
         # n=10, d=2, sector 0 has m=108: its entangled states would take 20.6 GB as a dense matrix.
         basis = message_basis_cyclic(10, 2)
         assert basis.multiplicities[0] == 108
-        traces = verify_zero_error(basis.group, basis).sector_traces
-        assert np.abs(traces[:, 0] - 108).max() < 1e-9
-        summary = dense_coding_certify(10, 2, basis=basis)
+        report = verify_zero_error(basis.group, basis)
+        assert np.abs(report.sector_traces[:, 0] - 108).max() < 1e-9
+        summary = dense_coding_summary(basis, report)
         assert summary["failures"] == []
         assert summary["triples"] == sum(m * m for m in basis.multiplicities)
         assert summary["triples"] == count_ancilla_polya(basis.group, 2)
@@ -264,22 +264,26 @@ class TestDenseCoding:
         # One symbol leaves only the constant string, in sector 0; sectors 1 and 2 are empty.
         basis = message_basis_cyclic(3, 1)
         assert tuple(basis.multiplicities) == (1, 0, 0)
-        traces = verify_zero_error(basis.group, basis).sector_traces
-        assert np.abs(traces - np.array([1, 0, 0])).max() < 1e-12
-        assert dense_coding_certify(3, 1, basis=basis) == {"triples": 1, "failures": []}
+        report = verify_zero_error(basis.group, basis)
+        assert np.abs(report.sector_traces - np.array([1, 0, 0])).max() < 1e-12
+        assert dense_coding_summary(basis, report) == {"triples": 1, "failures": []}
 
-    def test_certify_rejects_n_and_d_that_disagree_with_the_basis(self):
+    def test_the_pair_rejects_a_group_of_another_degree(self):
+        # What the deleted (n, d) arguments guarded: verify refuses a group of another degree than the basis,
+        # and the summary refuses the report of another degree's basis.
         basis = message_basis_cyclic(4, 2)
-        for n, d in [(5, 2), (4, 3)]:
-            with pytest.raises(ValueError, match="does not match the basis"):
-                dense_coding_certify(n, d, basis=basis)
+        for other in (message_basis_cyclic(5, 2), message_basis_cyclic(3, 3)):
+            with pytest.raises(DegreeMismatchError, match="does not match the basis"):
+                verify_zero_error(other.group, basis)
+            with pytest.raises(ValueError, match="no sector traces for this basis's group"):
+                dense_coding_summary(basis, verify_zero_error(other.group, other))
 
     def test_certify_peak_memory_stays_below_the_sector_tables(self):
         # Sector 0 has m=1182 here: one m x m float64 table is 11.2 MB, an (m, m, |G|) boolean mask 19.6 MB.
         basis = message_basis_cyclic(14, 2)
         tracemalloc.start()
         try:
-            summary = dense_coding_certify(14, 2, basis=basis)
+            summary = dense_coding_summary(basis, verify_zero_error(basis.group, basis))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

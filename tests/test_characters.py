@@ -450,14 +450,16 @@ class TestIsotypicProjectors:
             expected = brute_isotypic_projector(images, chars, irrep.dim, group.degree, d)
             assert np.abs(isotypic_projector(group, d, mu, table=table) - expected).max() < 1e-12
 
-    def test_no_action_table_per_call(self, monkeypatch):
-        # Only the orbit labelling, memoised on the group, builds action tables.
+    def test_no_index_kernel_per_call(self, monkeypatch):
+        # Only the first projector at a d builds index arrays; every irrep after it reads the memoised ones.
         group = make_named_group("symmetric", 4)
         table = character_table(group)
+        fresh = [isotypic_projector(dataclasses.replace(group), 2, mu, table=table) for mu in range(len(table.irreps))]
         isotypic_projector(group, 2, 0, table=table)
-        monkeypatch.setattr(kernels, "action_table", None)
-        for mu in range(len(table.irreps)):
-            isotypic_projector(group, 2, mu, table=table)
+        for name in ("moved_values", "move_indices", "orbit_reps"):
+            monkeypatch.setattr(kernels, name, None)
+        for mu, expected in enumerate(fresh):
+            assert np.array_equal(isotypic_projector(group, 2, mu, table=table), expected)
 
     def test_memoised_geometry_gives_the_projectors_of_a_fresh_copy_and_the_oracle(self, monkeypatch):
         # Two alphabets on one group, irreps in reverse order: every call after the first at a d reads the

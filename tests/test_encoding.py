@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cyclic_fourier_basis, fkm_necklaces
+from oracles import all_strings, brute_orbits, cyclic_fourier_basis, fkm_necklaces
 from permchannel import (
     ColoredString,
     Permutation,
     ambient_multiplicities,
     count_cyclic,
     encode_message,
-    fkm_representatives,
     kernels,
     make_named_group,
     message_basis_cyclic,
@@ -97,32 +96,40 @@ def assert_rotation_eigenvectors(n, d):
 SMALL_SIZES = [(n, d) for d in range(1, 6) for n in range(1, 13) if d**n <= 4096]
 
 
+def necklace_rows(n: int, d: int) -> list[tuple[int, ...]]:
+    """The rows of every block ``necklaces`` yields, as symbol tuples."""
+    return [tuple(symbols) for block in necklaces(n, d) for symbols in block.tolist()]
+
+
 class TestFKM:
     def test_four_binary_necklaces(self):
-        reps = fkm_representatives(4, 2)
-        assert [str(r) for r in reps] == ["0000", "0001", "0011", "0101", "0111", "1111"]
+        rows = ["".join(map(str, row)) for row in necklace_rows(4, 2)]
+        assert rows == ["0000", "0001", "0011", "0101", "0111", "1111"]
 
     def test_single_position_alphabet(self):
-        assert [str(r) for r in fkm_representatives(1, 5)] == ["0", "1", "2", "3", "4"]
+        assert necklace_rows(1, 5) == [(0,), (1,), (2,), (3,), (4,)]
 
     def test_six_binary_necklaces_count(self):
-        assert len(fkm_representatives(6, 2)) == 14
+        assert len(necklace_rows(6, 2)) == 14
 
     def test_single_color_alphabet(self):
-        assert [str(r) for r in fkm_representatives(5, 1)] == ["00000"]
+        assert necklace_rows(5, 1) == [(0,) * 5]
 
     @pytest.mark.parametrize("n", range(1, 13))
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_orbit_representatives(self, n, d):
-        reps = fkm_representatives(n, d)
-        assert len(reps) == count_cyclic(n, d).n_c
-        assert reps == sorted(reps)
+        rows = necklace_rows(n, d)
+        assert len(rows) == count_cyclic(n, d).n_c
+        assert rows == sorted(rows)
         obs = orbits(make_named_group("cyclic", n), d)
-        assert [r.symbols for r in reps] == [o.representative.symbols for o in obs]
+        assert rows == [o.representative.symbols for o in obs]
 
     def test_count_bound(self):
-        with pytest.raises(StateSpaceBoundError):
-            fkm_representatives(30, 2, max_count=1000)
+        # The bound admits exactly N_c representatives: at N_c every block comes, one below it none does.
+        n_c = count_cyclic(12, 2).n_c
+        assert sum(len(block) for block in necklaces(12, 2, max_count=n_c)) == n_c == 352
+        with pytest.raises(StateSpaceBoundError, match=f"{n_c} representatives exceed the bound {n_c - 1}"):
+            necklaces(12, 2, max_count=n_c - 1)
 
     def test_necklace_bound_is_checked_before_the_first_tuple(self):
         with pytest.raises(StateSpaceBoundError):
@@ -224,6 +231,20 @@ class TestMessageBasis:
         basis = message_basis_cyclic(n, d)
         oracle = ambient_multiplicities(make_named_group("cyclic", n), d)
         assert basis.multiplicities == oracle.values
+
+    @pytest.mark.parametrize("n,d", [(1, 3), (5, 1), (6, 2), (4, 3)])
+    def test_members_are_each_orbits_strings_ascending(self, n, d):
+        # Segment j of ``members`` (the walk's offsets) is orbit j's strings in ascending index order; the
+        # orbits, numbered by least member, are the brute rotation orbits.
+        basis = message_basis_cyclic(n, d)
+        rotations = [tuple((j + s) % n for j in range(n)) for s in range(n)]
+        strings = list(all_strings(n, d))
+        rank = {x: ix for ix, x in enumerate(strings)}
+        expected = sorted(sorted(rank[x] for x in orbit) for orbit in brute_orbits(rotations, n, d))
+        offsets = basis.offsets.tolist()
+        segments = [basis.members[start:end].tolist() for start, end in zip(offsets, offsets[1:])]
+        assert segments == expected
+        assert segments == [sorted(basis.walk[start:end].tolist()) for start, end in zip(offsets, offsets[1:])]
 
     @pytest.mark.parametrize("n,d", [(4, 2), (6, 2), (3, 3)])
     def test_per_orbit_multiplicities_match_fourier_labels(self, n, d):

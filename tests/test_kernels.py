@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import act_tuple, brute_closure, brute_orbits, index_table
-from permchannel import Permutation, count_classical_burnside, generate_group, make_named_group, orbit_labels
+from permchannel import Permutation, generate_group, make_named_group, orbit_labels
 from permchannel import kernels
 
 
@@ -14,12 +14,28 @@ def inverse_images(p: Permutation) -> np.ndarray:
     return np.array(p.inverse().images, dtype=np.int64)
 
 
+def moved_arange(inv: np.ndarray, d: int) -> np.ndarray:
+    """The action table: ``moved_values`` of every string's own index."""
+    return kernels.moved_values(np.arange(d ** len(inv), dtype=np.int64), inv, d)
+
+
+def digit_table(images, n: int, d: int) -> np.ndarray:
+    """Index of each string moved by ``images``, from its digits: digit j goes to position images[j].
+
+    Built digit by digit as an outer sum, most significant position first, so no transpose is involved.
+    """
+    table = np.zeros(1, dtype=np.int64)
+    for image in images:
+        table = np.add.outer(table, np.arange(d, dtype=np.int64) * d ** (n - 1 - int(image))).ravel()
+    return table
+
+
 @pytest.mark.parametrize("n,d", [(1, 2), (3, 2), (4, 2), (3, 3), (2, 5), (4, 4)])
 def test_action_table_matches_tuple_action(n, d):
     rng = np.random.default_rng(7)
     for _ in range(5):
         p = Permutation(tuple(rng.permutation(n).tolist()))
-        table = kernels.action_table(inverse_images(p), d)
+        table = moved_arange(inverse_images(p), d)
         for ix, x in enumerate(itertools.product(range(d), repeat=n)):
             image = act_tuple(p.images, x)
             expected = 0
@@ -33,7 +49,7 @@ def test_action_table_matches_oracle(n, d):
     rng = np.random.default_rng(3)
     for _ in range(10):
         images = tuple(rng.permutation(n).tolist())
-        table = kernels.action_table(inverse_images(Permutation(images)), d)
+        table = moved_arange(inverse_images(Permutation(images)), d)
         assert table.dtype == np.int64
         assert np.array_equal(table, index_table(images, n, d))
 
@@ -42,17 +58,12 @@ def test_action_table_matches_oracle(n, d):
 def test_moved_values_gathers_through_the_action_table(n, d):
     rng = np.random.default_rng(5)
     for _ in range(5):
-        inv = inverse_images(Permutation(tuple(rng.permutation(n).tolist())))
+        images = tuple(rng.permutation(n).tolist())
+        inv = inverse_images(Permutation(images))
         values = rng.integers(0, 1000, d**n).astype(np.int32)
         moved = kernels.moved_values(values, inv, d)
         assert moved.dtype == np.int32
-        assert np.array_equal(moved, values[kernels.action_table(inv, d)])
-
-
-def digit_table(images, n: int, d: int) -> np.ndarray:
-    """Index of each string moved by ``images``, from its digits: digit j goes to position images[j]."""
-    digits = np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1) % d
-    return digits @ d ** (n - 1 - np.asarray(images, dtype=np.int64)).reshape(n)
+        assert np.array_equal(moved, values[digit_table(images, n, d)])
 
 
 @st.composite
@@ -118,8 +129,7 @@ def test_moved_values_reverses_digits_along_every_reflection(n, d, monkeypatch):
     out = np.empty_like(values)
     for images in reflections(n):
         inv = inverse_images(Permutation(images))
-        monkeypatch.setattr(kernels, "REVERSE_MIN_SIZE", 2**62)  # the action table by one strided copy
-        expected = values[kernels.action_table(inv, d)]
+        expected = values[digit_table(images, n, d)]
         for min_size, strip in sizes + [(1, 3)]:
             monkeypatch.setattr(kernels, "REVERSE_MIN_SIZE", min_size)
             monkeypatch.setattr(kernels, "REVERSE_STRIP", strip)
@@ -217,30 +227,6 @@ def test_take_chunked_is_the_whole_gather():
     expected = values[label]
     assert kernels.take_chunked(values, label, label) is label  # written over its own indices
     assert np.array_equal(label, expected)
-
-
-@given(
-    st.sampled_from([1, 2, 255, 256, 257, 2**16 - 1, 2**16, 2**16 + 1, 2**17]),
-    st.integers(0, 3000),
-    st.sampled_from([np.int32, np.int64]),
-    st.integers(0, 2**32 - 1),
-)
-@example(256, 2000, np.int32, 0)  # the largest uint8 label
-@example(257, 2000, np.int32, 0)  # one past it: uint16
-@example(2**16, 3000, np.int64, 1)  # the largest uint16 label
-@example(2**16 + 1, 3000, np.int32, 1)  # one past it: the 32-bit merge sort
-@example(3, 0, np.int32, 2)  # no points
-@settings(max_examples=80, deadline=None)
-def test_members_by_label_is_the_stable_argsort(count, size, dtype, seed):
-    # Few distinct labels repeat often, so the order within each label is checked too.
-    rng = np.random.default_rng(seed)
-    labels = rng.integers(0, min(count, rng.integers(1, 300)), size).astype(dtype)
-    if size:
-        labels[rng.integers(0, size, 3)] = count - 1  # the top label, at up to 3 places
-    expected = np.argsort(labels, kind="stable")
-    members = kernels.members_by_label(labels, count)
-    assert members.dtype == expected.dtype
-    assert np.array_equal(members, expected)
 
 
 def test_label_dtype_at_the_int32_limit():
@@ -386,7 +372,7 @@ def test_orbit_reps_transpose_pull_matches_table_gathers_and_search(case):
     invs = np.array([Permutation(tuple(g)).inverse().images for g in gens], dtype=np.int64).reshape(len(gens), n)
     rep = kernels.orbit_reps(invs, n, d)
     assert rep.dtype == np.int32
-    tables = np.array([kernels.action_table(inv, d) for inv in invs], dtype=np.int64).reshape(len(gens), d**n)
+    tables = np.array([digit_table(g, n, d) for g in gens], dtype=np.int64).reshape(len(gens), d**n)
     assert np.array_equal(rep, kernels.orbit_minima(tables, table_orders(tables)))
     assert rep.tolist() == brute_orbit_minima([index_table(tuple(g), n, d).tolist() for g in gens], d**n)
 
@@ -434,12 +420,13 @@ def test_orbit_reps_and_labels_match_the_brute_orbits(case):
     assert orbit_of.tolist() == want_orbit
 
 
-def test_orbit_labels_build_no_action_table(monkeypatch):
-    monkeypatch.setattr(kernels, "action_table", None)
+def test_orbit_labels_build_no_index_table(monkeypatch):
+    # The labels come from axis transposes along the generators, never from the index of every moved string.
+    monkeypatch.setattr(kernels, "move_indices", None)
     group = make_named_group("dihedral", 8)
     reps, orbit_of = orbit_labels(group, 3)
     assert reps.dtype == np.int64 and orbit_of.dtype == np.int32
-    assert len(reps) == count_classical_burnside(group, 3)
+    assert len(reps) == len(brute_orbits([p.images for p in group], 8, 3))
     assert np.array_equal(orbit_of[reps], np.arange(len(reps)))
 
 

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from oracles import (
     act_tuple,
+    all_strings,
     brute_closure,
     brute_conjugacy_classes,
     brute_fixed_count,
     brute_orbits,
     brute_square_roots,
+    brute_stabilizer_order,
     index_table,
     void_key_ranks,
 )
@@ -39,7 +41,6 @@ from permchannel import (
     orbits,
     parse_group_file,
     square_root_count,
-    stabilizer,
     stabilizer_orders,
     verify_classical,
     verify_zero_error,
@@ -281,7 +282,7 @@ def test_group_algorithms_make_no_permutation_products(monkeypatch):
     for group in groups + [klein]:
         group.validate()
         conjugacy_classes(group)
-        stabilizer(group, ColoredString((0, 1) * (group.degree // 2) + (0,) * (group.degree % 2), 2))
+        stabilizer_orders(group, [ColoredString((0, 1) * (group.degree // 2) + (0,) * (group.degree % 2), 2).index], 2)
         assert group.identity in group
     assert len(character_table(klein).irreps) == 4
     assert len(character_table(make_named_group("cyclic", 6)).irreps) == 6
@@ -334,7 +335,7 @@ class TestLazyElements:
         x = ColoredString((0, 1, 1, 0, 0, 1), 2)
         basis = message_basis_cyclic(8, 2)
         for fn in (
-            lambda: stabilizer(s6, x),
+            lambda: stabilizer_orders(s6, [x.index], 2),
             lambda: orbit_labels(s6, 2),
             lambda: count_classical_burnside(s6, 2),
             lambda: verify_classical(s6, 2),
@@ -697,28 +698,23 @@ def test_orbit_labels_equal_a_sort_of_the_orbit_minima(case):
 
 class TestStabilizer:
     @pytest.mark.parametrize("kind,n", [("dihedral", 6), ("symmetric", 4)])
-    def test_subgroup_is_the_sorted_fixing_elements(self, kind, n):
+    def test_orders_count_the_fixing_elements(self, kind, n):
         group = make_named_group(kind, n)
-        for ix in range(2**n):
-            x = ColoredString.from_index(ix, n, 2)
-            stab = stabilizer(group, x)
-            assert list(stab.elements) == sorted(p for p in group if act_tuple(p.images, x.symbols) == x.symbols)
-            assert stab.images.tolist() == [list(p.images) for p in stab.elements]
-            stab.validate()
+        elements = [p.images for p in group]
+        expected = [brute_stabilizer_order(elements, x) for x in all_strings(n, 2)]
+        assert stabilizer_orders(group, np.arange(2**n), 2).tolist() == expected
 
     def test_alternating_string_stabilizer(self):
         g = make_named_group("cyclic", 4)
-        stab = stabilizer(g, ColoredString.parse("0101", 2))
-        assert len(stab) == 2
-        assert R4**2 in stab
+        assert stabilizer_orders(g, [ColoredString.parse("0101", 2).index], 2).tolist() == [2]
 
     def test_aperiodic_string_trivial_stabilizer(self):
         g = make_named_group("cyclic", 4)
-        assert len(stabilizer(g, ColoredString.parse("0001", 2))) == 1
+        assert stabilizer_orders(g, [ColoredString.parse("0001", 2).index], 2).tolist() == [1]
 
     def test_constant_string_full_stabilizer(self):
         g = make_named_group("symmetric", 4)
-        assert len(stabilizer(g, ColoredString.parse("2222", 3))) == len(g)
+        assert stabilizer_orders(g, [ColoredString.parse("2222", 3).index], 3).tolist() == [len(g)]
 
     @pytest.mark.parametrize(
         "group,d",
@@ -730,15 +726,9 @@ class TestStabilizer:
         ],
     )
     def test_orbit_stabilizer_product(self, group, d):
-        obs = {o.representative.index: o for o in orbits(group, d)}
-        rep_of = {}
-        for o in obs.values():
-            for ix in o.member_indices:
-                rep_of[int(ix)] = o.representative.index
-        for ix in range(d**group.degree):
-            x = ColoredString.from_index(ix, group.degree, d)
-            orbit = obs[rep_of[ix]]
-            assert len(stabilizer(group, x)) * orbit.size == len(group)
+        orders = stabilizer_orders(group, np.arange(d**group.degree), d)
+        for orbit in orbits(group, d):
+            assert (orders[orbit.member_indices] * orbit.size == len(group)).all()
 
     @pytest.mark.parametrize(
         "kind,n,d", [("cyclic", 10, 2), ("cyclic", 6, 3), ("dihedral", 12, 2), ("symmetric", 6, 2), ("symmetric", 4, 4)]
@@ -750,7 +740,8 @@ class TestStabilizer:
         if block_bytes is not None:
             monkeypatch.setattr(perms_module, "MAX_STABILIZER_BYTES", block_bytes)
         strings = orbit_labels(group, d)[0][:200] if d**n > 1000 else np.arange(d**n)
-        expected = [len(stabilizer(group, ColoredString.from_index(x, n, d))) for x in strings.tolist()]
+        elements = [p.images for p in group]
+        expected = [brute_stabilizer_order(elements, ColoredString.from_index(x, n, d).symbols) for x in strings.tolist()]
         orders = stabilizer_orders(group, strings, d)
         assert orders.dtype == np.int64
         assert orders.tolist() == expected

@@ -22,6 +22,7 @@ from oracles import (
     brute_is_group,
     brute_orbits,
     brute_square_roots,
+    brute_stabilizer_order,
     compose_images,
     cyclic_fourier_basis,
     dense_coding_probabilities,
@@ -31,7 +32,6 @@ from oracles import (
 )
 from oracles import dense_coding_certify as oracle_dense_coding
 from permchannel import (
-    ColoredString,
     Permutation,
     PermutationGroup,
     ambient_multiplicities,
@@ -41,7 +41,7 @@ from permchannel import (
     count_classical_burnside,
     count_report,
     cycle_count,
-    dense_coding_certify,
+    dense_coding_summary,
     generate_group,
     isotypic_projector,
     make_named_group,
@@ -50,7 +50,6 @@ from permchannel import (
     nq_oracle,
     orbits,
     square_root_count,
-    stabilizer,
     stabilizer_orders,
     verify_classical,
     verify_zero_error,
@@ -168,7 +167,8 @@ def test_cyclic_basis_certification_matches_dense_oracle(group, d):
     assert abs(report.max_offdiag_overlap - max_offdiag) < 1e-12
     if d**n <= 32:  # the dense-coding oracle costs m**5 * d**n per element and sector
         relabeled = dataclasses.replace(message_basis_cyclic(n, d), group=group)
-        assert dense_coding_certify(n, d, basis=relabeled) == oracle_dense_coding(images, oracle_sectors(n, d), n, d)
+        summary = dense_coding_summary(relabeled, verify_zero_error(group, relabeled))
+        assert summary == oracle_dense_coding(images, oracle_sectors(n, d), n, d)
 
 
 @contextlib.contextmanager
@@ -304,8 +304,9 @@ def test_oracles_and_hierarchy_on_random_groups(group, d):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(group_strategy(max_degree=4), st.integers(2, 2))
 def test_orbit_stabilizer_on_random_groups(group, d):
-    for orbit in orbits(group, d):
-        assert len(stabilizer(group, orbit.representative)) * orbit.size == len(group)
+    obs = orbits(group, d)
+    orders = stabilizer_orders(group, [orbit.member_indices[0] for orbit in obs], d)
+    assert [order * orbit.size for order, orbit in zip(orders.tolist(), obs)] == [len(group)] * len(obs)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -313,7 +314,8 @@ def test_orbit_stabilizer_on_random_groups(group, d):
 def test_stabilizer_orders_match_the_subgroups(group, d):
     # Every string, in default blocks and one element per block.
     strings = np.arange(d**group.degree)
-    expected = [len(stabilizer(group, ColoredString.from_index(x, group.degree, d))) for x in strings.tolist()]
+    elements = [p.images for p in group]
+    expected = [brute_stabilizer_order(elements, x) for x in itertools.product(range(d), repeat=group.degree)]
     assert stabilizer_orders(group, strings, d).tolist() == expected
     with _budgets(perms, MAX_STABILIZER_BYTES=1):
         assert stabilizer_orders(group, strings, d).tolist() == expected
