@@ -53,9 +53,11 @@ also timed at C18 d=2: ``basis_json_lines`` drained into a null sink, all
 
 The group layer scales with |G| instead: group validation, the square-root
 tally, conjugacy classes and the character table, each timed on a fresh copy
-of S6, S7 and S4 x S4 so that every sample also builds the group's rank
+of S6, S7, S4 x S4 and C2^8 (8 disjoint transpositions on 16 points, 256
+one-element classes) so that every sample also builds the group's rank
 index (int64 row keys up to degree 15); the copies share the read-only image
-array.  ``chartable --group symmetric --n 7`` is also timed cold, in a fresh
+array.  The tracemalloc peak of C2^8's character table is also printed.
+``chartable --group symmetric --n 7`` is also timed cold, in a fresh
 interpreter, so that import costs stay visible: the eigensolver's class-sum
 weights come from the standard library's ``random``, and the table imports
 no ``numpy.random``.
@@ -218,6 +220,7 @@ def group_layer(repeats):
         "S6": make_named_group("symmetric", 6),
         "S7": make_named_group("symmetric", 7),
         "S4xS4": load_group_file(GROUP_FILE),
+        "C2^8": generate_group([Permutation.from_cycles([(2 * i, 2 * i + 1)], 16) for i in range(8)]),
     }
     print()
     print(f"{'group':<8}{'order':>7}" + "".join(f"{name + ' (s)':>18}" for name in GROUP_OPS))
@@ -225,6 +228,8 @@ def group_layer(repeats):
         times = [time_on_fresh_group(op, group, repeats) for op in GROUP_OPS.values()]
         print(f"{label:<8}{len(group):>7}" + "".join(f"{t:>18.4f}" for t in times))
     print(f"{'chartable S7, cold':<33}{timeit(cold_chartable_s7, repeats):>10.4f}  (fresh interpreter, imports included)")
+    peak = traced_peak_mb(lambda: character_table(dataclasses.replace(groups["C2^8"])))
+    print(f"{'chartable C2^8, peak':<33}{peak:>10.1f}  (MB, tracemalloc, fresh group)")
 
 
 def kernel_layer(repeats):

@@ -45,13 +45,11 @@ from .encoding import MessageBasis, encode_message, message_basis_cyclic
 from .perms import (
     ColoredString,
     ConjugacyClass,
-    CycleDecomposition,
     Orbit,
     Permutation,
     PermutationGroup,
     conjugacy_classes,
     cycle_count,
-    cycle_decomposition,
     cycle_type,
     generate_group,
     load_group_file,

@@ -272,13 +272,14 @@ def dense_coding_summary(basis: MessageBasis, report: ZeroErrorReport, *, tol: f
     |tr V|**2 / m**2, V = B^H U(sigma) B, and one signal's m**2 outcomes sum
     to at most 1, so for 0 <= tol < 1/2 an element passes all m**2 pairs of
     the sector or none.  The report's ``sector_traces`` hold tr V for every
-    (element, sector), so this is O(|G| * n) on top of the pass.  Failures
+    (element, sector), so this is O(|G| * n) on top of the pass.  A report
+    of another group, or of another alphabet's d**n messages, is refused.  Failures
     are listed by sector, then (a, b), then element.
     """
     _check_tol(tol)
     images = basis.group.images
     traces = report.sector_traces
-    if traces is None or traces.shape != (len(images), basis.n):
+    if traces is None or traces.shape != (len(images), basis.n) or report.messages_tested != len(basis):
         raise ValueError("the report holds no sector traces for this basis's group")
     failures = []
     triples = 0

@@ -6,16 +6,18 @@ give the ancilla-free and ancilla-assisted message counts directly, and
 Frobenius-Schur indicators certify whether the squared-cycle closed form is
 applicable at all.
 
-Nonabelian tables are computed numerically by simultaneous diagonalization of
-the class-sum matrices: a random real linear combination of the structure
-matrices is diagonalized and its eigenvectors, normalized on the identity
+A group with a generator of order |G| is cyclic, and its table is the exact
+closed form: powers of a primitive |G|-th root of unity on the powers of
+that generator, with no eigensolver and no LAPACK call.  Every other table
+comes from simultaneous diagonalization of the class-sum matrices: a random
+real linear combination of them, built column by column in k**2 memory for
+k classes, is diagonalized and its eigenvectors, normalized on the identity
 class, yield the characters.  The weights of attempt a are Gaussian draws
 from the standard library's ``random.Random(EIGEN_SEED + a)``, so a table
 never imports ``numpy.random``.  Degenerate eigenvalues trigger a retry with
-a fresh combination.  Abelian groups bypass the eigensolver: cyclic groups get
-exact root-of-unity characters, other abelian groups a deterministic
-eigenprojector cascade over their generator list, whose values are then
-snapped to the exact roots of unity of the group's exponent.
+a fresh combination.  For an abelian group the values are then snapped to
+the exact roots of unity of the group's exponent and the rows ordered by
+their exponents on the generators.
 """
 
 from __future__ import annotations
@@ -139,55 +141,21 @@ def _validation_residual(table: CharacterTable) -> float:
     return residual
 
 
-def _abelian_character_rows(group: PermutationGroup) -> np.ndarray:
-    """One row of values per character; every class is one element, so class r is row r, the identity row 0."""
+def _cyclic_character_rows(group: PermutationGroup, g: np.ndarray) -> np.ndarray:
+    """Row j of the group generated by the image row g: exp(2*pi*i*j*k/|G|) on g**k, exactly (:func:`unit_root`).
+
+    Every class is one element, so class r is the element of rank r and the
+    identity row is row 0; each element's exponent k comes from one walk of
+    the translation by g, a gather of the image array.
+    """
     order = len(group)
-
-    def translation(g) -> np.ndarray:
-        """Entry r: the rank of g * images[r], by one gather of the image array."""
-        return group._rank(np.array(g.images, dtype=np.int64)[group.images])
-
-    # Cyclic fast path: exact powers of a primitive root of unity.
-    for g in group.generators:
-        if g.order() == order:
-            step = translation(g)
-            dlog = [0] * order
-            cur = 0
-            for k in range(order):
-                dlog[cur] = k
-                cur = int(step[cur])
-            return np.array([[unit_root(order, j * k) for k in dlog] for j in range(order)])
-
-    if order == 1:
-        return np.ones((1, 1), dtype=complex)
-
-    # Sequential splitting into joint eigenspaces of the left-translation
-    # operators of the generators; each 1-dim survivor is one character.
-    gens = [g for g in dict.fromkeys(group.generators) if not g.is_identity()]
-    spaces: list[tuple[np.ndarray, tuple[int, ...]]] = [(np.eye(order, dtype=complex), ())]
-    for a in gens:
-        m = a.order()
-        translate = np.zeros((order, order), dtype=complex)
-        translate[translation(a), np.arange(order)] = 1.0
-        refined = []
-        for basis, tag in spaces:
-            restricted = basis.conj().T @ (translate @ basis)
-            powers = [np.eye(basis.shape[1], dtype=complex)]
-            for _ in range(m - 1):
-                powers.append(powers[-1] @ restricted)
-            for k in range(m):
-                projector = sum(unit_root(m, -k * l) * powers[l] for l in range(m)) / m
-                rank = int(round(np.trace(projector).real))
-                if rank == 0:
-                    continue
-                u, _s, _v = np.linalg.svd(basis @ projector)
-                refined.append((u[:, :rank], tag + (k,)))
-        spaces = refined
-    spaces.sort(key=lambda item: item[1])
-    if len(spaces) != order or any(b.shape[1] != 1 for b, _ in spaces):
-        raise CharacterTableError("generator cascade failed to isolate the characters")
-    rows = np.array([np.conj(basis[:, 0] / basis[0, 0]) for basis, _tag in spaces])
-    return _exact_roots(rows, math.lcm(*(g.order() for g in gens)))
+    step = group._rank(g[group.images])  # entry r: the rank of g * images[r]
+    dlog = [0] * order
+    cur = 0
+    for k in range(order):
+        dlog[cur] = k
+        cur = int(step[cur])
+    return np.array([[unit_root(order, j * k) for k in dlog] for j in range(order)])
 
 
 def _exact_roots(values: np.ndarray, e: int) -> np.ndarray:
@@ -204,21 +172,42 @@ def _exact_roots(values: np.ndarray, e: int) -> np.ndarray:
     return exact
 
 
-def _class_structure_matrices(group: PermutationGroup, classes) -> np.ndarray:
-    """a[i, j, t]: ways to write (fixed z in class t) as x*y with x in i, y in j.
+def _abelian_rows(group: PermutationGroup, rows) -> list:
+    """The eigensolver's rows of an abelian group, exact and in generator-exponent order.
 
-    For each representative z, y = x**-1 * z runs over one gather of the
-    inverse image array, so the work is O(|G| * k) rank lookups.  ``classes``
-    are numbered as the group's class index.
+    Each value is snapped to an exact e-th root of unity (:func:`_exact_roots`).
+    A character is fixed by its values chi(a) = exp(2*pi*i*k_a/m_a) on the
+    distinct non-identity generators a, of orders m_a, and the rows are sorted
+    by those exponents k_a, in generator order: the angle of an exact root,
+    taken in [0, 2*pi), increases with its exponent.
+    """
+    gens = [g for g in dict.fromkeys(group.generators) if not g.is_identity()]
+    exact = _exact_roots(np.array([values for _dim, values in rows]), math.lcm(*(g.order() for g in gens)))
+    columns = [int(group._class_index[group._rank_of(g)]) for g in gens]
+    turns = np.angle(exact[:, columns]) % (2 * math.pi)
+    return [(1, tuple(map(complex, exact[r]))) for r in sorted(range(len(rows)), key=lambda r: tuple(turns[r]))]
+
+
+def _combined_class_sums(group: PermutationGroup, classes, weights: np.ndarray) -> np.ndarray:
+    """Sum over i of weights[i] * A_i, A_i[j, t] the ways to write (fixed z_t in class t) as x*y, x in i, y in j.
+
+    Built column by column, with no (k, k, k) structure tensor: for the
+    representative z_t, y = x**-1 * z_t runs over one gather of the inverse
+    image array; one ``bincount`` of (class of x, class of y) gives the k x k
+    counts a_t, and column t is ``einsum("i,ij->j", weights, a_t)``, the same
+    bits as the tensor contraction ``einsum("i,ijt->jt")``.  So the memory is
+    k**2 and the work O(|G| * k) rank lookups.  ``classes`` are numbered as
+    the group's class index.
     """
     k = len(classes)
     class_of = group._class_index
     inverses = np.argsort(group.images, axis=1)
-    a = np.zeros((k, k, k))
+    combination = np.empty((k, k))
     for t, c in enumerate(classes):
         y = group._rank(inverses[:, c.representative.images])
-        np.add.at(a[:, :, t], (class_of, class_of[y]), 1.0)
-    return a
+        counts = np.bincount(class_of * k + class_of[y], minlength=k * k).astype(float)
+        combination[:, t] = np.einsum("i,ij->j", weights, counts.reshape(k, k))
+    return combination
 
 
 def _combination(attempt: int, k: int) -> np.ndarray:
@@ -227,13 +216,13 @@ def _combination(attempt: int, k: int) -> np.ndarray:
     return np.array([rng.gauss(0.0, 1.0) for _ in range(k)])
 
 
-def _nonabelian_character_rows(group, classes):
+def _eigen_character_rows(group, classes):
+    """(dim, values) of each irrep, unsorted, from the eigenvectors of one random combination of class sums."""
     order = len(group)
     k = len(classes)
     sizes = np.array([c.size for c in classes], dtype=float)
-    structure = _class_structure_matrices(group, classes)
     for attempt in range(MAX_RETRIES):
-        combo = np.einsum("i,ijt->jt", _combination(attempt, k), structure)
+        combo = _combined_class_sums(group, classes, _combination(attempt, k))
         evals, evecs = np.linalg.eig(combo)
         scale = max(1.0, float(np.abs(evals).max()))
         gaps = np.abs(evals[:, None] - evals[None, :]) + np.eye(k) * scale
@@ -256,7 +245,6 @@ def _nonabelian_character_rows(group, classes):
             rows.append((dim, tuple(complex(dim * v[i] / sizes[i]) for i in range(k))))
         if not ok or sum(d * d for d, _ in rows) != order:
             continue
-        rows.sort(key=lambda r: (r[0], tuple((-round(v.real, 6), -round(v.imag, 6)) for v in r[1])))
         return rows
     raise CharacterTableError(f"eigenvalue degeneracy not resolved after {MAX_RETRIES} retries")
 
@@ -271,11 +259,14 @@ def character_table(group: PermutationGroup, *, max_order: int = DEFAULT_MAX_GRO
     if order > max_order:
         raise GroupSizeLimitError(f"group order {order} exceeds the bound {max_order}")
     classes = tuple(conjugacy_classes(group))
-    if group.is_abelian():
-        value_rows = _abelian_character_rows(group)
-        rows = [(1, tuple(map(complex, row))) for row in value_rows]
+    cyclic = [g for g in group.generator_images if kernels.permutation_order(g) == order]
+    if cyclic:
+        rows = [(1, tuple(map(complex, row))) for row in _cyclic_character_rows(group, cyclic[0])]
+    elif group.is_abelian():
+        rows = _abelian_rows(group, _eigen_character_rows(group, classes))
     else:
-        rows = _nonabelian_character_rows(group, classes)
+        rows = _eigen_character_rows(group, classes)
+        rows.sort(key=lambda r: (r[0], tuple((-round(v.real, 6), -round(v.imag, 6)) for v in r[1])))
     irreps = tuple(Irrep(f"mu{i}", dim, values) for i, (dim, values) in enumerate(rows))
     table = CharacterTable(group=group, classes=classes, irreps=irreps, group_order=order)
     residual = _validation_residual(table)

@@ -198,22 +198,18 @@ def encode_message(basis: MessageBasis, message_index: int) -> tuple[int, int, n
     return mu, message_index - sum(basis.multiplicities[:mu]), strings[order], amplitudes[order]
 
 
-BASIS_JSON_CHUNK = 2048  # amplitude entries per piece of the JSON export (whole messages) and names per block
+BASIS_JSON_CHUNK = 2048  # amplitude entries per piece of the JSON export (whole messages)
 
 _CLOSE = "\n  },\n"  # ends the previous message; carried by the next message's header
 
 
-def _basis_strings(n: int, d: int) -> np.ndarray:
-    """``str(ColoredString)`` of every index, in index order: an object array filled block by block."""
-    names = np.empty(d**n, dtype=object)
-    powers = kernels.digit_powers(n, d)
-    for s in range(0, d**n, BASIS_JSON_CHUNK):
-        digits = np.arange(s, min(s + BASIS_JSON_CHUNK, d**n))[:, None] // powers % d
-        if d <= 10:
-            names[s : s + len(digits)] = (digits.astype(np.uint8) + ord("0")).view(f"S{n}").ravel().astype(str)
-        else:
-            names[s : s + len(digits)] = [",".join(row) for row in digits.astype(str).tolist()]
-    return names
+def _digit_names(k: int, d: int, lead: str) -> np.ndarray:
+    """``lead`` plus the name of each k-digit string, in index order, as an object array.
+
+    A name is ``str(ColoredString)``: the digits joined, by commas beyond d = 10.
+    """
+    digits = (np.arange(d**k)[:, None] // kernels.digit_powers(k, d) % d).astype(str).tolist()
+    return np.array([lead + ("" if d <= 10 else ",").join(row) for row in digits], dtype=object)
 
 
 def basis_json_lines(basis: MessageBasis) -> Iterator[str]:
@@ -223,10 +219,13 @@ def basis_json_lines(basis: MessageBasis) -> Iterator[str]:
     per message: ``mu``, ``alpha`` and its amplitudes as ``basis_string``,
     ``re`` and ``im``, in lexicographic string order.  A piece is one join of
     preformatted parts: per message a header (the previous message's close,
-    mu and alpha), and per amplitude entry its string's name and its (size,
-    k, l) tail, which ends by opening the next entry or by closing the list.
-    Each name and each tail is formatted once.  A piece holds the messages
-    that first reach ``BASIS_JSON_CHUNK`` entries, so at most that plus n - 1.
+    mu and alpha), and per amplitude entry its string's name, in two parts,
+    and its (size, k, l) tail, which ends by opening the next entry or by
+    closing the list.  The name's parts are the names of its first n - n // 2
+    and its last n // 2 digits, looked up in two tables of about sqrt(d**n)
+    names, so no d**n names are held.  Each tail and table name is formatted
+    once.  A piece holds the messages that first reach ``BASIS_JSON_CHUNK``
+    entries, so at most that plus n - 1.
     """
     head = {"group": basis.group.kind, "n": basis.n, "d": basis.d, "multiplicities": list(basis.multiplicities)}
     yield json.dumps(head, indent=1)[:-2] + ',\n "entries": [\n'
@@ -234,8 +233,10 @@ def basis_json_lines(basis: MessageBasis) -> Iterator[str]:
     starts = np.zeros(len(basis) + 1, dtype=np.int64)  # each message's first entry, then the total
     np.take(basis.sizes, basis.orbit, out=starts[1:], mode="clip")  # clip: an unbuffered ``out``
     np.cumsum(starts, out=starts)  # in place: one d**n array at a time
-    members = basis.members  # like starts, built before the names, so neither's temporaries lie on top of them
-    names = _basis_strings(basis.n, basis.d)
+    members = basis.members
+    low = basis.n // 2
+    high_names = _digit_names(basis.n - low, basis.d, "")
+    low_names = _digit_names(low, basis.d, "," if basis.d > 10 and low else "")
     values, start = basis._dft
     tail = [f'",\n     "re": {a.real!r},\n     "im": {a.imag!r}\n    }}' for a in values.tolist()]
     tails = np.array([t + ',\n    {\n     "basis_string": "' for t in tail] + [t + "\n   ]" for t in tail], dtype=object)
@@ -251,14 +252,16 @@ def basis_json_lines(basis: MessageBasis) -> Iterator[str]:
         rank = np.arange(starts[e] - starts[a]) - first[message]  # place of the entry in its message's support
         x = members[basis.offsets[orbit][message] + rank]
         last = rank == sizes[message] - 1
-        pieces = np.empty(e - a + 2 * len(rank), dtype=object)
-        pieces[first * 2 + np.arange(e - a)] = [
+        pieces = np.empty(e - a + 3 * len(rank), dtype=object)
+        pieces[first * 3 + np.arange(e - a)] = [
             f'{_CLOSE}  {{\n   "mu": {m},\n   "alpha": {i},\n   "amplitudes": [\n    {{\n     "basis_string": "'
             for m, i in zip(mu.tolist(), alpha.tolist())
         ]
-        slot = message + 2 * np.arange(len(rank)) + 1
-        pieces[slot] = names[x]
-        pieces[slot + 1] = tails[(start[sizes] + fourier * sizes)[message] + basis.position[x] + len(tail) * last]
+        slot = message + 3 * np.arange(len(rank)) + 1
+        high_digits, low_digits = np.divmod(x, len(low_names))
+        pieces[slot] = high_names[high_digits]
+        pieces[slot + 1] = low_names[low_digits]
+        pieces[slot + 2] = tails[(start[sizes] + fourier * sizes)[message] + basis.position[x] + len(tail) * last]
         if a == 0:
             pieces[0] = pieces[0][len(_CLOSE) :]
         yield "".join(pieces.tolist())

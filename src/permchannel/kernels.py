@@ -177,16 +177,23 @@ def label_dtype(size: int) -> type:
     return np.int32 if size < 2**31 else np.int64
 
 
-def permutation_order(images) -> int:
-    """Order of the permutation with these images: the lcm of its cycle lengths."""
-    images, order = np.asarray(images).tolist(), 1
+def cycle_lengths(images) -> list[int]:
+    """The lengths of the cycles of the permutation with these images, fixed points as 1-cycles, by least point."""
+    images = np.asarray(images).tolist()
     seen = [False] * len(images)
+    lengths = []
     for start in range(len(images)):
         x, length = start, 0
         while not seen[x]:
             seen[x], x, length = True, images[x], length + 1
-        order = math.lcm(order, max(length, 1))
-    return order
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def permutation_order(images) -> int:
+    """Order of the permutation with these images: the lcm of its cycle lengths."""
+    return math.lcm(*cycle_lengths(images))
 
 
 JUMP_TILE = 2**16  # indices per chunk of take_chunked: numpy's int64 copy of each int32 chunk is 512 KB

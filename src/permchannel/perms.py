@@ -79,6 +79,7 @@ import bisect
 import itertools
 import math
 import operator
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -156,49 +157,14 @@ class Permutation:
         return f"Permutation({list(self.images)})"
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """Disjoint cycles of a permutation, fixed points kept as 1-cycles."""
-
-    cycles: tuple[tuple[int, ...], ...]
-    cycle_counts: dict[int, int]
-    total_cycles: int
-
-    def count(self, k: int) -> int:
-        return self.cycle_counts.get(k, 0)
-
-
-def cycle_decomposition(p: Permutation) -> CycleDecomposition:
-    """Unique disjoint-cycle decomposition; cycles start and are ordered by their minimum."""
-    n = p.degree
-    seen = [False] * n
-    cycles = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        j = p(start)
-        while j != start:
-            cycle.append(j)
-            seen[j] = True
-            j = p(j)
-        cycles.append(tuple(cycle))
-    counts: dict[int, int] = {}
-    for c in cycles:
-        counts[len(c)] = counts.get(len(c), 0) + 1
-    return CycleDecomposition(tuple(cycles), counts, len(cycles))
-
-
 def cycle_count(p: Permutation) -> int:
     """c(p): number of disjoint cycles, fixed points included."""
-    return cycle_decomposition(p).total_cycles
+    return len(kernels.cycle_lengths(p.images))
 
 
 def cycle_type(p: Permutation) -> tuple[tuple[int, int], ...]:
     """Cycle type as ``((length, multiplicity), ...)`` with lengths descending."""
-    counts = cycle_decomposition(p).cycle_counts
-    return tuple(sorted(counts.items(), reverse=True))
+    return tuple(sorted(Counter(kernels.cycle_lengths(p.images)).items(), reverse=True))
 
 
 @dataclass(frozen=True, order=True)

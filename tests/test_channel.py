@@ -278,6 +278,12 @@ class TestDenseCoding:
             with pytest.raises(ValueError, match="no sector traces for this basis's group"):
                 dense_coding_summary(basis, verify_zero_error(other.group, other))
 
+    def test_the_summary_rejects_the_report_of_another_alphabet(self):
+        # Same group C4, so the traces have the basis's shape, but the report tested 3**4 messages, not 2**4.
+        basis = message_basis_cyclic(4, 2)
+        with pytest.raises(ValueError, match="no sector traces for this basis's group"):
+            dense_coding_summary(basis, verify_zero_error(C4, message_basis_cyclic(4, 3)))
+
     def test_certify_peak_memory_stays_below_the_sector_tables(self):
         # Sector 0 has m=1182 here: one m x m float64 table is 11.2 MB, an (m, m, |G|) boolean mask 19.6 MB.
         basis = message_basis_cyclic(14, 2)

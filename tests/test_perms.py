@@ -17,6 +17,7 @@ from oracles import (
     brute_square_roots,
     brute_stabilizer_order,
     index_table,
+    tuple_cycle_counts,
     void_key_ranks,
 )
 from permchannel import (
@@ -31,7 +32,6 @@ from permchannel import (
     count_quantum_totally_orthogonal,
     count_report,
     cycle_count,
-    cycle_decomposition,
     cycle_type,
     generate_group,
     kernels,
@@ -106,25 +106,25 @@ class TestPermutation:
 
 class TestCycleDecomposition:
     def test_identity_four_fixed_points(self):
-        dec = cycle_decomposition(Permutation.identity(4))
-        assert dec.total_cycles == 4
-        assert dec.cycle_counts == {1: 4}
+        assert kernels.cycle_lengths(Permutation.identity(4).images) == [1, 1, 1, 1]
+        assert cycle_count(Permutation.identity(4)) == 4
+        assert cycle_type(Permutation.identity(4)) == ((1, 4),)
 
     def test_full_rotation_single_cycle(self):
-        assert cycle_decomposition(R4).total_cycles == 1
-        assert cycle_decomposition(R4**3).total_cycles == 1
+        assert cycle_count(R4) == 1
+        assert cycle_count(R4**3) == 1
 
     def test_half_rotation_two_transpositions(self):
-        dec = cycle_decomposition(R4**2)
-        assert dec.cycles == ((0, 2), (1, 3))
-        assert dec.total_cycles == 2
+        assert kernels.cycle_lengths((R4**2).images) == [2, 2]
+        assert cycle_type(R4**2) == ((2, 2),)
 
     @given(perms)
     def test_lengths_sum_to_degree(self, p):
-        dec = cycle_decomposition(p)
-        assert sum(k * c for k, c in dec.cycle_counts.items()) == p.degree
-        flattened = sorted(i for cycle in dec.cycles for i in cycle)
-        assert flattened == list(range(p.degree))
+        counts = tuple_cycle_counts(p.images)
+        assert sum(kernels.cycle_lengths(p.images)) == p.degree
+        assert cycle_count(p) == sum(counts.values())
+        assert cycle_type(p) == tuple(sorted(counts.items(), reverse=True))
+        assert p.order() == math.lcm(*counts)
 
     @given(st.integers(2, 5).flatmap(pairs_same_degree))
     def test_conjugation_preserves_cycle_type(self, pq):

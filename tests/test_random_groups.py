@@ -55,7 +55,7 @@ from permchannel import (
     verify_zero_error,
 )
 from permchannel import channel, perms
-from permchannel.characters import _class_structure_matrices
+from permchannel.characters import _combination, _combined_class_sums
 from permchannel.perms import orbit_labels
 from test_certify_oracle import oracle_sectors
 
@@ -377,8 +377,11 @@ def test_group_algebra_matches_pairwise_oracles(group):
     assert {frozenset(m.images for m in c.members) for c in classes} == brute_conjugacy_classes(images)
     assert [c.members for c in classes] == sorted(tuple(sorted(c.members)) for c in classes)
     members = [[m.images for m in c.members] for c in classes]
+    # Exact equality with the tensor contraction is what keeps the JSON tables byte-identical.
+    weights = _combination(0, len(classes))
     np.testing.assert_array_equal(
-        _class_structure_matrices(group, classes), brute_class_structure(images, members)
+        _combined_class_sums(group, classes, weights),
+        np.einsum("i,ijt->jt", weights, brute_class_structure(images, members)),
     )
 
 
